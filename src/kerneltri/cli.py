@@ -17,12 +17,12 @@ from .errors import (
     PreconditionError,
     TheoremViolationError,
 )
-from .increasing import check_increasing_spectrum, radius_profile
+from .increasing import DEFAULT_SAMPLES, check_increasing_spectrum, radius_profile
 from .jsonio import canonical_dumps, operator_from_dict
 from .cycles import find_nondegenerate_cycle, moment_identities, support_digraph
 from .operators import Operator, factor
-from .spaces import StandardSet, nested_chain
-from .spectral import eigenvalues
+from .spaces import DEFAULT_MAX_POINTS, StandardSet, nested_chain
+from .spectral import DEFAULT_TOL, eigenvalues
 from .triangular import (
     TriangularizationCertificate,
     increasing_spectrum_block_form,
@@ -151,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--in", dest="infile", required=True, help="operator JSON file")
         p.add_argument("--out", default=None, help="output file (default stdout)")
-        p.add_argument("--tol", type=float, default=1e-8)
+        p.add_argument("--tol", type=float, default=DEFAULT_TOL)
 
     p = sub.add_parser("spectrum", help="eigenvalue report")
     common(p)
@@ -159,8 +159,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-increasing", help="increasing-spectrum verdict")
     common(p)
-    p.add_argument("--max-points", type=int, default=12)
-    p.add_argument("--samples", type=int, default=10_000)
+    p.add_argument("--max-points", type=int, default=DEFAULT_MAX_POINTS)
+    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=_cmd_check_increasing)
 

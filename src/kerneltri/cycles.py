@@ -4,11 +4,12 @@ moment-matrix identities of finite-rank kernels."""
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import shortest_path
 
 from .errors import PreconditionError
 from .operators import (
@@ -69,29 +70,21 @@ def find_nondegenerate_cycle(
     dg = support_digraph(K, threshold)
     p = dg.size
     succ = [tuple(j for j in dg.successors[i] if j != i) for i in range(p)]
+    heads = np.repeat(np.arange(p), [len(s) for s in succ])
+    tails = np.fromiter(itertools.chain.from_iterable(succ), dtype=np.intp, count=heads.size)
 
-    # BFS distances d[s][v]: arc-count of the shortest path s -> v
-    inf = p + 1
-    dist = np.full((p, p), inf, dtype=int)
-    for s in range(p):
-        dist[s, s] = 0
-        q = deque([s])
-        while q:
-            u = q.popleft()
-            for v in succ[u]:
-                if dist[s, v] == inf:
-                    dist[s, v] = dist[s, u] + 1
-                    q.append(v)
+    # dist[s, v]: arc count of the shortest path s -> v (inf if none)
+    arcs = csr_array((np.ones(heads.size), (heads, tails)), shape=(p, p))
+    dist = shortest_path(arcs, unweighted=True)
 
-    girth = min(
-        (dist[v, u] + 1 for u in range(p) for v in succ[u] if dist[v, u] < inf),
-        default=inf,
-    )
-    if girth > p:
+    # each arc u -> v closes a cycle through the shortest path v -> u
+    back = dist[tails, heads].min(initial=np.inf)
+    if back == np.inf:
         return None
+    girth = int(back) + 1
 
     # lexicographically smallest cycle of length == girth, found by DFS
-    # pruned with the BFS distances
+    # pruned with the shortest-path distances
     def extend(path: list[int], used: set[int]) -> tuple[int, ...] | None:
         start = path[0]
         remaining = girth - len(path)

@@ -8,24 +8,33 @@ nested cell chain plus seeded random pairs).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from .errors import PreconditionError
 from .operators import Operator, compress
-from .spaces import StandardSet, nested_chain
+from .spaces import (
+    DEFAULT_MAX_POINTS,
+    MeasureSpace,
+    StandardSet,
+    mask_indices,
+    nested_chain,
+    standard_pair_masks,
+)
 from .spectral import (
     DEFAULT_TOL,
     SpectrumReport,
     eigenvalues,
+    inclusion_witness,
     nonzero_eigen_match,
     spectrum_subset,
     MatchResult,
 )
 
-DEFAULT_MAX_POINTS = 12
 DEFAULT_SAMPLES = 10_000
 
 
@@ -53,51 +62,22 @@ class PropertyReport:
         return d
 
 
-def _pair_masks(p: int):
-    """All (E_mask, F_mask) with E ⊆ F, lexicographic in the per-point
-    state vector (out < F-only < both)."""
-    for states in itertools.product((0, 1, 2), repeat=p):
-        e = f = 0
-        for i, s in enumerate(states):
-            if s >= 1:
-                f |= 1 << i
-            if s == 2:
-                e |= 1 << i
-        yield e, f
-
-
-def _mask_indices(mask: int, p: int) -> tuple[int, ...]:
-    return tuple(i for i in range(p) if mask >> i & 1)
-
-
-class _SubsetSpectra:
-    """Lazy cache of eigenvalue arrays of principal submatrices."""
-
-    def __init__(self, entries: np.ndarray):
-        self.entries = entries
-        self.p = entries.shape[0]
-        self.cache: dict[int, np.ndarray] = {0: np.empty(0, dtype=complex)}
-
-    def get(self, mask: int) -> np.ndarray:
-        vals = self.cache.get(mask)
-        if vals is None:
-            idx = [i for i in range(self.p) if mask >> i & 1]
-            vals = np.linalg.eigvals(self.entries[np.ix_(idx, idx)])
-            self.cache[mask] = vals
-        return vals
-
-
-def _included(inner: np.ndarray, outer: np.ndarray, tol: float) -> complex | None:
-    """First inner eigenvalue farther than tol from every outer one."""
-    if inner.size == 0:
-        return None
-    if outer.size == 0:
-        return complex(inner[0])
-    dist = np.abs(inner[:, None] - outer[None, :]).min(axis=1)
-    bad = np.nonzero(dist > tol)[0]
-    if bad.size:
-        return complex(inner[bad[0]])
-    return None
+def _sampled_pairs(space: MeasureSpace, samples: int, seed: int) -> Iterator[tuple[int, int]]:
+    """All pairs along the nested cell chain, then `samples` seeded random
+    pairs E ⊆ F (per sample: F's bits, then the bits kept in E)."""
+    if space.num_cells > 0:
+        chain = nested_chain(space, space.num_cells)
+        yield from itertools.combinations([s.mask for s in chain], 2)
+    rng = np.random.default_rng(seed)
+    p = space.size
+    for _ in range(samples):
+        f_bits = rng.integers(0, 2, size=p)
+        e_bits = f_bits * rng.integers(0, 2, size=p)
+        # Python ints: an int64 mask would overflow from 63 points on
+        yield (
+            sum(1 << i for i in np.flatnonzero(e_bits).tolist()),
+            sum(1 << i for i in np.flatnonzero(f_bits).tolist()),
+        )
 
 
 def check_increasing_spectrum(
@@ -116,55 +96,34 @@ def check_increasing_spectrum(
     """
     p = K.size
     tol_eff = tol * K.scale
-    spectra = _SubsetSpectra(K.entries)
-    if p <= max_points:
-        checked = 0
-        for e_mask, f_mask in _pair_masks(p):
-            checked += 1
-            witness = _included(spectra.get(e_mask), spectra.get(f_mask), tol_eff)
-            if witness is not None:
-                return PropertyReport(
-                    False,
-                    checked,
-                    True,
-                    tol,
-                    (_mask_indices(e_mask, p), _mask_indices(f_mask, p), witness),
-                )
-        return PropertyReport(True, checked, True, tol)
+    exhaustive = p <= max_points
+    pairs = standard_pair_masks(p) if exhaustive else _sampled_pairs(K.space, samples, seed)
 
-    # sampled mode: nested-chain pairs plus seeded random pairs
-    rng = np.random.default_rng(seed)
-    pairs: list[tuple[int, int]] = []
-    if K.space.num_cells > 0:
-        chain = nested_chain(K.space, K.space.num_cells)
-        masks = [sum(1 << i for i in s.indices()) for s in chain]
-        pairs.extend((a, b) for a, b in itertools.combinations(masks, 2))
-    for _ in range(samples):
-        f_bits = rng.integers(0, 2, size=p)
-        e_bits = f_bits * rng.integers(0, 2, size=p)
-        pairs.append(
-            (int(sum(1 << i for i in range(p) if e_bits[i])),
-             int(sum(1 << i for i in range(p) if f_bits[i])))
-        )
+    @functools.cache
+    def spectrum(mask: int) -> np.ndarray:
+        idx = mask_indices(mask, p)
+        # two takes cost a quarter of np.ix_ indexing on these small matrices
+        return np.linalg.eigvals(K.entries.take(idx, 0).take(idx, 1))
+
     checked = 0
     for e_mask, f_mask in pairs:
         checked += 1
-        witness = _included(spectra.get(e_mask), spectra.get(f_mask), tol_eff)
+        witness = inclusion_witness(spectrum(e_mask), spectrum(f_mask), tol_eff)
         if witness is not None:
             return PropertyReport(
                 False,
                 checked,
-                False,
+                exhaustive,
                 tol,
-                (_mask_indices(e_mask, p), _mask_indices(f_mask, p), witness),
+                (mask_indices(e_mask, p), mask_indices(f_mask, p), witness),
             )
-    return PropertyReport(True, checked, False, tol)
+    return PropertyReport(True, checked, exhaustive, tol)
 
 
 def radius_profile(K: Operator, chain: list[StandardSet]) -> list[float]:
     """Spectral radius of the compression along an increasing chain."""
     for a, b in zip(chain, chain[1:]):
-        if not (a.issubset(b) and a.members != b.members):
+        if not (a.issubset(b) and a.mask != b.mask):
             raise PreconditionError("chain is not strictly increasing")
     return [eigenvalues(compress(K, s)).radius for s in chain]
 

@@ -1,18 +1,24 @@
 """Finite measure spaces: a uniform grid on [0,1] plus unit-mass atoms.
 
 Points are indexed 0..p-1 with all grid cells first (ascending midpoint)
-and all atoms after them (in the order their ids were given).
+and all atoms after them (in the order their ids were given). A standard
+set is a bitmask over these indices: bit i stands for point i.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import ExhaustiveCheckInfeasibleError, SpaceError
+
+#: largest space whose 3^p standard pairs are enumerated exhaustively
+DEFAULT_MAX_POINTS = 12
 
 
 @dataclass(frozen=True)
@@ -87,84 +93,109 @@ def build_space(num_cells: int, atom_ids: Iterable[int] = ()) -> MeasureSpace:
     return MeasureSpace(midpoints=mids, cell_weights=weights, atom_ids=ids)
 
 
+def mask_indices(mask: int, p: int) -> tuple[int, ...]:
+    """Ascending indices of the points 0..p-1 whose bit is set in `mask`."""
+    return tuple(i for i in range(p) if mask >> i & 1)
+
+
 @dataclass(frozen=True)
 class StandardSet:
     """A union of whole points of a MeasureSpace (a measurable set in the
-    finite model); indexes a standard projection."""
+    finite model); indexes a standard projection.
+
+    `mask` is a bitmask over the point indices: bit i is set iff point i
+    (cells first, then atoms) belongs to the set.
+    """
 
     space: MeasureSpace
-    members: tuple[bool, ...]
+    mask: int
 
     def __post_init__(self):
-        if len(self.members) != self.space.size:
-            raise SpaceError("membership vector length != space size")
+        if not 0 <= self.mask < 1 << self.space.size:
+            raise SpaceError("mask out of range for the space size")
 
     @classmethod
     def empty(cls, space: MeasureSpace) -> "StandardSet":
-        return cls(space, (False,) * space.size)
+        return cls(space, 0)
 
     @classmethod
     def full(cls, space: MeasureSpace) -> "StandardSet":
-        return cls(space, (True,) * space.size)
+        return cls(space, (1 << space.size) - 1)
 
     @classmethod
     def from_indices(cls, space: MeasureSpace, indices: Iterable[int]) -> "StandardSet":
-        mem = [False] * space.size
+        mask = 0
         for i in indices:
             if not 0 <= i < space.size:
                 raise SpaceError(f"point index {i} out of range")
-            mem[i] = True
-        return cls(space, tuple(mem))
+            # a Python int, so a NumPy index cannot make the mask fixed-width
+            mask |= 1 << operator.index(i)
+        return cls(space, mask)
 
     def indices(self) -> tuple[int, ...]:
-        return tuple(i for i, m in enumerate(self.members) if m)
+        return mask_indices(self.mask, self.space.size)
 
     @property
     def size(self) -> int:
-        return sum(self.members)
+        return self.mask.bit_count()
 
     def is_empty(self) -> bool:
-        return not any(self.members)
+        return self.mask == 0
 
     def issubset(self, other: "StandardSet") -> bool:
         self._check_space(other)
-        return all(b or not a for a, b in zip(self.members, other.members))
+        return self.mask & ~other.mask == 0
 
     def union(self, other: "StandardSet") -> "StandardSet":
         self._check_space(other)
-        return StandardSet(self.space, tuple(a or b for a, b in zip(self.members, other.members)))
+        return StandardSet(self.space, self.mask | other.mask)
 
     def intersection(self, other: "StandardSet") -> "StandardSet":
         self._check_space(other)
-        return StandardSet(self.space, tuple(a and b for a, b in zip(self.members, other.members)))
+        return StandardSet(self.space, self.mask & other.mask)
 
     def complement(self) -> "StandardSet":
-        return StandardSet(self.space, tuple(not a for a in self.members))
+        return StandardSet(self.space, self.mask ^ ((1 << self.space.size) - 1))
 
     def isdisjoint(self, other: "StandardSet") -> bool:
         self._check_space(other)
-        return not any(a and b for a, b in zip(self.members, other.members))
+        return self.mask & other.mask == 0
 
     def _check_space(self, other: "StandardSet"):
         if self.space != other.space:
             raise SpaceError("standard sets over different spaces")
 
 
+def standard_pair_masks(p: int) -> Iterator[tuple[int, int]]:
+    """Yield the masks (E, F) of all 3^p pairs of standard sets E ⊆ F
+    over p points.
+
+    Order is lexicographic in the per-point state vector, point 0 first,
+    with states ordered (out, F-only, both).
+    """
+    for states in itertools.product((0, 1, 2), repeat=p):
+        e = f = 0
+        for i, s in enumerate(states):
+            if s >= 1:
+                f |= 1 << i
+            if s == 2:
+                e |= 1 << i
+        yield e, f
+
+
 def enumerate_standard_pairs(
-    space: MeasureSpace, max_points: int = 12
+    space: MeasureSpace, max_points: int = DEFAULT_MAX_POINTS
 ) -> Iterator[tuple[StandardSet, StandardSet]]:
-    """Yield every ordered pair (E, F) of standard sets with E ⊆ F.
+    """Yield every ordered pair (E, F) of standard sets with E ⊆ F, in the
+    order of :func:`standard_pair_masks`.
 
     There are exactly 3^p such pairs (each point is in neither set, in F
-    only, or in both). Order is lexicographic in the per-point state
-    vector with states ordered (out, F-only, both).
+    only, or in both).
     """
     p = space.size
     if p > max_points:
         raise ExhaustiveCheckInfeasibleError(p, max_points)
-    for states in itertools.product((0, 1, 2), repeat=p):
-        e = tuple(s == 2 for s in states)
-        f = tuple(s >= 1 for s in states)
+    for e, f in standard_pair_masks(p):
         yield StandardSet(space, e), StandardSet(space, f)
 
 
@@ -177,12 +208,10 @@ def nested_chain(space: MeasureSpace, steps: int) -> list[StandardSet]:
         raise SpaceError("nested_chain requires at least one cell")
     chain: list[StandardSet] = []
     for s in range(steps + 1):
-        cutoff = s / steps
-        mem = tuple(
-            i < space.num_cells and space.midpoints[i] <= cutoff for i in range(space.size)
-        )
-        ss = StandardSet(space, mem)
+        # cells come first with ascending midpoints, so E_s is a prefix mask
+        count = bisect.bisect_right(space.midpoints, s / steps)
+        ss = StandardSet(space, (1 << count) - 1)
         # collapse steps finer than the grid so the chain stays strictly increasing
-        if not chain or ss.members != chain[-1].members:
+        if not chain or ss.mask != chain[-1].mask:
             chain.append(ss)
     return chain

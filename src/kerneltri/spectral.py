@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -78,22 +79,29 @@ class InclusionResult:
         return self.holds
 
 
+def inclusion_witness(inner: np.ndarray, outer: np.ndarray, tol: float) -> complex | None:
+    """First value of `inner` farther than tol from every value of `outer`;
+    None when every inner value lies within tol of some outer one."""
+    if inner.size == 0:
+        return None
+    if outer.size == 0:
+        return complex(inner[0])
+    dist = np.abs(inner[:, None] - outer[None, :]).min(axis=1)
+    bad = np.nonzero(dist > tol)[0]
+    if bad.size:
+        return complex(inner[bad[0]])
+    return None
+
+
 def spectrum_subset(
     inner: SpectrumReport, outer: SpectrumReport, tol: float = DEFAULT_TOL
 ) -> InclusionResult:
     """Set-semantics inclusion: every inner eigenvalue lies within tol of
     some outer eigenvalue. Returns the first unmatched value as witness."""
-    if not inner.eigenvalues:
-        return InclusionResult(True)
-    if not outer.eigenvalues:
-        return InclusionResult(False, inner.eigenvalues[0])
-    inn = np.array(inner.eigenvalues)
-    out = np.array(outer.eigenvalues)
-    dist = np.abs(inn[:, None] - out[None, :]).min(axis=1)
-    bad = np.nonzero(dist > tol)[0]
-    if bad.size:
-        return InclusionResult(False, complex(inn[bad[0]]))
-    return InclusionResult(True)
+    witness = inclusion_witness(
+        np.array(inner.eigenvalues), np.array(outer.eigenvalues), tol
+    )
+    return InclusionResult(witness is None, witness)
 
 
 @dataclass(frozen=True)
@@ -106,30 +114,46 @@ class MatchResult:
         return self.matched
 
 
-def nonzero_eigen_match(K1: Operator, K2: Operator, tol: float = DEFAULT_TOL) -> MatchResult:
-    """Multiset comparison of the nonzero eigenvalues of two operators.
+def match_multisets(
+    a: Sequence[complex], b: Sequence[complex], cutoff: float
+) -> MatchResult:
+    """Multiset comparison of two lists of complex values.
 
-    Eigenvalues with |λ| > tol * scale are paired by an optimal assignment;
-    the match holds iff both lists have equal length and every paired
-    distance is <= tol * scale, where scale = max(1, r(K1), r(K2)).
+    The values are paired by an optimal assignment on |a_i - b_j|; the
+    match holds iff both lists have equal length and every paired
+    distance is <= cutoff. On failure the result carries the unpaired or
+    badly paired values of each side.
     """
-    r1 = eigenvalues(K1, tol)
-    r2 = eigenvalues(K2, tol)
-    scale = max(1.0, r1.radius, r2.radius)
-    cutoff = tol * scale
-    a = np.array([z for z in r1.eigenvalues if abs(z) > cutoff])
-    b = np.array([z for z in r2.eigenvalues if abs(z) > cutoff])
+    a = np.array(a)
+    b = np.array(b)
     if a.size != b.size:
         return MatchResult(False, tuple(map(complex, a)), tuple(map(complex, b)))
     if a.size == 0:
         return MatchResult(True)
     dist = np.abs(a[:, None] - b[None, :])
     rows, cols = linear_sum_assignment(dist)
-    if dist[rows, cols].max() <= cutoff:
-        return MatchResult(True)
     bad = dist[rows, cols] > cutoff
+    if not bad.any():
+        return MatchResult(True)
     return MatchResult(
         False,
         tuple(complex(z) for z in a[rows[bad]]),
         tuple(complex(z) for z in b[cols[bad]]),
+    )
+
+
+def nonzero_eigen_match(K1: Operator, K2: Operator, tol: float = DEFAULT_TOL) -> MatchResult:
+    """Multiset comparison of the nonzero eigenvalues of two operators.
+
+    Eigenvalues with |λ| > tol * scale are compared by
+    :func:`match_multisets` with cutoff tol * scale, where
+    scale = max(1, r(K1), r(K2)).
+    """
+    r1 = eigenvalues(K1, tol)
+    r2 = eigenvalues(K2, tol)
+    cutoff = tol * max(1.0, r1.radius, r2.radius)
+    return match_multisets(
+        [z for z in r1.eigenvalues if abs(z) > cutoff],
+        [z for z in r2.eigenvalues if abs(z) > cutoff],
+        cutoff,
     )

@@ -21,7 +21,6 @@ import heapq
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import PreconditionError, TheoremViolationError
 from .operators import (
@@ -34,8 +33,8 @@ from .operators import (
     kernel_operator,
     numerical_rank,
 )
-from .spaces import StandardSet
-from .spectral import DEFAULT_TOL, eigenvalues
+from .spaces import DEFAULT_MAX_POINTS, StandardSet, mask_indices
+from .spectral import DEFAULT_TOL, eigenvalues, match_multisets
 from .cycles import support_digraph
 
 
@@ -245,7 +244,10 @@ def max_kernel_projection(
 
 
 def assert_nilpotent_compressions(
-    K: Operator, tol: float = DEFAULT_TOL, exhaustive_limit: int = 12, seed: int = 0
+    K: Operator,
+    tol: float = DEFAULT_TOL,
+    exhaustive_limit: int = DEFAULT_MAX_POINTS,
+    seed: int = 0,
 ) -> None:
     """Raise unless every standard compression of K is nilpotent.
 
@@ -267,7 +269,7 @@ def assert_nilpotent_compressions(
 
     if p <= exhaustive_limit:
         for mask in range(1, 1 << p):
-            check(tuple(i for i in range(p) if mask >> i & 1))
+            check(mask_indices(mask, p))
         return
     check(tuple(range(p)))
     for i in range(p):
@@ -359,15 +361,7 @@ def eigenatom_peel(
     peeled.sort(key=lambda it: space.atom_ids[it[0] - space.num_cells])
     eigs = [z for z in eigenvalues(K, tol).eigenvalues if abs(z) > cutoff]
     diag_vals = [z for _, z in peeled]
-    mismatch = None
-    if len(eigs) != len(diag_vals):
-        mismatch = "count"
-    elif eigs:
-        dist = np.abs(np.array(diag_vals)[:, None] - np.array(eigs)[None, :])
-        rows, cols = linear_sum_assignment(dist)
-        if dist[rows, cols].max() > cutoff:
-            mismatch = "distance"
-    if mismatch is not None:
+    if not match_multisets(diag_vals, eigs, cutoff):
         raise TheoremViolationError(
             "atom diagonal multiset does not match the nonzero spectrum",
             atom_diagonal=tuple(diag_vals),
@@ -490,7 +484,7 @@ def verify_certificate(
     thr = tol * max(1.0, float(np.abs(kernel).max()) if kernel.size else 1.0)
 
     flat = [i for b in cert.blocks for i in b]
-    ok = sorted(flat) == list(range(p)) and len(set(flat)) == p
+    ok = all(cert.blocks) and sorted(flat) == list(range(p)) and len(set(flat)) == p
     checks["partition"] = CheckResult(ok, "" if ok else "blocks do not partition the point set")
     if not ok:
         return VerificationReport(checks)

@@ -85,6 +85,23 @@ class TestCheckIncreasingSpectrum:
         assert not report.exhaustive
         assert report.verdict  # strictly lower triangular: all spectra are {0}
 
+    def test_sampled_mode_beyond_63_points(self):
+        # masks of more than 63 points must not wrap as int64; witness
+        # recorded from the list-of-pairs implementation
+        K = atomic_operator(np.ones((70, 70)))
+        report = check_increasing_spectrum(K, samples=20, seed=0)
+        assert not report.verdict and not report.exhaustive
+        assert report.pairs_checked == 1
+        e, f, z = report.witness
+        assert e == (
+            10, 11, 14, 15, 16, 18, 21, 25, 29, 35, 45, 46, 50, 54, 57, 58, 60, 61, 62, 64, 68,
+        )
+        assert f == (
+            0, 1, 2, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 21, 22, 25, 26, 28, 29, 30,
+            33, 35, 45, 46, 47, 49, 50, 53, 54, 55, 57, 58, 59, 60, 61, 62, 64, 66, 67, 68, 69,
+        )
+        assert z == pytest.approx(21.0)
+
     def test_positive_quasinilpotent_compressions(self):
         # positive K with radius ~ 0: every compression stays quasinilpotent
         K = volterra_linear(10)

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from kerneltri import (
+    StandardSet,
     build_space,
     check_increasing_spectrum,
     densify,
@@ -68,3 +69,30 @@ def test_factor_densify_round_trip(mat):
 def test_trace_is_weighted_diagonal(mat):
     K = atomic_operator(mat)
     assert abs(trace(K) - np.trace(mat)) <= 1e-12 * max(1.0, np.abs(mat).max())
+
+
+point_sets = st.integers(min_value=1, max_value=70).flatmap(
+    lambda p: st.tuples(
+        st.just(p),
+        st.frozensets(st.integers(0, p - 1)),
+        st.frozensets(st.integers(0, p - 1)),
+    )
+)
+
+
+@given(point_sets)
+@settings(max_examples=100, deadline=None)
+def test_standard_set_algebra_matches_python_sets(case):
+    p, a, b = case
+    space = build_space(p)
+    sa = StandardSet.from_indices(space, a)
+    sb = StandardSet.from_indices(space, b)
+    everything = frozenset(range(p))
+    assert sa.indices() == tuple(sorted(a))
+    assert sa.size == len(a)
+    assert sa.is_empty() == (not a)
+    assert sa.union(sb).indices() == tuple(sorted(a | b))
+    assert sa.intersection(sb).indices() == tuple(sorted(a & b))
+    assert sa.complement().indices() == tuple(sorted(everything - a))
+    assert sa.issubset(sb) == (a <= b)
+    assert sa.isdisjoint(sb) == a.isdisjoint(b)

@@ -63,6 +63,9 @@ class TestStandardSet:
         space = build_space(2)
         with pytest.raises(SpaceError):
             StandardSet.from_indices(space, [5])
+        for mask in (-1, 1 << 2):
+            with pytest.raises(SpaceError):
+                StandardSet(space, mask)
 
     def test_space_mismatch(self):
         a = StandardSet.full(build_space(2))
@@ -98,7 +101,7 @@ class TestEnumerateStandardPairs:
         seen = set()
         for e, f in enumerate_standard_pairs(space):
             assert e.issubset(f)
-            key = (e.members, f.members)
+            key = (e.mask, f.mask)
             assert key not in seen
             seen.add(key)
         assert len(seen) == 3**p
@@ -129,14 +132,14 @@ class TestNestedChain:
         space = build_space(2, [2])
         chain = nested_chain(space, 2)
         for s in chain:
-            assert not s.members[2]
+            assert not s.mask >> 2 & 1
         assert chain[-1].indices() == (0, 1)
 
     def test_strictly_increasing(self):
         space = build_space(3)
         chain = nested_chain(space, 12)  # finer than the grid
         for a, b in zip(chain, chain[1:]):
-            assert a.issubset(b) and a.members != b.members
+            assert a.issubset(b) and a.mask != b.mask
 
     def test_requires_cells(self):
         with pytest.raises(SpaceError):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -297,6 +299,24 @@ class TestVerifyCertificate:
         )
         report = verify_certificate(K, tampered)
         assert not report.checks["partition"].passed
+        assert list(report.checks) == ["partition"]
+
+    @pytest.mark.parametrize("kind", ["scc", "nilpotent_rank", "increasing_spectrum"])
+    def test_empty_block_fails_partition(self, kind):
+        K = sharpness_example(2)
+        if kind == "scc":
+            cert = scc_triangularize(K)
+        elif kind == "nilpotent_rank":
+            mat = np.zeros((4, 4))
+            mat[0, 3] = 1.0
+            K = atomic_operator(mat)
+            cert = nilpotent_block_form(factor(K))
+        else:
+            cert = increasing_spectrum_block_form(K)
+        assert verify_certificate(K, cert).passed
+        tampered = dataclasses.replace(cert, blocks=cert.blocks[:1] + ((),) + cert.blocks[1:])
+        report = verify_certificate(K, tampered)
+        assert not report.passed
         assert list(report.checks) == ["partition"]
 
     def test_single_block_cert_always_triangular(self):
