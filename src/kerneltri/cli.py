@@ -96,6 +96,10 @@ def _cmd_moments(args) -> int:
     K, data = _load_operator(args.infile)
     if "sets" not in data:
         raise InputError("moments needs a top-level \"sets\" list of index lists")
+    if not isinstance(data["sets"], list) or not all(
+        isinstance(idx, list) and all(type(i) is int for i in idx) for idx in data["sets"]
+    ):
+        raise InputError("\"sets\" must be a list of lists of integer point indices")
     kfr = factor(K)
     sets = [StandardSet.from_indices(K.space, idx) for idx in data["sets"]]
     report = moment_identities(kfr, sets, tol=args.tol)

@@ -484,7 +484,13 @@ def verify_certificate(
     thr = tol * max(1.0, float(np.abs(kernel).max()) if kernel.size else 1.0)
 
     flat = [i for b in cert.blocks for i in b]
-    ok = all(cert.blocks) and sorted(flat) == list(range(p)) and len(set(flat)) == p
+    # 0.0 == 0 and True == 1 would pass the sort test, but cannot index
+    ok = (
+        all(cert.blocks)
+        and all(isinstance(i, (int, np.integer)) and not isinstance(i, bool) for i in flat)
+        and sorted(flat) == list(range(p))
+        and len(set(flat)) == p
+    )
     checks["partition"] = CheckResult(ok, "" if ok else "blocks do not partition the point set")
     if not ok:
         return VerificationReport(checks)

@@ -4,11 +4,14 @@ Everything here deliberately avoids the library code paths it is used to
 check: brute-force enumeration, direct eigvals calls and explicit loops.
 """
 
+import functools
 import itertools
 
 import numpy as np
 
-from kerneltri import FiniteRankOperator, build_space, kernel_operator
+from kerneltri import FiniteRankOperator, PropertyReport, build_space, kernel_operator
+from kerneltri.spaces import mask_indices, standard_pair_masks
+from kerneltri.spectral import inclusion_witness
 
 
 def brute_increasing_oracle(matrix: np.ndarray, tol: float = 1e-8) -> bool:
@@ -29,6 +32,36 @@ def brute_increasing_oracle(matrix: np.ndarray, tol: float = 1e-8) -> bool:
                 break
             e_mask = (e_mask - 1) & f_mask
     return True
+
+
+def reference_increasing_check(K, tol: float = 1e-8) -> PropertyReport:
+    """The exhaustive check as a plain per-pair loop over all 3^p pairs in
+    enumeration order, one eigvals call per subset: the reference for the
+    level-by-level `check_increasing_spectrum`. It shares the pair
+    enumerator and the inclusion test with the library, which
+    brute_increasing_oracle checks without them."""
+    p = K.size
+    tol_eff = tol * K.scale
+    pairs = standard_pair_masks(p)
+
+    @functools.cache
+    def spectrum(mask: int) -> np.ndarray:
+        idx = mask_indices(mask, p)
+        return np.linalg.eigvals(K.entries.take(idx, 0).take(idx, 1))
+
+    checked = 0
+    for e_mask, f_mask in pairs:
+        checked += 1
+        witness = inclusion_witness(spectrum(e_mask), spectrum(f_mask), tol_eff)
+        if witness is not None:
+            return PropertyReport(
+                False,
+                checked,
+                True,
+                tol,
+                (mask_indices(e_mask, p), mask_indices(f_mask, p), witness),
+            )
+    return PropertyReport(True, checked, True, tol)
 
 
 def all_ordered_partitions(items: tuple[int, ...]):
@@ -106,3 +139,36 @@ def random_hybrid_instance(rng: np.random.Generator):
             kernel[j, j] = lam
             lambdas[j] = lam
     return kernel_operator(space, kernel), lambdas
+
+
+def worst_covering_margin(matrix: np.ndarray) -> float:
+    """Largest distance from an eigenvalue of F∖{i} to the spectrum of F,
+    over all covering pairs (F∖{i}, F) with F∖{i} nonempty."""
+    p = matrix.shape[0]
+    worst = 0.0
+    for f_mask in range(1 << p):
+        f_idx = [k for k in range(p) if f_mask >> k & 1]
+        outer = np.linalg.eigvals(matrix[np.ix_(f_idx, f_idx)]) if f_idx else np.empty(0)
+        for i in f_idx:
+            e_idx = [k for k in f_idx if k != i]
+            for z in np.linalg.eigvals(matrix[np.ix_(e_idx, e_idx)]) if e_idx else ():
+                worst = max(worst, float(np.abs(outer - z).min()))
+    return worst
+
+
+def near_tolerance_instance(rng: np.random.Generator, p: int, ratio: float, tol: float = 1e-8):
+    """Atomic operator, upper triangular in a random point order with a
+    well-separated diagonal, plus one entry against that order, sized so
+    the worst covering margin is about ratio * tol * scale (to first
+    order in the entry). Every subset spectrum is then the matching
+    diagonal values moved by at most about that margin."""
+    mat = np.triu(rng.standard_normal((p, p)) + 1j * rng.standard_normal((p, p)), 1)
+    mat += np.diag(np.arange(1, p + 1) * np.exp(2j * np.pi * rng.random()))
+    i, j = sorted(rng.choice(p, size=2, replace=False))
+    probe = 1e-6
+    mat[j, i] = probe
+    target = ratio * tol * max(1.0, float(np.abs(mat).max()))
+    mat[j, i] = probe * target / worst_covering_margin(mat)
+    perm = rng.permutation(p)
+    return kernel_operator(build_space(0, range(2, p + 2)), mat[np.ix_(perm, perm)])
+

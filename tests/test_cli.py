@@ -160,6 +160,25 @@ class TestMoments:
         assert code == 2
 
 
+    @pytest.mark.parametrize("sets", [[[0.5]], [[0], [1.0]], [[True]], [0, 1], {"a": [0]}])
+    def test_non_integer_sets_are_input_errors(self, tmp_path, sets):
+        op = write_json(
+            tmp_path,
+            "nil.json",
+            {
+                "operator": {
+                    "kind": "dense",
+                    "space": {"cells": 0, "atoms": [2, 3]},
+                    "kernel": [[0, 1], [0, 0]],
+                },
+                "sets": sets,
+            },
+        )
+        code, text = run(tmp_path, "moments", "--in", op)
+        assert code == 2
+        assert text == ""
+
+
 class TestTriangularize:
     def test_scc(self, tmp_path, example_file):
         code, text = run(tmp_path, "triangularize", "--in", example_file, "--kind", "scc")
@@ -232,6 +251,21 @@ class TestTriangularize:
         )
         assert code == 1
         assert not json.loads(text)["passed"]
+
+
+    @pytest.mark.parametrize("entry", [float, bool])
+    def test_verify_reports_non_integer_block_entries(self, tmp_path, entry):
+        op = write_json(tmp_path, "op.json", {"kind": "named", "name": "paper_example_1"})
+        cert_file = tmp_path / "cert.json"
+        assert main(["triangularize", "--in", op, "--kind", "scc", "--out", str(cert_file)]) == 0
+        cert = json.loads(cert_file.read_text())
+        cert["blocks"] = [[entry(i) if i < 2 else i for i in b] for b in cert["blocks"]]
+        cert_file.write_text(json.dumps(cert))
+        code, text = run(tmp_path, "verify", "--in", op, "--cert", str(cert_file))
+        assert code == 1
+        report = json.loads(text)
+        assert not report["passed"]
+        assert not report["checks"]["partition"]["passed"]
 
 
 class TestRadiusProfile:

@@ -1,7 +1,18 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import brute_increasing_oracle
+from conftest import (
+    brute_increasing_oracle,
+    near_tolerance_instance,
+    random_hybrid_instance,
+    random_nilpotent_instance,
+    reference_increasing_check,
+    worst_covering_margin,
+)
 
 from kerneltri import (
     PreconditionError,
@@ -10,6 +21,7 @@ from kerneltri import (
     build_space,
     check_increasing_spectrum,
     compress,
+    densify,
     kernel_operator,
     nested_chain,
     ones_kernel,
@@ -109,6 +121,123 @@ class TestCheckIncreasingSpectrum:
             idx = [i for i in range(10) if mask >> i & 1]
             sub = compress(K, StandardSet.from_indices(K.space, idx))
             assert np.abs(np.linalg.eigvals(sub.entries)).max() <= 1e-8
+
+
+def decision(report):
+    return report.verdict, report.pairs_checked, report.witness
+
+
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+class TestLevelByLevelAgainstReference:
+    """The level-by-level exhaustive check decides exactly what the plain
+    per-pair loop decides: same verdict, pairs_checked and witness."""
+
+    @given(seeds, st.integers(min_value=1, max_value=7))
+    @settings(max_examples=60, deadline=None)
+    def test_random_complex_matrices(self, seed, p):
+        rng = np.random.default_rng(seed)
+        cells = int(rng.integers(0, p + 1))
+        mat = rng.standard_normal((p, p)) + 1j * rng.standard_normal((p, p))
+        mat[rng.random((p, p)) < 0.4] = 0.0
+        K = kernel_operator(build_space(cells, range(2, p - cells + 2)), mat)
+        assert decision(check_increasing_spectrum(K)) == decision(reference_increasing_check(K))
+
+    @given(seeds)
+    @settings(max_examples=30, deadline=None)
+    def test_nilpotent_family(self, seed):
+        rng = np.random.default_rng(seed)
+        kfr, _ = random_nilpotent_instance(rng)
+        K = densify(kfr)
+        if K.size > 7:
+            K = compress(K, StandardSet.from_indices(K.space, range(7)))
+        report = check_increasing_spectrum(K)
+        assert report.verdict
+        assert decision(report) == decision(reference_increasing_check(K))
+
+    @given(seeds, st.integers(min_value=1, max_value=3))
+    @settings(max_examples=20, deadline=None)
+    def test_paper_examples_permuted_and_scaled(self, seed, n):
+        rng = np.random.default_rng(seed)
+        K = sharpness_example(n)
+        perm = rng.permutation(K.size)
+        scale = complex(rng.standard_normal(), rng.standard_normal())
+        K = atomic_operator(scale * np.asarray(K.entries)[np.ix_(perm, perm)])
+        assert decision(check_increasing_spectrum(K)) == decision(reference_increasing_check(K))
+
+    @given(seeds)
+    @settings(max_examples=30, deadline=None)
+    def test_hybrid_family(self, seed):
+        K, _ = random_hybrid_instance(np.random.default_rng(seed))
+        report = check_increasing_spectrum(K)
+        assert report.verdict
+        assert decision(report) == decision(reference_increasing_check(K))
+
+    @given(seeds, st.integers(min_value=5, max_value=7), st.floats(min_value=0.0, max_value=1.0))
+    @settings(max_examples=20, deadline=None)
+    def test_margins_between_tol_over_p_and_tol(self, seed, p, u):
+        # p * w > tol defeats the covering proof, so the pairs are scanned
+        # exactly; each single margin stays below tol, so all pairs hold
+        ratio = (1.0 + (p - 1) * (0.1 + 0.8 * u)) / p
+        K = near_tolerance_instance(np.random.default_rng(seed), p, ratio)
+        assert p * worst_covering_margin(np.asarray(K.entries)) > 1e-8 * K.scale
+        report = check_increasing_spectrum(K)
+        assert report.verdict
+        assert decision(report) == decision(reference_increasing_check(K))
+
+    @given(seeds, st.integers(min_value=5, max_value=7), st.floats(min_value=1.1, max_value=3.0))
+    @settings(max_examples=20, deadline=None)
+    def test_margins_beyond_tol(self, seed, p, ratio):
+        K = near_tolerance_instance(np.random.default_rng(seed), p, ratio)
+        report = check_increasing_spectrum(K)
+        assert not report.verdict
+        assert decision(report) == decision(reference_increasing_check(K))
+
+    @pytest.mark.parametrize("p", [5, 6, 7])
+    def test_drift_along_a_chain_is_not_proven(self, p):
+        # arrowhead: each point i > 0 moves the eigenvalue of point 0 by
+        # 0.6 tol, so every covering margin is within tol, while E = {0}
+        # and F = {0, i, j} are 1.2 tol apart
+        mu = np.arange(1.0, p)
+        kernel = np.diag(np.concatenate(([0.0], mu))).astype(complex)
+        shift = 0.6e-8 * (p - 1)
+        kernel[0, 1:] = 1.0
+        kernel[1:, 0] = -shift * mu
+        K = atomic_operator(kernel)
+        assert worst_covering_margin(np.asarray(K.entries)) < 1e-8 * K.scale
+        report = check_increasing_spectrum(K)
+        assert not report.verdict
+        assert decision(report) == decision(reference_increasing_check(K))
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 9, 12])
+    def test_late_violator_position(self, p):
+        # a 2-cycle on points 0 and 1, block diagonal with a holding
+        # triangular block on the rest: the first violating pair is
+        # E = {1}, F = {0, 1}, pair number 5 * 3^(p-2) in enumeration order
+        rng = np.random.default_rng(p)
+        kernel = np.zeros((p, p), dtype=complex)
+        kernel[0, 1], kernel[1, 0] = 1.5, -0.75
+        kernel[2:, 2:] = np.triu(rng.standard_normal((p - 2, p - 2)))
+        K = kernel_operator(build_space(p // 4, range(2, p - p // 4 + 2)), kernel)
+        report = check_increasing_spectrum(K)
+        assert not report.verdict and report.exhaustive
+        assert report.pairs_checked == 5 * 3 ** (p - 2) + 1
+        e, f, z = report.witness
+        assert (e, f) == ((1,), (0, 1))
+        assert z == 0
+
+    def test_empty_space_has_one_pair(self):
+        K = sharpness_example(1)
+        report = check_increasing_spectrum(compress(K, StandardSet.empty(K.space)))
+        assert decision(report) == (True, 1, None)
+
+    def test_no_runtime_warning(self):
+        K = atomic_operator(np.triu(np.ones((6, 6))) + np.diag(np.arange(6.0)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert check_increasing_spectrum(K).verdict
+            assert not check_increasing_spectrum(atomic_operator(np.ones((6, 6)))).verdict
 
 
 class TestRadiusProfile:

@@ -319,6 +319,25 @@ class TestVerifyCertificate:
         assert not report.passed
         assert list(report.checks) == ["partition"]
 
+    @pytest.mark.parametrize("kind", ["scc", "nilpotent_rank", "increasing_spectrum"])
+    @pytest.mark.parametrize("entry", [float, bool])
+    def test_non_integer_entry_fails_partition(self, kind, entry):
+        K = sharpness_example(2)
+        if kind == "scc":
+            cert = scc_triangularize(K)
+        elif kind == "nilpotent_rank":
+            mat = np.zeros((4, 4))
+            mat[0, 3] = 1.0
+            K = atomic_operator(mat)
+            cert = nilpotent_block_form(factor(K))
+        else:
+            cert = increasing_spectrum_block_form(K)
+        # the entry naming point 0 or 1 becomes 0.0 / False or 1.0 / True
+        blocks = tuple(tuple(entry(i) if i < 2 else i for i in b) for b in cert.blocks)
+        report = verify_certificate(K, dataclasses.replace(cert, blocks=blocks))
+        assert not report.passed
+        assert list(report.checks) == ["partition"]
+
     def test_single_block_cert_always_triangular(self):
         rng = np.random.default_rng(12)
         K = atomic_operator(rng.standard_normal((4, 4)))
