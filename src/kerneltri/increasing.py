@@ -21,14 +21,19 @@ from .spaces import (
     DEFAULT_MAX_POINTS,
     MeasureSpace,
     StandardSet,
+    level_mask_indices,
+    level_pair_table,
     mask_indices,
     nested_chain,
+    pair_masks,
 )
 from .spectral import (
     DEFAULT_TOL,
     SpectrumReport,
     eigenvalues,
+    first_excluded,
     inclusion_witness,
+    nearest_distances,
     nonzero_eigen_match,
     spectrum_subset,
     MatchResult,
@@ -85,50 +90,16 @@ _CHUNK_ENTRIES = 1 << 15
 #: relative slack of the covering proof: covers the rounding of each
 #: computed |z - y|, of the chain sum and of m·w, all far below 1e-12
 _PROOF_SLACK = 1e-12
-#: levels scanned pair by pair even while the covering proof holds
+#: levels always scanned; the covering proof is first tried one level later
 _SCANNED_LEVELS = 4
-
-
-# Level tables. A level mask ("lmask") numbers the points from the end: bit
-# j stands for point p-1-j. The subsets of T_m = {p-m, ..., p-1} are then
-# the lmasks below 2^m for every p, and pair number n of the enumeration
-# has ternary digit j equal to the state (out, F-only, both) of point p-1-j.
-
-
-@functools.cache
-def _pair_lmasks(digits: int) -> tuple[np.ndarray, np.ndarray]:
-    """Level masks (E, F) of the first 3^digits pairs, in enumeration order."""
-    e = f = np.zeros(1, dtype=np.intp)
-    for j in range(digits):
-        bit = 1 << j
-        e, f = np.concatenate((e, e, e | bit)), np.concatenate((f, f | bit, f | bit))
-    return e, f
-
-
-def _pair_lmask(n: int) -> tuple[int, int]:
-    """Level masks (E, F) of pair number n."""
-    e = f = 0
-    j = 0
-    while n:
-        n, state = divmod(n, 3)
-        if state:
-            f |= 1 << j
-            if state == 2:
-                e |= 1 << j
-        j += 1
-    return e, f
-
-
-def _lmask_indices(lmask: int, p: int) -> tuple[int, ...]:
-    """Ascending point indices of a level mask over p points."""
-    return tuple(p - 1 - j for j in range(p - 1, -1, -1) if lmask >> j & 1)
 
 
 @functools.cache
 def _subsets_by_size(low: int, m: int) -> list[tuple[int, np.ndarray, np.ndarray]]:
-    """The nonempty subsets of T_m with lmasks in [2^low, 2^m), grouped by
-    size s as (s, lmasks, columns), where row r of columns lists the
-    points of lmasks[r] ascending as point = p - m + column."""
+    """The nonempty subsets of T_m with level masks in [2^low, 2^m),
+    grouped by size s as (s, level masks, columns), where row r of
+    columns lists the points of the r-th subset ascending as
+    point = p - m + column."""
     lmasks = np.arange(max(1, 1 << low), 1 << m)
     bits = (lmasks[:, None] >> np.arange(m)) & 1
     sizes = bits.sum(axis=1)
@@ -140,8 +111,8 @@ def _subsets_by_size(low: int, m: int) -> list[tuple[int, np.ndarray, np.ndarray
 
 @functools.cache
 def _covering_pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lmasks (E, F) of the covering pairs E = F∖{i} of level m with E
-    nonempty: F lies in T_m and holds its first point and i."""
+    """Level masks (E, F) of the covering pairs E = F∖{i} of level m with
+    E nonempty: F lies in T_m and holds its first point and i."""
     f = np.arange(1 << (m - 1), 1 << m)
     bits = (f[:, None] >> np.arange(m)) & 1
     cover_f = [f[(bits[:, j] == 1) & (bits.sum(axis=1) > 1)] for j in range(m)]
@@ -151,19 +122,21 @@ def _covering_pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
 def _pair_chunks(lo: int, hi: int, m: int):
     """Pairs number lo..hi-1, all over T_m with lo a power of 3, in
     enumeration order and in blocks of at most _CHUNK_ENTRIES m×m
-    distances: yields (number of the block's first pair, E lmasks, F lmasks)."""
+    distances: yields (number of the block's first pair, E level masks,
+    F level masks)."""
     if (hi - lo) * m * m <= _CHUNK_ENTRIES:
-        e, f = _pair_lmasks(m)
+        e, f = level_pair_table(m)
         yield lo, e[lo:hi], f[lo:hi]
         return
     k = 0
     while 3 ** (k + 1) * m * m <= _CHUNK_ENTRIES:
         k += 1
-    e_low, f_low = _pair_lmasks(k)
+    e_low, f_low = level_pair_table(k)
+    high_bits = [1 << j for j in range(k, m)]
     block = 3**k
     for high in range(lo // block, hi // block):
-        e, f = _pair_lmask(high)
-        yield high * block, (e << k) | e_low, (f << k) | f_low
+        e, f = pair_masks(high, high_bits)
+        yield high * block, e | e_low, f | f_low
 
 
 def _exhaustive_check(K: Operator, tol: float) -> PropertyReport:
@@ -173,59 +146,60 @@ def _exhaustive_check(K: Operator, tol: float) -> PropertyReport:
         return PropertyReport(True, 1, True, tol)  # the one pair (∅, ∅)
     tol_eff = tol * K.scale
     entries = K.entries
-    # spectra per lmask, padded with NaN: a padded distance is NaN, which
-    # fmin skips, fmax skips and `>` reads as false (no inf - inf anywhere)
-    spec = np.empty((1 << p, p), dtype=complex)
-    spec[0] = np.nan
+    # spectra per level mask of T_m, one row of m columns each, padded with
+    # NaN (row 0 is the empty set); it grows by one level at a time, so a
+    # witness found at level m costs only the 2^m subsets of T_m
+    spec = np.empty((1, 0), dtype=complex)
 
-    def add_spectra(low: int, m: int) -> None:
-        spec[1 << low : 1 << m] = np.nan
+    def add_level(low: int, m: int) -> None:
+        nonlocal spec
+        grown = np.full((1 << m, m), np.nan, dtype=complex)
+        grown[: 1 << low, :low] = spec
         for s, lmasks, cols in _subsets_by_size(low, m):
             idx = cols + (p - m)
-            spec[lmasks, :s] = np.linalg.eigvals(entries[idx[:, :, None], idx[:, None, :]])
+            grown[lmasks, :s] = np.linalg.eigvals(entries[idx[:, :, None], idx[:, None, :]])
+        spec = grown
 
-    def nearest(e: np.ndarray, f: np.ndarray, m: int) -> np.ndarray:
-        """Distance from each eigenvalue of E to the nearest one of F, per
-        pair (NaN in the padding columns of E)."""
-        diff = spec[e, :m, None] - spec[f, None, :m]
-        return np.fmin.reduce(np.abs(diff), axis=2)
-
-    def worst_covering_margin(m: int) -> float:
-        cover_e, cover_f = _covering_pairs(m)
-        step = max(1, _CHUNK_ENTRIES // (m * m))
+    def covering_margin(k: int) -> float:
+        """Worst margin over the covering pairs of level k."""
+        cover_e, cover_f = _covering_pairs(k)
+        step = max(1, _CHUNK_ENTRIES // spec.shape[1] ** 2)
         worst = 0.0
         for i in range(0, cover_e.size, step):
-            dist = nearest(cover_e[i : i + step], cover_f[i : i + step], m)
+            dist = nearest_distances(spec[cover_e[i : i + step]], spec[cover_f[i : i + step]])
             worst = max(worst, float(np.fmax.reduce(dist, axis=None)))
         return worst
 
     def scan(lo: int, hi: int, m: int) -> PropertyReport | None:
         for number, e, f in _pair_chunks(lo, hi, m):
-            bad = nearest(e, f, m) > tol_eff
-            if bad.any():
-                row = int(bad.any(axis=1).argmax())
+            hit = first_excluded(spec[e], spec[f], tol_eff)
+            if hit is not None:
+                row, col = divmod(hit, m)
                 e_lmask, f_lmask = int(e[row]), int(f[row])
-                z = complex(spec[e_lmask, bad[row].argmax()])
-                witness = (_lmask_indices(e_lmask, p), _lmask_indices(f_lmask, p), z)
+                witness = (
+                    level_mask_indices(e_lmask, p),
+                    level_mask_indices(f_lmask, p),
+                    complex(spec[e_lmask, col]),
+                )
                 return PropertyReport(False, number + row + 1, True, tol, witness)
         return None
 
-    worst = 0.0
+    worst = 0.0  # worst covering margin of the levels up to `measured`
+    measured = 1  # level 1 has no covering pair with E nonempty
     proven = True
     # levels 1 and 2 (9 pairs) come as one; up to _SCANNED_LEVELS a scan
     # costs no more than a proof, and finds an early witness sooner
     for low, m in [(0, min(p, 2))] + [(m - 1, m) for m in range(3, p + 1)]:
-        add_spectra(low, m)
+        add_level(low, m)
         if proven and m > _SCANNED_LEVELS:
-            worst = max(worst, worst_covering_margin(m))
+            worst = max([worst] + [covering_margin(k) for k in range(measured + 1, m + 1)])
+            measured = m
             proven = m * worst * (1.0 + _PROOF_SLACK) <= tol_eff
             if proven:
                 continue
         report = scan(3**low, 3**m, m)
         if report is not None:
             return report
-        if proven:
-            worst = max(worst, worst_covering_margin(m))
     return PropertyReport(True, 3**p, True, tol)
 
 
@@ -245,17 +219,20 @@ def check_increasing_spectrum(
     last m points T_m = {p-m, ..., p-1}, so the check goes level by level,
     m = 1..p, level m adding the pairs whose F holds point p-m. Each level
     eigen-decomposes its 2^(m-1) new subsets in one stacked call per
-    subset size. While every earlier level was proven, it then takes the
-    worst margin w over all covering pairs (F∖{i}, F) inside T_m: a pair
-    E ⊆ F inside T_m differs by at most m points, so m·w <= tol (with a
-    relative slack of 1e-12 for rounding) proves every pair up to level m
-    by the triangle inequality. Otherwise the level's pairs are scanned
-    exactly in enumeration order, in vectorized blocks of bounded size,
-    and so are all later levels; levels 1 to 4 are always scanned, as
-    there a scan costs no more than the proof. The reported witness on
-    failure is the first violating pair in enumeration order (the
-    lexicographically minimal one), and `pairs_checked` counts the pairs
-    decided: up to and including the witness, or all 3^p on a pass.
+    subset size; only the spectra of the subsets of T_m are held, so a
+    witness found at level m costs 2^m subsets however large p is. From
+    level 5 on, while no earlier attempt failed, it takes the worst margin
+    w over all covering pairs (F∖{i}, F) inside T_m: a pair E ⊆ F inside
+    T_m differs by at most m points, so m·w <= tol (with a relative slack
+    of 1e-12 for rounding) proves every pair up to level m by the triangle
+    inequality. Otherwise the level's pairs are scanned exactly in
+    enumeration order with :func:`first_excluded`, in vectorized blocks of
+    bounded size, and so are all later levels; levels 1 to 4 are always
+    scanned, as there a scan finds the early witnesses of most violators
+    for less than a proof costs. The reported witness on failure is the
+    first violating pair in enumeration order (the lexicographically
+    minimal one), and `pairs_checked` counts the pairs decided: up to and
+    including the witness, or all 3^p on a pass.
 
     Larger spaces fall back to the sampled mode (pairs along the nested
     cell chain, then `samples` seeded random pairs, checked one by one)

@@ -8,7 +8,7 @@ set is a bitmask over these indices: bit i stands for point i.
 from __future__ import annotations
 
 import bisect
-import itertools
+import functools
 import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -166,21 +166,51 @@ class StandardSet:
             raise SpaceError("standard sets over different spaces")
 
 
+def pair_masks(n: int, bits: Sequence[int]) -> tuple[int, int]:
+    """Masks (E, F) of pair number n of the pair enumeration: ternary
+    digit j of n, least significant first, is the state (out, F-only,
+    both) of the point whose bit is bits[j]."""
+    e = f = 0
+    for bit in bits:
+        if not n:
+            break
+        n, state = divmod(n, 3)
+        if state:
+            f |= bit
+            if state == 2:
+                e |= bit
+    return e, f
+
+
 def standard_pair_masks(p: int) -> Iterator[tuple[int, int]]:
     """Yield the masks (E, F) of all 3^p pairs of standard sets E ⊆ F
     over p points.
 
     Order is lexicographic in the per-point state vector, point 0 first,
-    with states ordered (out, F-only, both).
+    with states ordered (out, F-only, both): the last point is the least
+    significant ternary digit of the pair number.
     """
-    for states in itertools.product((0, 1, 2), repeat=p):
-        e = f = 0
-        for i, s in enumerate(states):
-            if s >= 1:
-                f |= 1 << i
-            if s == 2:
-                e |= 1 << i
-        yield e, f
+    bits = [1 << i for i in range(p - 1, -1, -1)]
+    for n in range(3**p):
+        yield pair_masks(n, bits)
+
+
+# Level masks number the points from the end: bit j stands for point p-1-j,
+# whatever p is. The first 3^m pairs of standard_pair_masks(p) are then the
+# pairs over the last m points, and their level masks lie below 2^m.
+
+
+@functools.cache
+def level_pair_table(digits: int) -> tuple[np.ndarray, np.ndarray]:
+    """Level masks (E, F) of pairs 0 .. 3^digits - 1, as two arrays."""
+    bits = [1 << j for j in range(digits)]
+    e, f = zip(*(pair_masks(n, bits) for n in range(3**digits)))
+    return np.array(e, dtype=np.intp), np.array(f, dtype=np.intp)
+
+
+def level_mask_indices(lmask: int, p: int) -> tuple[int, ...]:
+    """Ascending indices of the points 0..p-1 in the level mask `lmask`."""
+    return tuple(i for i in range(p) if lmask >> (p - 1 - i) & 1)
 
 
 def enumerate_standard_pairs(

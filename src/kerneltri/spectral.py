@@ -79,18 +79,31 @@ class InclusionResult:
         return self.holds
 
 
+def nearest_distances(inner: np.ndarray, outer: np.ndarray) -> np.ndarray:
+    """Distance from each value of `inner` to the nearest value of
+    `outer`, row by row over any leading axes (inner (..., a), outer
+    (..., b)). NaN entries are padding: a padded inner value gets NaN, a
+    row of `outer` without values gives inf, and NaN never meets inf."""
+    dist = np.fmin.reduce(
+        np.abs(inner[..., :, None] - outer[..., None, :]), axis=-1, initial=np.inf
+    )
+    return np.where(np.isnan(inner), np.nan, dist)
+
+
+def first_excluded(inner: np.ndarray, outer: np.ndarray, tol: float) -> int | None:
+    """Flat index into `inner` of its first value, in row-major order,
+    that lies farther than tol from every value of the matching row of
+    `outer` (padding as in :func:`nearest_distances`); None when there is
+    none."""
+    bad = np.flatnonzero(nearest_distances(inner, outer) > tol)
+    return int(bad[0]) if bad.size else None
+
+
 def inclusion_witness(inner: np.ndarray, outer: np.ndarray, tol: float) -> complex | None:
     """First value of `inner` farther than tol from every value of `outer`;
     None when every inner value lies within tol of some outer one."""
-    if inner.size == 0:
-        return None
-    if outer.size == 0:
-        return complex(inner[0])
-    dist = np.abs(inner[:, None] - outer[None, :]).min(axis=1)
-    bad = np.nonzero(dist > tol)[0]
-    if bad.size:
-        return complex(inner[bad[0]])
-    return None
+    hit = first_excluded(inner, outer, tol)
+    return None if hit is None else complex(inner[hit])
 
 
 def spectrum_subset(

@@ -227,6 +227,24 @@ class TestLevelByLevelAgainstReference:
         assert (e, f) == ((1,), (0, 1))
         assert z == 0
 
+    def test_early_violator_among_64_points(self):
+        # found at level 2; the check must not touch the 2^64 subsets
+        K = ones_kernel(64)
+        report = check_increasing_spectrum(K, max_points=64)
+        assert report.pairs_checked == 6
+        assert decision(report) == decision(reference_increasing_check(K))
+
+    def test_violator_at_level_seven_of_64_points(self):
+        # triangular but for a 2-cycle on points 57 and 58, so the
+        # covering proof holds on levels 5 and 6 and fails at level 7
+        rng = np.random.default_rng(64)
+        kernel = np.triu(rng.standard_normal((64, 64))).astype(complex)
+        kernel[57, 58], kernel[58, 57] = 1.5, -0.75
+        K = atomic_operator(kernel)
+        report = check_increasing_spectrum(K, max_points=64)
+        assert not report.verdict
+        assert decision(report) == decision(reference_increasing_check(K))
+
     def test_empty_space_has_one_pair(self):
         K = sharpness_example(1)
         report = check_increasing_spectrum(compress(K, StandardSet.empty(K.space)))

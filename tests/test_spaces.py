@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from kerneltri import (
     enumerate_standard_pairs,
     nested_chain,
 )
+from kerneltri.spaces import level_mask_indices, level_pair_table, mask_indices, standard_pair_masks
 
 
 class TestBuildSpace:
@@ -110,6 +113,28 @@ class TestEnumerateStandardPairs:
         space = build_space(12)
         count = sum(1 for _ in enumerate_standard_pairs(space, max_points=12))
         assert count == 531441 == 3**12
+
+    @pytest.mark.parametrize("p", [0, 1, 2, 3, 4, 5])
+    def test_order_is_lexicographic_in_point_states(self, p):
+        expected = []
+        for states in itertools.product((0, 1, 2), repeat=p):
+            f = sum(1 << i for i, s in enumerate(states) if s >= 1)
+            e = sum(1 << i for i, s in enumerate(states) if s == 2)
+            expected.append((e, f))
+        assert list(standard_pair_masks(p)) == expected
+
+    @pytest.mark.parametrize("p", [1, 3, 5])
+    def test_level_table_lists_the_pairs_over_the_last_points(self, p):
+        # the first 3^m pairs over p points are those over points p-m..p-1
+        pairs = list(standard_pair_masks(p))
+        for m in range(p + 1):
+            e, f = level_pair_table(m)
+            got = [
+                (level_mask_indices(a, p), level_mask_indices(b, p))
+                for a, b in zip(e.tolist(), f.tolist())
+            ]
+            assert got == [(mask_indices(a, p), mask_indices(b, p)) for a, b in pairs[: 3**m]]
+            assert all(min(i for i in fi) >= p - m for _, fi in got if fi)
 
     def test_size_overflow(self):
         space = build_space(13)

@@ -12,6 +12,7 @@ from kerneltri import (
     sharpness_example,
     spectrum_subset,
 )
+from kerneltri.spectral import first_excluded, inclusion_witness
 
 
 def atomic_operator(matrix):
@@ -91,6 +92,34 @@ class TestSpectrumSubset:
         # inner has eigenvalue 1 three times, outer once: still included
         assert spectrum_subset(inner, outer, 1e-8)
         assert not spectrum_subset(outer, inner, 1e-8)  # 0 is missing
+
+
+class TestFirstExcluded:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_padded_batches_match_a_plain_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        rows, a, b = rng.integers(1, 6, size=3)
+        inner = np.round(rng.standard_normal((rows, a)) + 1j * rng.standard_normal((rows, a)))
+        outer = np.round(rng.standard_normal((rows, b)) + 1j * rng.standard_normal((rows, b)))
+        inner[rng.random((rows, a)) < 0.3] = np.nan
+        outer[rng.random((rows, b)) < 0.3] = np.nan
+        expected = None
+        for r in range(rows):
+            values = [y for y in outer[r] if not np.isnan(y)]
+            for c in range(a):
+                z = inner[r, c]
+                if expected is None and not np.isnan(z) and all(abs(z - y) > 0.5 for y in values):
+                    expected = r * a + c
+        assert first_excluded(inner, outer, 0.5) == expected
+
+    def test_empty_outer_excludes_every_value(self):
+        assert first_excluded(np.array([2.0, 3.0]), np.empty(0), 1.0) == 0
+        assert first_excluded(np.array([[np.nan, 2.0]]), np.full((1, 3), np.nan), 1.0) == 1
+        assert inclusion_witness(np.array([2.0]), np.empty(0), 1.0) == 2.0
+
+    def test_empty_inner_is_included(self):
+        assert first_excluded(np.empty(0), np.array([1.0]), 1.0) is None
+        assert first_excluded(np.full((2, 2), np.nan), np.ones((2, 1)), 1.0) is None
 
 
 class TestNonzeroEigenMatch:
