@@ -10,13 +10,7 @@ import argparse
 import json
 import sys
 
-from .errors import (
-    DimensionMismatchError,
-    ExhaustiveCheckInfeasibleError,
-    KernelTriError,
-    PreconditionError,
-    TheoremViolationError,
-)
+from .errors import KernelTriError, TheoremViolationError
 from .increasing import DEFAULT_SAMPLES, check_increasing_spectrum, radius_profile
 from .jsonio import canonical_dumps, operator_from_dict
 from .cycles import find_nondegenerate_cycle, moment_identities, support_digraph
@@ -48,7 +42,7 @@ def _load_json(path: str) -> dict:
 
 def _load_operator(path: str) -> tuple[Operator, dict]:
     data = _load_json(path)
-    payload = data["operator"] if "operator" in data else data
+    payload = data.get("operator", data) if isinstance(data, dict) else data
     try:
         return operator_from_dict(payload), data
     except KeyError as exc:
@@ -199,17 +193,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (
-        InputError,
-        PreconditionError,
-        DimensionMismatchError,
-        ExhaustiveCheckInfeasibleError,
-        KeyError,
-        ValueError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except KernelTriError as exc:
+    except (InputError, KernelTriError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -21,6 +21,7 @@ from .spaces import (
     DEFAULT_MAX_POINTS,
     MeasureSpace,
     StandardSet,
+    _subsets_by_size,
     level_mask_indices,
     level_pair_table,
     mask_indices,
@@ -92,21 +93,6 @@ _CHUNK_ENTRIES = 1 << 15
 _PROOF_SLACK = 1e-12
 #: levels always scanned; the covering proof is first tried one level later
 _SCANNED_LEVELS = 4
-
-
-@functools.cache
-def _subsets_by_size(low: int, m: int) -> list[tuple[int, np.ndarray, np.ndarray]]:
-    """The nonempty subsets of T_m with level masks in [2^low, 2^m),
-    grouped by size s as (s, level masks, columns), where row r of
-    columns lists the points of the r-th subset ascending as
-    point = p - m + column."""
-    lmasks = np.arange(max(1, 1 << low), 1 << m)
-    bits = (lmasks[:, None] >> np.arange(m)) & 1
-    sizes = bits.sum(axis=1)
-    return [
-        (s, lmasks[sizes == s], np.nonzero(bits[sizes == s, ::-1])[1].reshape(-1, s))
-        for s in range(1, m + 1)
-    ]
 
 
 @functools.cache

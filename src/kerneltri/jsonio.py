@@ -24,6 +24,7 @@ from .operators import (
     volterra_linear,
 )
 from .spaces import MeasureSpace, build_space
+from .spectral import MAX_DENSE_SIZE
 
 
 def _format_real(x: float) -> str:
@@ -78,8 +79,18 @@ def space_to_dict(space: MeasureSpace) -> dict:
     return {"cells": space.num_cells, "atoms": list(space.atom_ids)}
 
 
+def _integer(value, what: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise PreconditionError(f"{what} must be an integer, not {value!r}") from exc
+
+
 def space_from_dict(data: dict) -> MeasureSpace:
-    return build_space(int(data.get("cells", 0)), [int(a) for a in data.get("atoms", [])])
+    if not isinstance(data, dict) or not isinstance(data.get("atoms", []), list):
+        raise PreconditionError('a space must be an object with an "atoms" list')
+    cells = _integer(data.get("cells", 0), '"cells"')
+    return build_space(cells, [_integer(a, "an atom id") for a in data.get("atoms", [])])
 
 
 def _complex_matrix(rows, expect_cols: int | None = None) -> np.ndarray:
@@ -90,7 +101,12 @@ def _complex_matrix(rows, expect_cols: int | None = None) -> np.ndarray:
             return complex(float(v[0]), float(v[1]))
         return complex(float(v))
 
-    mat = np.array([[scalar(v) for v in row] for row in rows], dtype=complex)
+    if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
+        raise PreconditionError("a matrix must be a list of rows")
+    try:
+        mat = np.array([[scalar(v) for v in row] for row in rows], dtype=complex)
+    except (TypeError, OverflowError) as exc:
+        raise PreconditionError(f"matrix entries must be numbers or [re, im] pairs: {exc}") from exc
     if mat.ndim != 2 or (expect_cols is not None and mat.shape[1] != expect_cols):
         raise DimensionMismatchError("matrix shape mismatch")
     return mat
@@ -99,21 +115,35 @@ def _complex_matrix(rows, expect_cols: int | None = None) -> np.ndarray:
 _NAMED_WITH_INDEX = re.compile(r"^paper_example_(\d+)$")
 
 
+def _check_points(name: str, points: int) -> None:
+    if points > MAX_DENSE_SIZE:
+        raise PreconditionError(
+            f"{name} with {points} points exceeds the dense limit {MAX_DENSE_SIZE}"
+        )
+
+
 def named_operator(name: str, **params) -> Operator:
-    """Built-in operators so checks need no external data files."""
+    """Built-in operators so checks need no external data files.
+
+    Sizes whose point count (2n+1 for paper_example, `cells` otherwise)
+    exceeds MAX_DENSE_SIZE are refused before any kernel is built.
+    """
     m = _NAMED_WITH_INDEX.match(name)
-    if m:
-        return sharpness_example(int(m.group(1)))
-    if name == "paper_example":
-        return sharpness_example(int(params["n"]))
-    if name == "volterra_linear":
-        return volterra_linear(int(params.get("cells", 64)))
-    if name == "ones_kernel":
-        return ones_kernel(int(params.get("cells", 64)))
+    if m or name == "paper_example":
+        n = int(m.group(1)) if m else _integer(params["n"], '"n"')
+        _check_points(name, 2 * n + 1)
+        return sharpness_example(n)
+    builders = {"volterra_linear": volterra_linear, "ones_kernel": ones_kernel}
+    if name in builders:
+        cells = _integer(params.get("cells", 64), '"cells"')
+        _check_points(name, cells)
+        return builders[name](cells)
     raise PreconditionError(f"unknown named operator: {name!r}")
 
 
 def operator_from_dict(data: dict) -> Operator:
+    if not isinstance(data, dict):
+        raise PreconditionError("an operator descriptor must be a JSON object")
     kind = data.get("kind")
     if kind == "named":
         extra = {k: v for k, v in data.items() if k not in ("kind", "name")}

@@ -197,7 +197,7 @@ def standard_pair_masks(p: int) -> Iterator[tuple[int, int]]:
 
 # Level masks number the points from the end: bit j stands for point p-1-j,
 # whatever p is. The first 3^m pairs of standard_pair_masks(p) are then the
-# pairs over the last m points, and their level masks lie below 2^m.
+# pairs over the last m points T_m, and their level masks lie below 2^m.
 
 
 @functools.cache
@@ -206,6 +206,21 @@ def level_pair_table(digits: int) -> tuple[np.ndarray, np.ndarray]:
     bits = [1 << j for j in range(digits)]
     e, f = zip(*(pair_masks(n, bits) for n in range(3**digits)))
     return np.array(e, dtype=np.intp), np.array(f, dtype=np.intp)
+
+
+@functools.cache
+def _subsets_by_size(low: int, m: int) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """The nonempty subsets of T_m with level masks in [2^low, 2^m),
+    grouped by size s as (s, level masks, columns), where row r of
+    columns lists the points of the r-th subset ascending as
+    point = p - m + column."""
+    lmasks = np.arange(max(1, 1 << low), 1 << m)
+    bits = (lmasks[:, None] >> np.arange(m)) & 1
+    sizes = bits.sum(axis=1)
+    return [
+        (s, lmasks[sizes == s], np.nonzero(bits[sizes == s, ::-1])[1].reshape(-1, s))
+        for s in range(1, m + 1)
+    ]
 
 
 def level_mask_indices(lmask: int, p: int) -> tuple[int, ...]:

@@ -27,13 +27,11 @@ from .operators import (
     FiniteRankOperator,
     Operator,
     ZERO_TOL,
-    compress,
     densify,
-    factor,
     kernel_operator,
     numerical_rank,
 )
-from .spaces import DEFAULT_MAX_POINTS, StandardSet, mask_indices
+from .spaces import DEFAULT_MAX_POINTS, StandardSet, _subsets_by_size
 from .spectral import DEFAULT_TOL, eigenvalues, match_multisets
 from .cycles import support_digraph
 
@@ -91,17 +89,32 @@ class TriangularizationCertificate:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TriangularizationCertificate":
+        if not isinstance(data, dict):
+            raise PreconditionError("a certificate must be a JSON object")
+        blocks, diagonal = data["blocks"], data["diagonal"]
+        if not (isinstance(blocks, list) and all(isinstance(b, list) for b in blocks)):
+            raise PreconditionError('certificate "blocks" must be a list of lists')
+        if not (
+            isinstance(diagonal, list)
+            and all(isinstance(d, dict) for d in diagonal)
+            and all(_is_pair(d["lambda"]) for d in diagonal if "lambda" in d)
+        ):
+            raise PreconditionError(
+                'certificate "diagonal" must be a list of objects whose "lambda" is [re, im]'
+            )
+        if not isinstance(data["bound"], dict):
+            raise PreconditionError('certificate "bound" must be an object')
         diag = tuple(
             BlockDiagnosis(
                 block=d["block"],
                 kind=d["class"],
                 value=(None if "lambda" not in d else complex(*d["lambda"])),
             )
-            for d in data["diagonal"]
+            for d in diagonal
         )
         return cls(
             kind=data["kind"],
-            blocks=tuple(tuple(b) for b in data["blocks"]),
+            blocks=tuple(tuple(b) for b in blocks),
             diagonal=diag,
             rank=data["bound"]["rank"],
             bound=data["bound"]["limit"],
@@ -109,6 +122,14 @@ class TriangularizationCertificate:
             tol=data["tol"],
             multiplicity_free=data["multiplicity_free"],
         )
+
+
+def _is_pair(value) -> bool:
+    return (
+        isinstance(value, list)
+        and len(value) == 2
+        and all(isinstance(x, (int, float)) for x in value)
+    )
 
 
 def _below_block_residual(matrix: np.ndarray, blocks) -> float:
@@ -228,6 +249,12 @@ def scc_triangularize(K: Operator, threshold: float | None = None) -> Triangular
 
 # --- zero row/column projections and the nilpotent block form -------------
 
+def _zero_columns(kernel: np.ndarray, tol: float = ZERO_TOL) -> np.ndarray:
+    """Mask of the columns whose entries are all <= tol * max(1, max|entry|)."""
+    mags = np.abs(kernel)
+    return mags.max(axis=0, initial=0.0) <= tol * mags.max(initial=1.0)
+
+
 def max_kernel_projection(
     kfr: FiniteRankOperator, side: str = "right", tol: float = ZERO_TOL
 ) -> StandardSet:
@@ -237,10 +264,8 @@ def max_kernel_projection(
     if side not in ("right", "left"):
         raise PreconditionError("side must be 'right' or 'left'")
     kernel = kfr.kernel_matrix()
-    scale = max(1.0, float(np.abs(kernel).max())) if kernel.size else 1.0
-    mags = np.abs(kernel).max(axis=0 if side == "right" else 1) if kernel.size else np.empty(0)
-    idx = [i for i in range(kfr.space.size) if mags.size == 0 or mags[i] <= tol * scale]
-    return StandardSet.from_indices(kfr.space, idx)
+    zero = _zero_columns(kernel if side == "right" else kernel.T, tol)
+    return StandardSet.from_indices(kfr.space, np.flatnonzero(zero).tolist())
 
 
 def assert_nilpotent_compressions(
@@ -251,8 +276,9 @@ def assert_nilpotent_compressions(
 ) -> None:
     """Raise unless every standard compression of K is nilpotent.
 
-    Exhaustive over all subsets up to `exhaustive_limit` points; larger
-    spaces are sampled (full set, all singletons, seeded random subsets).
+    Exhaustive over all subsets up to `exhaustive_limit` points, naming the
+    failing subset of smallest bitmask; larger spaces are sampled (full set,
+    all singletons, seeded random subsets), naming the first failure met.
     """
     p = K.size
     cutoff = tol * K.scale
@@ -268,8 +294,12 @@ def assert_nilpotent_compressions(
             )
 
     if p <= exhaustive_limit:
-        for mask in range(1, 1 << p):
-            check(mask_indices(mask, p))
+        failing = []
+        for _, _, cols in _subsets_by_size(0, p):  # with m = p, column = point
+            vals = np.linalg.eigvals(K.entries[cols[:, :, None], cols[:, None, :]])
+            failing += cols[np.abs(vals).max(axis=1) > cutoff].tolist()
+        if failing:  # check() recomputes the smallest-mask failure and raises
+            check(tuple(min(failing, key=lambda pts: sum(1 << i for i in pts))))
         return
     check(tuple(range(p)))
     for i in range(p):
@@ -292,7 +322,7 @@ def nilpotent_block_form(
     K = densify(kfr)
     assert_nilpotent_compressions(K, tol)
     kernel = K.require_kernel()
-    blocks = _peel_zero_columns(K)
+    blocks = _peel_zero_columns(kernel)
     n = numerical_rank(K)
     m = len(blocks)
     if m > n + 1:
@@ -318,23 +348,22 @@ def nilpotent_block_form(
     )
 
 
-def _peel_zero_columns(K: Operator) -> tuple[tuple[int, ...], ...]:
-    """Repeatedly strip the maximal zero-column set of the current
-    compression; the stripped sets, in order, are the partition blocks."""
-    remaining = list(range(K.size))
+def _peel_zero_columns(kernel: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """Repeatedly strip the zero columns (:func:`_zero_columns`, relative to
+    the remaining compression) of the raw kernel array; the stripped index
+    sets, in order, are the partition blocks."""
+    remaining = np.arange(kernel.shape[0])
     blocks: list[tuple[int, ...]] = []
-    while remaining:
-        sub = compress(K, StandardSet.from_indices(K.space, remaining))
-        local = max_kernel_projection(factor(sub), side="right")
-        picked = [remaining[i] for i in local.indices()]
-        if not picked:
+    while remaining.size:
+        zero = _zero_columns(kernel[np.ix_(remaining, remaining)])
+        if not zero.any():
             raise TheoremViolationError(
                 "no zero-column set in a compression asserted to have "
                 "nilpotent standard compressions",
-                remaining=tuple(remaining),
+                remaining=tuple(remaining.tolist()),
             )
-        blocks.append(tuple(picked))
-        remaining = [i for i in remaining if i not in set(picked)]
+        blocks.append(tuple(remaining[zero].tolist()))
+        remaining = remaining[~zero]
     return tuple(blocks)
 
 
@@ -386,34 +415,22 @@ def increasing_spectrum_block_form(
     kernel = K.require_kernel()
     space = K.space
     n = numerical_rank(K)
-    cutoff = tol * K.scale
-    eigenatom_peel(K, tol)  # multiset diagnostic for the full operator
+    peeled, _ = eigenatom_peel(K, tol)  # sorted by atom id
 
     def rec(indices: list[int]) -> list[tuple[int, ...]]:
         if not indices:
             return []
-        sub = kernel[np.ix_(indices, indices)]
-        sub_op = kernel_operator(space.restrict(indices), sub)
-        atoms = [
-            j
-            for j in indices
-            if space.is_atom(j) and abs(kernel[j, j]) > cutoff
-        ]
+        g = kernel[np.ix_(indices, indices)]
+        atoms = [a for a, _ in peeled if a in indices]
+        local = [indices.index(a) for a in atoms]
+        g[local, local] = 0.0
+        g_blocks = [tuple(indices[i] for i in blk) for blk in _peel_zero_columns(g)]
         if not atoms:
-            local = _peel_zero_columns(sub_op)
-            return [tuple(indices[i] for i in blk) for blk in local]
-        j = min(atoms, key=lambda a: space.atom_ids[a - space.num_cells])
-        g = sub.copy()
-        for a in atoms:
-            pos = indices.index(a)
-            g[pos, pos] = 0.0
-        g_blocks = _peel_zero_columns(kernel_operator(space.restrict(indices), g))
-        g_blocks = [tuple(indices[i] for i in blk) for blk in g_blocks]
+            return g_blocks
+        j = atoms[0]
         split = next(p for p, blk in enumerate(g_blocks) if j in blk)
         f1 = [i for blk in g_blocks[:split] for i in blk]
-        f2 = [i for i in g_blocks[split] if i != j]
-        for blk in g_blocks[split + 1 :]:
-            f2.extend(blk)
+        f2 = [i for blk in g_blocks[split:] for i in blk if i != j]
         return rec(sorted(f1)) + [(j,)] + rec(sorted(f2))
 
     blocks = tuple(rec(list(range(space.size))))

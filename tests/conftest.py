@@ -9,7 +9,17 @@ import itertools
 
 import numpy as np
 
-from kerneltri import FiniteRankOperator, PropertyReport, build_space, kernel_operator
+from kerneltri import (
+    FiniteRankOperator,
+    PropertyReport,
+    StandardSet,
+    TheoremViolationError,
+    build_space,
+    compress,
+    factor,
+    kernel_operator,
+)
+from kerneltri.operators import ZERO_TOL
 from kerneltri.spaces import mask_indices, standard_pair_masks
 from kerneltri.spectral import inclusion_witness
 
@@ -62,6 +72,44 @@ def reference_increasing_check(K, tol: float = 1e-8) -> PropertyReport:
                 (mask_indices(e_mask, p), mask_indices(f_mask, p), witness),
             )
     return PropertyReport(True, checked, True, tol)
+
+
+def reference_peel_zero_columns(K) -> tuple[tuple[int, ...], ...]:
+    """The zero-column peel as it ran on SVD factors: compress K to the
+    remaining points, refactor the compression, and strip the columns of
+    F @ G.T that are <= ZERO_TOL * max(1, max|entry|); the reference for
+    `_peel_zero_columns`, which reads the raw kernel array instead."""
+    remaining = list(range(K.size))
+    blocks: list[tuple[int, ...]] = []
+    while remaining:
+        sub = compress(K, StandardSet.from_indices(K.space, remaining))
+        kernel = factor(sub).kernel_matrix()
+        scale = max(1.0, float(np.abs(kernel).max())) if kernel.size else 1.0
+        mags = np.abs(kernel).max(axis=0) if kernel.size else np.empty(0)
+        local = [i for i in range(sub.size) if mags.size == 0 or mags[i] <= ZERO_TOL * scale]
+        picked = [remaining[i] for i in local]
+        if not picked:
+            raise TheoremViolationError(
+                "no zero-column set in a compression asserted to have "
+                "nilpotent standard compressions",
+                remaining=tuple(remaining),
+            )
+        blocks.append(tuple(picked))
+        remaining = [i for i in remaining if i not in set(picked)]
+    return tuple(blocks)
+
+
+def reference_nilpotent_failure(K, tol: float = 1e-8) -> str | None:
+    """The exhaustive nilpotence check as a plain loop over the subset
+    bitmasks 1 .. 2^p - 1, one eigvals call each: the message of the first
+    failing subset, or None when every compression is nilpotent."""
+    p = K.size
+    for mask in range(1, 1 << p):
+        idx = list(mask_indices(mask, p))
+        radius = np.abs(np.linalg.eigvals(K.entries[np.ix_(idx, idx)])).max()
+        if radius > tol * K.scale:
+            return f"standard compression on points {idx} is not nilpotent (radius {radius:.3e})"
+    return None
 
 
 def all_ordered_partitions(items: tuple[int, ...]):

@@ -1,9 +1,10 @@
 import json
+import time
 
 import numpy as np
 import pytest
 
-from kerneltri import canonical_dumps, operator_from_dict, sharpness_example
+from kerneltri import canonical_dumps, named_operator, operator_from_dict, sharpness_example
 from kerneltri.cli import main
 
 
@@ -314,6 +315,65 @@ class TestErrorsAndDeterminism:
         )
         code, _ = run(tmp_path, "spectrum", "--in", op)
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "cert, op",
+        [
+            (lambda c: {**c, "blocks": [0, 1, 2]}, None),
+            (lambda c: {**c, "blocks": None}, None),
+            (lambda c: {**c, "diagonal": [5]}, None),
+            (lambda c: {**c, "diagonal": [{**c["diagonal"][0], "lambda": 5}]}, None),
+            (lambda c: {**c, "bound": "3"}, None),
+            (lambda c: [c], None),
+            (None, {"kind": "dense", "space": {"atoms": [2]}, "kernel": 5}),
+            (None, {"kind": "dense", "space": {"atoms": [2]}, "kernel": [[{}]]}),
+            (None, {"kind": "dense", "space": {"atoms": [2]}, "kernel": [[10**400]]}),
+            (None, {"kind": "dense", "space": 5, "kernel": [[0.0]]}),
+            (None, {"kind": "dense", "space": {"atoms": 2}, "kernel": [[0.0]]}),
+            (None, {"kind": "named", "name": "paper_example", "n": None}),
+            (None, [{"kind": "named", "name": "paper_example_1"}]),
+            (None, 5),
+        ],
+        ids=[
+            "blocks-flat", "blocks-null", "diagonal-non-dict", "lambda-number",
+            "bound-string", "certificate-list", "kernel-number", "kernel-dict-entry",
+            "kernel-huge-int", "space-number", "atoms-number", "n-null",
+            "descriptor-list", "descriptor-number",
+        ],
+    )
+    def test_malformed_json_exits_two(self, tmp_path, capsys, cert, op):
+        example = write_json(tmp_path, "ex.json", {"kind": "named", "name": "paper_example_1"})
+        if cert is None:
+            argv = ["spectrum", "--in", write_json(tmp_path, "op.json", op)]
+        else:
+            good = tmp_path / "good.json"
+            main(["triangularize", "--in", example, "--kind", "scc", "--out", str(good)])
+            bad = write_json(tmp_path, "cert.json", cert(json.loads(good.read_text())))
+            argv = ["verify", "--in", example, "--cert", bad]
+        code, text = run(tmp_path, *argv)
+        assert code == 2
+        assert text == ""
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "desc",
+        [
+            {"kind": "named", "name": "volterra_linear", "cells": 100000},
+            {"kind": "named", "name": "ones_kernel", "cells": 513},
+            {"kind": "named", "name": "paper_example", "n": 256},
+            {"kind": "named", "name": "paper_example_1000000"},
+        ],
+    )
+    def test_oversized_named_operator_is_refused_before_building(self, tmp_path, desc):
+        op = write_json(tmp_path, "big.json", desc)
+        start = time.perf_counter()
+        code, text = run(tmp_path, "spectrum", "--in", op)
+        assert time.perf_counter() - start < 0.5
+        assert code == 2
+        assert text == ""
+
+    def test_largest_named_operator_loads(self):
+        assert named_operator("volterra_linear", cells=512).size == 512
 
     @pytest.mark.parametrize(
         "argv",

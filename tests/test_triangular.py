@@ -2,8 +2,15 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_hybrid_instance, random_nilpotent_instance
+from conftest import (
+    random_hybrid_instance,
+    random_nilpotent_instance,
+    reference_nilpotent_failure,
+    reference_peel_zero_columns,
+)
 
 from kerneltri import (
     FiniteRankOperator,
@@ -25,6 +32,9 @@ from kerneltri import (
     verify_certificate,
     volterra_linear,
 )
+from kerneltri.triangular import _peel_zero_columns, _zero_columns
+
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
 
 def atomic_operator(matrix):
@@ -117,6 +127,11 @@ class TestMaxKernelProjection:
         with pytest.raises(PreconditionError):
             max_kernel_projection(sharpness_example_factors(1), side="middle")
 
+    def test_zero_test_is_relative_to_max_of_one_and_largest_entry(self):
+        kernel = np.array([[5e-11, 0.1], [0.0, 0.0]])
+        assert _zero_columns(kernel).tolist() == [True, False]  # 5e-11 <= 1e-10 * 1
+        assert _zero_columns(kernel * 1e3).tolist() == [False, False]  # 5e-8 > 1e-10 * 100
+
 
 class TestAssertNilpotentCompressions:
     def test_strictly_triangular_passes(self):
@@ -133,6 +148,77 @@ class TestAssertNilpotentCompressions:
 
     def test_large_space_sampled_path(self):
         assert_nilpotent_compressions(volterra_linear(16))
+
+    def test_error_names_smallest_failing_mask(self):
+        # {0, 1} (mask 3) carries a 2-cycle and {2} (mask 4) a diagonal entry;
+        # the batched scan meets size 1 first, yet names the smaller mask
+        mat = np.zeros((3, 3))
+        mat[0, 1] = mat[1, 0] = mat[2, 2] = 1.0
+        with pytest.raises(PreconditionError, match=r"points \[0, 1\] is not nilpotent"):
+            assert_nilpotent_compressions(atomic_operator(mat))
+
+    @given(seeds, st.integers(min_value=1, max_value=8))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_plain_mask_loop(self, seed, p):
+        # strictly upper triangular in a random order, with a planted 2-cycle,
+        # diagonal entry or near-cutoff entry on most draws
+        rng = np.random.default_rng(seed)
+        mat = np.triu(rng.standard_normal((p, p)) * (rng.random((p, p)) < 0.6), 1)
+        i, j = rng.integers(0, p, size=2)
+        mat[j, i] += [0.0, 1.0, 1e-9, 1e-17][int(rng.integers(0, 4))] * rng.standard_normal()
+        perm = rng.permutation(p)
+        K = atomic_operator(mat[np.ix_(perm, perm)])
+        try:
+            assert_nilpotent_compressions(K)
+            message = None
+        except PreconditionError as exc:
+            message = str(exc)
+        assert message == reference_nilpotent_failure(K)
+
+
+def peel_outcome(peel, arg):
+    """The blocks of a peel, or the points left when it found no zero column."""
+    try:
+        return peel(arg)
+    except TheoremViolationError as exc:
+        return exc.details["remaining"]
+
+
+class TestPeelAgainstReference:
+    """The peel on the raw kernel array strips the same blocks, and fails
+    at the same points, as the peel on refactored compressions."""
+
+    @given(seeds)
+    @settings(max_examples=40, deadline=None)
+    def test_nilpotent_family(self, seed):
+        kfr, _ = random_nilpotent_instance(np.random.default_rng(seed))
+        K = densify(kfr)
+        assert _peel_zero_columns(K.kernel_values) == reference_peel_zero_columns(K)
+
+    @given(seeds)
+    @settings(max_examples=40, deadline=None)
+    def test_hybrid_family_and_its_compressions(self, seed):
+        rng = np.random.default_rng(seed)
+        K, _ = random_hybrid_instance(rng)
+        _, G = eigenatom_peel(K)
+        sub = sorted(rng.choice(K.size, size=int(rng.integers(1, K.size + 1)), replace=False))
+        G_sub = kernel_operator(K.space.restrict(sub), G.kernel_values[np.ix_(sub, sub)])
+        for op in (K, G, G_sub):
+            expected = peel_outcome(reference_peel_zero_columns, op)
+            assert peel_outcome(_peel_zero_columns, op.kernel_values) == expected
+
+    @given(seeds, st.integers(min_value=1, max_value=6))
+    @settings(max_examples=30, deadline=None)
+    def test_paper_family_permuted_and_scaled(self, seed, n):
+        rng = np.random.default_rng(seed)
+        K = sharpness_example(n)
+        perm = rng.permutation(K.size)
+        scale = complex(rng.standard_normal(), rng.standard_normal())
+        K = atomic_operator(scale * np.asarray(K.kernel_values)[np.ix_(perm, perm)])
+        _, G = eigenatom_peel(K)
+        assert _peel_zero_columns(G.kernel_values) == reference_peel_zero_columns(G)
+        expected = peel_outcome(reference_peel_zero_columns, K)
+        assert peel_outcome(_peel_zero_columns, K.kernel_values) == expected
 
 
 class TestNilpotentBlockForm:
