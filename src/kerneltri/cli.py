@@ -36,7 +36,7 @@ def _load_json(path: str) -> dict:
             return json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
         raise InputError(f"malformed JSON in {path}: {exc}") from exc
 
 
@@ -107,7 +107,7 @@ def _cmd_triangularize(args) -> int:
         if args.kind == "scc":
             cert = scc_triangularize(K)
         elif args.kind == "nilpotent":
-            cert = nilpotent_block_form(factor(K), tol=args.tol)
+            cert = nilpotent_block_form(K, tol=args.tol)
         else:
             cert = increasing_spectrum_block_form(K, tol=args.tol)
     except TheoremViolationError as exc:
@@ -119,7 +119,10 @@ def _cmd_triangularize(args) -> int:
 
 def _cmd_verify(args) -> int:
     K, _ = _load_operator(args.infile)
-    cert = TriangularizationCertificate.from_dict(_load_json(args.cert))
+    try:
+        cert = TriangularizationCertificate.from_dict(_load_json(args.cert))
+    except KeyError as exc:
+        raise InputError(f"missing field in certificate: {exc}") from exc
     report = verify_certificate(K, cert, tol=args.tol)
     _write(canonical_dumps(report.to_dict()), args.out)
     return 0 if report.passed else 1
@@ -193,7 +196,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (InputError, KernelTriError, KeyError, ValueError) as exc:
+    except (InputError, KernelTriError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -17,16 +17,10 @@ from .operators import (
     Operator,
     ZERO_TOL,
     compress,
-    densify,
+    magnitude,
     trace_power,
 )
 from .spaces import StandardSet
-
-
-def default_threshold(K: Operator) -> float:
-    kernel = K.require_kernel()
-    top = float(np.abs(kernel).max()) if kernel.size else 0.0
-    return ZERO_TOL * max(1.0, top)
 
 
 @dataclass(frozen=True)
@@ -42,17 +36,17 @@ class SupportDigraph:
 
 
 def support_digraph(K: Operator, threshold: float | None = None) -> SupportDigraph:
-    kernel = K.require_kernel()
+    """Support digraph at `threshold`, by default K.zero_threshold."""
     if threshold is None:
-        threshold = default_threshold(K)
-    mask = np.abs(kernel) > threshold
+        threshold = K.zero_threshold
+    mask = np.abs(K.kernel_values) > threshold
     succ = tuple(tuple(np.nonzero(row)[0].tolist()) for row in mask)
     return SupportDigraph(size=K.size, threshold=threshold, successors=succ)
 
 
 def cycle_product(K: Operator, vertices: list[int]) -> complex:
     """k(x_1,x_2) k(x_2,x_3) ... k(x_n,x_1) over distinct vertices."""
-    kernel = K.require_kernel()
+    kernel = K.kernel_values
     if len(vertices) < 2:
         raise PreconditionError("a cycle needs at least 2 vertices")
     if len(set(vertices)) != len(vertices):
@@ -145,7 +139,7 @@ def ncycle_trace_sum(K: Operator, sets: list[StandardSet]) -> CycleTraceDecompos
     union = sets[0]
     for s in sets[1:]:
         union = union.union(s)
-    kernel = K.require_kernel()
+    kernel = K.kernel_values
     total = trace_power(compress(K, union), n)
     atom_part = sum(
         (complex(kernel[j, j]) ** n for j in union.indices() if K.space.is_atom(j)),
@@ -195,7 +189,7 @@ def moment_matrix(
     if E.space != kfr.space:
         raise PreconditionError("standard set over a different space")
     kernel = kfr.kernel_matrix()
-    scale = max(1.0, float(np.abs(kernel).max())) if kernel.size else 1.0
+    scale = magnitude(kernel)
     idx = list(E.indices())
     diag = np.abs(np.diag(kernel)[idx]) if idx else np.empty(0)
     if diag.size and diag.max() > tol * scale:
@@ -243,8 +237,7 @@ def moment_identities(
         for b in sets[i + 1 :]:
             if not a.isdisjoint(b):
                 raise PreconditionError("sets must be pairwise disjoint")
-    kernel = kfr.kernel_matrix()
-    scale = max(1.0, float(np.abs(kernel).max())) if kernel.size else 1.0
+    scale = magnitude(kfr.kernel_matrix())
     moments = [moment_matrix(kfr, s, tol=max(tol, ZERO_TOL)) for s in sets]
     squares = tuple(
         float(abs(np.trace(m.values @ m.values))) for m in moments

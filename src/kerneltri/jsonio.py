@@ -86,14 +86,32 @@ def _integer(value, what: str) -> int:
         raise PreconditionError(f"{what} must be an integer, not {value!r}") from exc
 
 
-def space_from_dict(data: dict) -> MeasureSpace:
+def _space_fields(data: dict) -> tuple[int, list[int]]:
     if not isinstance(data, dict) or not isinstance(data.get("atoms", []), list):
         raise PreconditionError('a space must be an object with an "atoms" list')
     cells = _integer(data.get("cells", 0), '"cells"')
-    return build_space(cells, [_integer(a, "an atom id") for a in data.get("atoms", [])])
+    return cells, [_integer(a, "an atom id") for a in data.get("atoms", [])]
 
 
-def _complex_matrix(rows, expect_cols: int | None = None) -> np.ndarray:
+def space_from_dict(data: dict) -> MeasureSpace:
+    return build_space(*_space_fields(data))
+
+
+def _space_for(data: dict, *matrices: np.ndarray) -> MeasureSpace:
+    """The descriptor's space, built only once every matrix has one row per
+    declared point: build_space allocates per cell, so an inflated
+    "cells" must be refused before it runs."""
+    cells, atoms = _space_fields(data["space"])
+    points = cells + len(atoms)
+    for mat in matrices:
+        if mat.shape[0] != points:
+            raise DimensionMismatchError(
+                f"matrix with {mat.shape[0]} rows does not match {points} points"
+            )
+    return build_space(cells, atoms)
+
+
+def _complex_matrix(rows) -> np.ndarray:
     def scalar(v) -> complex:
         if isinstance(v, (list, tuple)):
             if len(v) != 2:
@@ -105,9 +123,12 @@ def _complex_matrix(rows, expect_cols: int | None = None) -> np.ndarray:
         raise PreconditionError("a matrix must be a list of rows")
     try:
         mat = np.array([[scalar(v) for v in row] for row in rows], dtype=complex)
-    except (TypeError, OverflowError) as exc:
-        raise PreconditionError(f"matrix entries must be numbers or [re, im] pairs: {exc}") from exc
-    if mat.ndim != 2 or (expect_cols is not None and mat.shape[1] != expect_cols):
+    except (TypeError, ValueError, OverflowError) as exc:
+        # ValueError: a string that is no number, or rows of unequal length
+        raise PreconditionError(
+            f"matrix entries must be numbers or [re, im] pairs in rows of equal length: {exc}"
+        ) from exc
+    if mat.ndim != 2:
         raise DimensionMismatchError("matrix shape mismatch")
     return mat
 
@@ -149,16 +170,16 @@ def operator_from_dict(data: dict) -> Operator:
         extra = {k: v for k, v in data.items() if k not in ("kind", "name")}
         return named_operator(str(data["name"]), **extra)
     if kind == "dense":
-        space = space_from_dict(data["space"])
-        kernel = _complex_matrix(data["kernel"], expect_cols=None)
+        kernel = _complex_matrix(data["kernel"])
+        space = _space_for(data, kernel)
         if kernel.shape != (space.size, space.size):
             raise DimensionMismatchError(
                 f"kernel shape {kernel.shape} does not match {space.size} points"
             )
         return kernel_operator(space, kernel)
     if kind == "finite_rank":
-        space = space_from_dict(data["space"])
         F = _complex_matrix(data["F"])
         G = _complex_matrix(data["G"])
+        space = _space_for(data, F, G)
         return densify(FiniteRankOperator(space=space, F=F, G=G))
     raise PreconditionError(f"unknown operator kind: {kind!r}")

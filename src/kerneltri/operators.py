@@ -8,6 +8,7 @@ are each read off the natural representation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -19,11 +20,17 @@ from .spaces import MeasureSpace, StandardSet, build_space
 ZERO_TOL = 1e-10
 
 
+def magnitude(a: np.ndarray) -> float:
+    """max(1, max|a|), and 1 for an empty array: the reference magnitude
+    that relative tolerances are taken against."""
+    return max(1.0, float(np.abs(a).max(initial=0.0)))
+
+
 @dataclass(frozen=True)
 class Operator:
     space: MeasureSpace
     entries: np.ndarray
-    kernel_values: np.ndarray | None = None
+    kernel_values: np.ndarray
 
     def __post_init__(self):
         p = self.space.size
@@ -33,14 +40,12 @@ class Operator:
             )
         if not np.all(np.isfinite(self.entries)):
             raise PreconditionError("non-finite operator entries")
-        if self.kernel_values is not None:
-            if self.kernel_values.shape != (p, p):
-                raise DimensionMismatchError("kernel_values shape mismatch")
-            if not np.all(np.isfinite(self.kernel_values)):
-                raise PreconditionError("non-finite kernel values")
+        if self.kernel_values.shape != (p, p):
+            raise DimensionMismatchError("kernel_values shape mismatch")
+        if not np.all(np.isfinite(self.kernel_values)):
+            raise PreconditionError("non-finite kernel values")
         self.entries.flags.writeable = False
-        if self.kernel_values is not None:
-            self.kernel_values.flags.writeable = False
+        self.kernel_values.flags.writeable = False
 
     @property
     def size(self) -> int:
@@ -48,15 +53,15 @@ class Operator:
 
     @property
     def scale(self) -> float:
-        """max(1, max|entry|); the reference magnitude for zero tests."""
-        if self.entries.size == 0:
-            return 1.0
-        return max(1.0, float(np.abs(self.entries).max()))
+        """magnitude(entries); the spectral scale that eigenvalue
+        tolerances are relative to."""
+        return magnitude(self.entries)
 
-    def require_kernel(self) -> np.ndarray:
-        if self.kernel_values is None:
-            raise PreconditionError("operation requires raw kernel values")
-        return self.kernel_values
+    @cached_property
+    def zero_threshold(self) -> float:
+        """ZERO_TOL * magnitude(kernel_values): a kernel entry at most this
+        large is a structural zero."""
+        return ZERO_TOL * magnitude(self.kernel_values)
 
 
 def kernel_operator(space: MeasureSpace, kernel: np.ndarray) -> Operator:
@@ -112,22 +117,21 @@ def densify(kfr: FiniteRankOperator) -> Operator:
     return kernel_operator(kfr.space, kfr.kernel_matrix())
 
 
-def numerical_rank(K: Operator, rel_tol: float = ZERO_TOL) -> int:
-    """Rank of the raw kernel matrix: singular values > rel_tol * sigma_max."""
-    kernel = K.require_kernel()
+def numerical_rank(K: Operator) -> int:
+    """Rank of the raw kernel matrix: singular values > ZERO_TOL * sigma_max."""
+    kernel = K.kernel_values
     if kernel.size == 0:
         return 0
     s = np.linalg.svd(kernel, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.sum(s > rel_tol * s[0]))
+    return int(np.sum(s > ZERO_TOL * s[0]))
 
 
-def factor(K: Operator, rel_tol: float = ZERO_TOL) -> FiniteRankOperator:
+def factor(K: Operator) -> FiniteRankOperator:
     """Extract SVD-based factors (F, G) with kernel = F @ G.T."""
-    kernel = K.require_kernel()
-    u, s, vh = np.linalg.svd(kernel)
-    n = 0 if s.size == 0 or s[0] == 0.0 else int(np.sum(s > rel_tol * s[0]))
+    u, s, vh = np.linalg.svd(K.kernel_values)
+    n = 0 if s.size == 0 or s[0] == 0.0 else int(np.sum(s > ZERO_TOL * s[0]))
     F = u[:, :n] * s[:n]
     G = vh[:n, :].T.copy()
     return FiniteRankOperator(space=K.space, F=F, G=G)
@@ -140,14 +144,12 @@ def compress(K: Operator, E: StandardSet) -> Operator:
     idx = list(E.indices())
     sub_space = K.space.restrict(idx)
     sel = np.ix_(idx, idx)
-    kernel = None if K.kernel_values is None else K.kernel_values[sel].copy()
-    return Operator(space=sub_space, entries=K.entries[sel].copy(), kernel_values=kernel)
+    return Operator(sub_space, K.entries[sel].copy(), K.kernel_values[sel].copy())
 
 
 def modulus(K: Operator) -> Operator:
     """Entrywise absolute value of the kernel; weights untouched."""
-    kernel = K.require_kernel()
-    return kernel_operator(K.space, np.abs(kernel).astype(complex))
+    return kernel_operator(K.space, np.abs(K.kernel_values).astype(complex))
 
 
 def trace(K: Operator) -> complex:
@@ -171,7 +173,7 @@ def trace_power(K: Operator, n: int) -> complex:
 
 def split_atom_diagonal(K: Operator) -> tuple[Operator, Operator]:
     """K = G + D with D the diagonal kernel carried by the atoms only."""
-    kernel = K.require_kernel()
+    kernel = K.kernel_values
     d_kernel = np.zeros_like(kernel)
     for j in range(K.space.num_cells, K.space.size):
         d_kernel[j, j] = kernel[j, j]

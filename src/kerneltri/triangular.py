@@ -132,26 +132,34 @@ def _is_pair(value) -> bool:
     )
 
 
-def _below_block_residual(matrix: np.ndarray, blocks) -> float:
-    p = matrix.shape[0]
-    pos = np.empty(p, dtype=int)
+def _certificate(
+    kind: str, K: Operator, blocks, tol: float, rank: int | None = None, bound: int | None = None
+) -> TriangularizationCertificate:
+    """Certificate for `blocks`, with each diagonal block classed against
+    K.zero_threshold and the below-block residual taken on the kernel."""
+    kernel, thr = K.kernel_values, K.zero_threshold
+    pos = np.empty(K.size, dtype=int)
+    diagonal = []
     for b, block in enumerate(blocks):
         pos[list(block)] = b
-    below = pos[:, None] > pos[None, :]
-    return float(np.abs(matrix)[below].max()) if below.any() else 0.0
-
-
-def _diagnose(kernel: np.ndarray, blocks, space, thr: float) -> tuple[BlockDiagnosis, ...]:
-    out = []
-    for b, block in enumerate(blocks):
         sub = kernel[np.ix_(block, block)]
         if sub.size == 0 or np.abs(sub).max() <= thr:
-            out.append(BlockDiagnosis(b, "zero"))
-        elif len(block) == 1 and space.is_atom(block[0]):
-            out.append(BlockDiagnosis(b, "scalar", complex(sub[0, 0])))
+            diagonal.append(BlockDiagnosis(b, "zero"))
+        elif len(block) == 1 and K.space.is_atom(block[0]):
+            diagonal.append(BlockDiagnosis(b, "scalar", complex(sub[0, 0])))
         else:
-            out.append(BlockDiagnosis(b, "irreducible"))
-    return tuple(out)
+            diagonal.append(BlockDiagnosis(b, "irreducible"))
+    below = pos[:, None] > pos[None, :]
+    return TriangularizationCertificate(
+        kind=kind,
+        blocks=blocks,
+        diagonal=tuple(diagonal),
+        rank=rank,
+        bound=bound,
+        residual=float(np.abs(kernel)[below].max()) if below.any() else 0.0,
+        tol=tol,
+        multiplicity_free=all(len(b) == 1 for b in blocks),
+    )
 
 
 # --- SCC / Frobenius form -------------------------------------------------
@@ -203,12 +211,11 @@ def _tarjan_sccs(successors) -> list[list[int]]:
     return sccs
 
 
-def scc_triangularize(K: Operator, threshold: float | None = None) -> TriangularizationCertificate:
+def scc_triangularize(K: Operator) -> TriangularizationCertificate:
     """Frobenius normal form: blocks are the strongly connected components
     of the support digraph, in a topological order of the condensation
     with ties broken by smallest contained point index."""
-    dg = support_digraph(K, threshold)
-    thr = dg.threshold
+    dg = support_digraph(K)
     sccs = _tarjan_sccs(dg.successors)
     comp_of = {}
     for c, comp in enumerate(sccs):
@@ -234,49 +241,32 @@ def scc_triangularize(K: Operator, threshold: float | None = None) -> Triangular
             if indeg[b] == 0:
                 heapq.heappush(heap, (min(sccs[b]), b))
     blocks = tuple(tuple(sccs[c]) for c in order)
-    kernel = K.require_kernel()
-    return TriangularizationCertificate(
-        kind="scc",
-        blocks=blocks,
-        diagonal=_diagnose(kernel, blocks, K.space, thr),
-        rank=None,
-        bound=None,
-        residual=_below_block_residual(kernel, blocks),
-        tol=thr,
-        multiplicity_free=all(len(b) == 1 for b in blocks),
-    )
+    return _certificate("scc", K, blocks, dg.threshold)
 
 
 # --- zero row/column projections and the nilpotent block form -------------
 
-def _zero_columns(kernel: np.ndarray, tol: float = ZERO_TOL) -> np.ndarray:
-    """Mask of the columns whose entries are all <= tol * max(1, max|entry|)."""
-    mags = np.abs(kernel)
-    return mags.max(axis=0, initial=0.0) <= tol * mags.max(initial=1.0)
+def _zero_columns(kernel: np.ndarray, threshold: float) -> np.ndarray:
+    """Mask of the columns whose entries are all <= threshold."""
+    return np.abs(kernel).max(axis=0, initial=0.0) <= threshold
 
 
-def max_kernel_projection(
-    kfr: FiniteRankOperator, side: str = "right", tol: float = ZERO_TOL
-) -> StandardSet:
+def max_kernel_projection(kfr: FiniteRankOperator, side: str = "right") -> StandardSet:
     """Largest standard set E with K P_E = 0 (side="right": the points
     where all the g_i vanish, i.e. the zero columns of the kernel) or
     P_E K = 0 (side="left": zero rows)."""
     if side not in ("right", "left"):
         raise PreconditionError("side must be 'right' or 'left'")
-    kernel = kfr.kernel_matrix()
-    zero = _zero_columns(kernel if side == "right" else kernel.T, tol)
+    K = densify(kfr)
+    kernel = K.kernel_values
+    zero = _zero_columns(kernel if side == "right" else kernel.T, K.zero_threshold)
     return StandardSet.from_indices(kfr.space, np.flatnonzero(zero).tolist())
 
 
-def assert_nilpotent_compressions(
-    K: Operator,
-    tol: float = DEFAULT_TOL,
-    exhaustive_limit: int = DEFAULT_MAX_POINTS,
-    seed: int = 0,
-) -> None:
+def assert_nilpotent_compressions(K: Operator, tol: float = DEFAULT_TOL) -> None:
     """Raise unless every standard compression of K is nilpotent.
 
-    Exhaustive over all subsets up to `exhaustive_limit` points, naming the
+    Exhaustive over all subsets up to DEFAULT_MAX_POINTS points, naming the
     failing subset of smallest bitmask; larger spaces are sampled (full set,
     all singletons, seeded random subsets), naming the first failure met.
     """
@@ -293,7 +283,7 @@ def assert_nilpotent_compressions(
                 f"nilpotent (radius {np.abs(vals).max():.3e})"
             )
 
-    if p <= exhaustive_limit:
+    if p <= DEFAULT_MAX_POINTS:
         failing = []
         for _, _, cols in _subsets_by_size(0, p):  # with m = p, column = point
             vals = np.linalg.eigvals(K.entries[cols[:, :, None], cols[:, None, :]])
@@ -304,58 +294,51 @@ def assert_nilpotent_compressions(
     check(tuple(range(p)))
     for i in range(p):
         check((i,))
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     for _ in range(2048):
         bits = rng.integers(0, 2, size=p)
         check(tuple(np.nonzero(bits)[0].tolist()))
 
 
 def nilpotent_block_form(
-    kfr: FiniteRankOperator, tol: float = DEFAULT_TOL
+    K: Operator | FiniteRankOperator, tol: float = DEFAULT_TOL
 ) -> TriangularizationCertificate:
     """Strictly block upper triangular form with m <= rank+1 blocks.
 
     Stage j takes E_j = the maximal right-kernel projection of the current
     compression (its zero columns), which makes column block j vanish and
-    drops the rank of the remaining compression by at least one.
+    drops the rank of the remaining compression by at least one. A
+    finite-rank operator is densified first.
     """
-    K = densify(kfr)
+    if isinstance(K, FiniteRankOperator):
+        K = densify(K)
     assert_nilpotent_compressions(K, tol)
-    kernel = K.require_kernel()
-    blocks = _peel_zero_columns(kernel)
+    kernel = K.kernel_values
+    thr = K.zero_threshold
+    blocks = _peel_zero_columns(kernel, thr)
     n = numerical_rank(K)
     m = len(blocks)
     if m > n + 1:
         raise TheoremViolationError(
             f"block count {m} exceeds rank bound {n + 1}", blocks=blocks, rank=n
         )
-    thr = ZERO_TOL * K.scale
     for j in range(m - 1):
         sup = kernel[np.ix_(blocks[j], blocks[j + 1])]
         if np.abs(sup).max() <= thr:
             raise TheoremViolationError(
                 f"superdiagonal block ({j}, {j + 1}) vanishes", blocks=blocks
             )
-    return TriangularizationCertificate(
-        kind="nilpotent_rank",
-        blocks=blocks,
-        diagonal=_diagnose(kernel, blocks, K.space, thr),
-        rank=n,
-        bound=n + 1,
-        residual=_below_block_residual(kernel, blocks),
-        tol=tol,
-        multiplicity_free=all(len(b) == 1 for b in blocks),
-    )
+    return _certificate("nilpotent_rank", K, blocks, tol, rank=n, bound=n + 1)
 
 
-def _peel_zero_columns(kernel: np.ndarray) -> tuple[tuple[int, ...], ...]:
-    """Repeatedly strip the zero columns (:func:`_zero_columns`, relative to
-    the remaining compression) of the raw kernel array; the stripped index
-    sets, in order, are the partition blocks."""
+def _peel_zero_columns(kernel: np.ndarray, threshold: float) -> tuple[tuple[int, ...], ...]:
+    """Repeatedly strip the zero columns (:func:`_zero_columns` at
+    `threshold`) of the remaining compression of the raw kernel array; the
+    stripped index sets, in order, are the partition blocks."""
     remaining = np.arange(kernel.shape[0])
     blocks: list[tuple[int, ...]] = []
     while remaining.size:
-        zero = _zero_columns(kernel[np.ix_(remaining, remaining)])
+        zero = _zero_columns(kernel[np.ix_(remaining, remaining)], threshold)
         if not zero.any():
             raise TheoremViolationError(
                 "no zero-column set in a compression asserted to have "
@@ -379,7 +362,7 @@ def eigenatom_peel(
     G = K minus those diagonal entries. Raises when the atom-diagonal
     multiset fails to match the nonzero eigenvalue multiset of K.
     """
-    kernel = K.require_kernel()
+    kernel = K.kernel_values
     cutoff = tol * K.scale
     space = K.space
     peeled = [
@@ -412,7 +395,8 @@ def increasing_spectrum_block_form(
     the remainder, splits at the block holding the smallest-id eigen-atom
     and recurses on the two flanks.
     """
-    kernel = K.require_kernel()
+    kernel = K.kernel_values
+    thr = K.zero_threshold
     space = K.space
     n = numerical_rank(K)
     peeled, _ = eigenatom_peel(K, tol)  # sorted by atom id
@@ -424,7 +408,7 @@ def increasing_spectrum_block_form(
         atoms = [a for a, _ in peeled if a in indices]
         local = [indices.index(a) for a in atoms]
         g[local, local] = 0.0
-        g_blocks = [tuple(indices[i] for i in blk) for blk in _peel_zero_columns(g)]
+        g_blocks = [tuple(indices[i] for i in blk) for blk in _peel_zero_columns(g, thr)]
         if not atoms:
             return g_blocks
         j = atoms[0]
@@ -440,22 +424,12 @@ def increasing_spectrum_block_form(
         raise TheoremViolationError(
             f"block count {m} exceeds bound {limit}", blocks=blocks, rank=n
         )
-    thr = ZERO_TOL * K.scale
-    residual = _below_block_residual(kernel, blocks)
-    if residual > thr:
+    cert = _certificate("increasing_spectrum", K, blocks, tol, rank=n, bound=limit)
+    if cert.residual > thr:
         raise TheoremViolationError(
-            "atom placement broke block triangularity", residual=residual
+            "atom placement broke block triangularity", residual=cert.residual
         )
-    return TriangularizationCertificate(
-        kind="increasing_spectrum",
-        blocks=blocks,
-        diagonal=_diagnose(kernel, blocks, space, thr),
-        rank=n,
-        bound=limit,
-        residual=residual,
-        tol=tol,
-        multiplicity_free=all(len(b) == 1 for b in blocks),
-    )
+    return cert
 
 
 # --- independent verifier ---------------------------------------------------
@@ -496,7 +470,7 @@ def verify_certificate(
     rather than the constructor code paths.
     """
     checks: dict[str, CheckResult] = {}
-    kernel = K.kernel_values if K.kernel_values is not None else K.entries
+    kernel = K.kernel_values
     p = K.size
     thr = tol * max(1.0, float(np.abs(kernel).max()) if kernel.size else 1.0)
 

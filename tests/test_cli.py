@@ -1,10 +1,24 @@
+import copy
 import json
+import math
+import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kerneltri import canonical_dumps, named_operator, operator_from_dict, sharpness_example
+from conftest import random_nilpotent_instance
+
+from kerneltri import (
+    canonical_dumps,
+    named_operator,
+    nilpotent_block_form,
+    operator_from_dict,
+    sharpness_example,
+)
 from kerneltri.cli import main
 
 
@@ -211,6 +225,31 @@ class TestTriangularize:
         code, text = run(tmp_path, "triangularize", "--in", op, "--kind", "nilpotent")
         assert code == 2  # precondition, not a theorem violation
 
+    def test_nilpotent_on_volterra_uses_the_exact_kernel(self, tmp_path):
+        # a refactored kernel carries roundoff into the zero triangle, which
+        # made its 3-point compressions fail the nilpotence precondition
+        desc = {"kind": "named", "name": "volterra_linear", "cells": 8}
+        op = write_json(tmp_path, "v8.json", desc)
+        code, text = run(tmp_path, "triangularize", "--in", op, "--kind", "nilpotent")
+        assert code == 0
+        assert json.loads(text)["residual"] == 0.0
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_nilpotent_certificate_matches_library(self, seed):
+        kfr, _ = random_nilpotent_instance(np.random.default_rng(seed))
+        kernel = kfr.kernel_matrix()
+        desc = {
+            "kind": "dense",
+            "space": {"cells": 0, "atoms": list(kfr.space.atom_ids)},
+            "kernel": [[[z.real, z.imag] for z in row] for row in kernel],
+        }
+        with tempfile.TemporaryDirectory() as tmp:
+            op = write_json(Path(tmp), "op.json", desc)
+            code, text = run(Path(tmp), "triangularize", "--in", op, "--kind", "nilpotent")
+        assert code == 0
+        assert text == canonical_dumps(nilpotent_block_form(kfr).to_dict())
+
     def test_round_trip_verify(self, tmp_path, example_file):
         cert_file = tmp_path / "cert.json"
         code = main(
@@ -325,9 +364,12 @@ class TestErrorsAndDeterminism:
             (lambda c: {**c, "diagonal": [{**c["diagonal"][0], "lambda": 5}]}, None),
             (lambda c: {**c, "bound": "3"}, None),
             (lambda c: [c], None),
+            (lambda c: {k: v for k, v in c.items() if k != "tol"}, None),
             (None, {"kind": "dense", "space": {"atoms": [2]}, "kernel": 5}),
             (None, {"kind": "dense", "space": {"atoms": [2]}, "kernel": [[{}]]}),
             (None, {"kind": "dense", "space": {"atoms": [2]}, "kernel": [[10**400]]}),
+            (None, {"kind": "dense", "space": {"atoms": [2]}, "kernel": [["abc"]]}),
+            (None, {"kind": "dense", "space": {"atoms": [2, 3]}, "kernel": [[0.0, 1.0], [0.0]]}),
             (None, {"kind": "dense", "space": 5, "kernel": [[0.0]]}),
             (None, {"kind": "dense", "space": {"atoms": 2}, "kernel": [[0.0]]}),
             (None, {"kind": "named", "name": "paper_example", "n": None}),
@@ -336,9 +378,9 @@ class TestErrorsAndDeterminism:
         ],
         ids=[
             "blocks-flat", "blocks-null", "diagonal-non-dict", "lambda-number",
-            "bound-string", "certificate-list", "kernel-number", "kernel-dict-entry",
-            "kernel-huge-int", "space-number", "atoms-number", "n-null",
-            "descriptor-list", "descriptor-number",
+            "bound-string", "certificate-list", "certificate-missing-tol", "kernel-number",
+            "kernel-dict-entry", "kernel-huge-int", "kernel-string", "kernel-ragged",
+            "space-number", "atoms-number", "n-null", "descriptor-list", "descriptor-number",
         ],
     )
     def test_malformed_json_exits_two(self, tmp_path, capsys, cert, op):
@@ -365,6 +407,22 @@ class TestErrorsAndDeterminism:
         ],
     )
     def test_oversized_named_operator_is_refused_before_building(self, tmp_path, desc):
+        op = write_json(tmp_path, "big.json", desc)
+        start = time.perf_counter()
+        code, text = run(tmp_path, "spectrum", "--in", op)
+        assert time.perf_counter() - start < 0.5
+        assert code == 2
+        assert text == ""
+
+    @pytest.mark.parametrize(
+        "desc",
+        [
+            {"kind": "dense", "space": {"cells": 10**9}, "kernel": [[0]]},
+            {"kind": "finite_rank", "space": {"cells": 10**9}, "F": [[1]], "G": [[1]]},
+        ],
+        ids=["dense", "finite-rank"],
+    )
+    def test_oversized_space_is_refused_before_building(self, tmp_path, desc):
         op = write_json(tmp_path, "big.json", desc)
         start = time.perf_counter()
         code, text = run(tmp_path, "spectrum", "--in", op)
@@ -405,3 +463,107 @@ def test_named_operator_round_trip_matches_library():
 def test_canonical_dumps_is_sorted_and_terminated():
     text = canonical_dumps({"b": 1, "a": [0.5, True, None]})
     assert text == '{"a":[0.5,true,null],"b":1}\n'
+
+
+# small values only, so that every mutated operator stays cheap to check
+_json_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-2, max_value=5),
+    st.floats(min_value=-2.0, max_value=5.0),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.text(max_size=3),
+)
+_json_values = st.recursive(
+    _json_leaves,
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.text(max_size=3), kids, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def _mutated(draw, node):
+    """`node` with one descendant replaced by an arbitrary JSON value, or
+    one object key or list item deleted."""
+    if isinstance(node, dict):
+        keys = list(node)
+    else:
+        keys = list(range(len(node))) if isinstance(node, list) else []
+    action = draw(st.sampled_from(["replace"] + (["descend", "delete"] if keys else [])))
+    if action == "replace":
+        return draw(_json_values)
+    node = copy.copy(node)
+    key = draw(st.sampled_from(keys))
+    if action == "delete":
+        del node[key]
+    else:
+        node[key] = draw(_mutated(node[key]))
+    return node
+
+
+_DESCRIPTORS = [
+    {"kind": "named", "name": "paper_example_1", "sets": [[0], [1]]},
+    {"kind": "named", "name": "volterra_linear", "cells": 4, "sets": [[0], [1, 2]]},
+    {
+        "operator": {
+            "kind": "dense",
+            "space": {"cells": 1, "atoms": [2, 3]},
+            "kernel": [[0, 1, [0, 1]], [0, 0, 1], [0, 0, 2]],
+        },
+        "sets": [[0], [1]],
+    },
+    {
+        "kind": "finite_rank",
+        "space": {"cells": 0, "atoms": [2, 3, 4]},
+        "F": [[1], [1], [0]],
+        "G": [[0], [0], [1]],
+        "sets": [[0, 1], [2]],
+    },
+]
+_COMMANDS = [
+    ["spectrum"],
+    ["check-increasing"],
+    ["cycles"],
+    ["moments"],
+    ["triangularize", "--kind", "scc"],
+    ["triangularize", "--kind", "nilpotent"],
+    ["triangularize", "--kind", "increasing"],
+    ["radius-profile", "--steps", "3"],
+    ["verify"],
+]
+
+
+class TestFuzzedInputs:
+    """Every mutated descriptor or certificate ends in exit 0, 1 or 2,
+    never in an uncaught exception."""
+
+    @given(st.data(), st.sampled_from(_DESCRIPTORS), st.sampled_from(_COMMANDS))
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_descriptors(self, data, desc, command):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            op = write_json(tmp, "op.json", data.draw(_mutated(desc)))
+            extra = ["--cert", _scc_certificate(tmp)] if command == ["verify"] else []
+            code, _ = run(tmp, command[0], "--in", op, *command[1:], *extra)
+        assert code in (0, 1, 2)
+
+    @given(st.data(), st.sampled_from(_DESCRIPTORS[:2]))
+    @settings(max_examples=200, deadline=None)
+    def test_mutated_certificates(self, data, desc):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            op = write_json(tmp, "op.json", desc)
+            good = json.loads(Path(_scc_certificate(tmp, op)).read_text())
+            cert = write_json(tmp, "bad.json", data.draw(_mutated(good)))
+            code, _ = run(tmp, "verify", "--in", op, "--cert", cert)
+        assert code in (0, 1, 2)
+
+
+def _scc_certificate(tmp: Path, op: str | None = None) -> str:
+    """Path of the scc certificate of `op` (by default paper_example_1)."""
+    if op is None:
+        op = write_json(tmp, "example.json", {"kind": "named", "name": "paper_example_1"})
+    out = tmp / "cert.json"
+    assert main(["triangularize", "--in", op, "--kind", "scc", "--out", str(out)]) == 0
+    return str(out)

@@ -19,6 +19,7 @@ from kerneltri import (
     trace_power,
     trace_split,
 )
+from kerneltri.operators import ZERO_TOL, magnitude
 
 EXAMPLE_5x5 = np.array(
     [
@@ -74,6 +75,19 @@ class TestDensify:
         space = build_space(0, [2, 3])
         with pytest.raises(DimensionMismatchError):
             FiniteRankOperator(space=space, F=np.ones((2, 1)), G=np.ones((3, 1)))
+
+
+class TestStructuralZeroRule:
+    def test_magnitude_is_max_of_one_and_largest_entry(self):
+        assert magnitude(np.array([[5e-11, 0.1], [0.0, 0.0]])) == 1.0
+        assert magnitude(np.array([[5e-8, -100.0]])) == 100.0
+        assert magnitude(np.empty((0, 0))) == 1.0
+
+    def test_zero_threshold_is_taken_on_the_kernel_not_the_entries(self):
+        # two cells of weight 1/2: the entries are half the kernel
+        K = kernel_operator(build_space(2), np.array([[0, 40], [0, 0]], dtype=complex))
+        assert K.scale == 20.0
+        assert K.zero_threshold == ZERO_TOL * 40.0
 
 
 class TestCompress:

@@ -127,10 +127,12 @@ class TestMaxKernelProjection:
         with pytest.raises(PreconditionError):
             max_kernel_projection(sharpness_example_factors(1), side="middle")
 
-    def test_zero_test_is_relative_to_max_of_one_and_largest_entry(self):
+    def test_zero_columns_read_the_operator_threshold(self):
         kernel = np.array([[5e-11, 0.1], [0.0, 0.0]])
-        assert _zero_columns(kernel).tolist() == [True, False]  # 5e-11 <= 1e-10 * 1
-        assert _zero_columns(kernel * 1e3).tolist() == [False, False]  # 5e-8 > 1e-10 * 100
+        K = atomic_operator(kernel)
+        assert _zero_columns(kernel, K.zero_threshold).tolist() == [True, False]
+        K = atomic_operator(kernel * 1e3)
+        assert _zero_columns(K.kernel_values, K.zero_threshold).tolist() == [False, False]
 
 
 class TestAssertNilpotentCompressions:
@@ -176,10 +178,10 @@ class TestAssertNilpotentCompressions:
         assert message == reference_nilpotent_failure(K)
 
 
-def peel_outcome(peel, arg):
+def peel_outcome(peel, *args):
     """The blocks of a peel, or the points left when it found no zero column."""
     try:
-        return peel(arg)
+        return peel(*args)
     except TheoremViolationError as exc:
         return exc.details["remaining"]
 
@@ -193,7 +195,8 @@ class TestPeelAgainstReference:
     def test_nilpotent_family(self, seed):
         kfr, _ = random_nilpotent_instance(np.random.default_rng(seed))
         K = densify(kfr)
-        assert _peel_zero_columns(K.kernel_values) == reference_peel_zero_columns(K)
+        blocks = _peel_zero_columns(K.kernel_values, K.zero_threshold)
+        assert blocks == reference_peel_zero_columns(K)
 
     @given(seeds)
     @settings(max_examples=40, deadline=None)
@@ -205,7 +208,8 @@ class TestPeelAgainstReference:
         G_sub = kernel_operator(K.space.restrict(sub), G.kernel_values[np.ix_(sub, sub)])
         for op in (K, G, G_sub):
             expected = peel_outcome(reference_peel_zero_columns, op)
-            assert peel_outcome(_peel_zero_columns, op.kernel_values) == expected
+            outcome = peel_outcome(_peel_zero_columns, op.kernel_values, op.zero_threshold)
+            assert outcome == expected
 
     @given(seeds, st.integers(min_value=1, max_value=6))
     @settings(max_examples=30, deadline=None)
@@ -216,9 +220,10 @@ class TestPeelAgainstReference:
         scale = complex(rng.standard_normal(), rng.standard_normal())
         K = atomic_operator(scale * np.asarray(K.kernel_values)[np.ix_(perm, perm)])
         _, G = eigenatom_peel(K)
-        assert _peel_zero_columns(G.kernel_values) == reference_peel_zero_columns(G)
+        blocks = _peel_zero_columns(G.kernel_values, G.zero_threshold)
+        assert blocks == reference_peel_zero_columns(G)
         expected = peel_outcome(reference_peel_zero_columns, K)
-        assert peel_outcome(_peel_zero_columns, K.kernel_values) == expected
+        assert peel_outcome(_peel_zero_columns, K.kernel_values, K.zero_threshold) == expected
 
 
 class TestNilpotentBlockForm:
@@ -344,6 +349,22 @@ class TestIncreasingSpectrumBlockForm:
             assert cert.num_blocks <= 2 * cert.rank + 1
             report = verify_certificate(K, cert)
             assert report.passed, report.failures()
+
+    def test_near_threshold_noise_is_a_structural_zero(self):
+        # cell 0 -> atom 1 carries the scale 2; atom 2 is a scalar atom, and
+        # (2, 1) holds noise of 0.75 * ZERO_TOL * scale. Against the scale of
+        # the {1, 2} compression alone that noise is an arc, and no column
+        # of the compression is zero.
+        kernel = np.zeros((3, 3), dtype=complex)
+        kernel[0, 1], kernel[1, 2], kernel[2, 2], kernel[2, 1] = 2.0, 1.0, 0.5, 1.5e-10
+        K = kernel_operator(build_space(1, [2, 3]), kernel)
+        _, G = eigenatom_peel(K)
+        G_sub = kernel_operator(K.space.restrict([1, 2]), G.kernel_values[1:, 1:])
+        assert peel_outcome(reference_peel_zero_columns, G_sub) == (0, 1)
+        cert = increasing_spectrum_block_form(K)
+        assert cert.blocks == ((0,), (1,), (2,))
+        report = verify_certificate(K, cert)
+        assert report.passed, report.failures()
 
     def test_rejects_unpeelable_spectrum(self):
         with pytest.raises(TheoremViolationError):
