@@ -48,6 +48,7 @@ from .cycles import (
     moment_identities,
     moment_matrix,
     ncycle_trace_sum,
+    shortest_cycle,
     support_digraph,
 )
 from .triangular import (

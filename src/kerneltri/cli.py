@@ -8,12 +8,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .errors import KernelTriError, TheoremViolationError
 from .increasing import DEFAULT_SAMPLES, check_increasing_spectrum, radius_profile
 from .jsonio import canonical_dumps, operator_from_dict
-from .cycles import find_nondegenerate_cycle, moment_identities, support_digraph
+from .cycles import moment_identities, shortest_cycle, support_digraph
 from .operators import Operator, factor
 from .spaces import DEFAULT_MAX_POINTS, StandardSet, nested_chain
 from .spectral import DEFAULT_TOL, eigenvalues
@@ -76,7 +77,7 @@ def _cmd_check_increasing(args) -> int:
 def _cmd_cycles(args) -> int:
     K, _ = _load_operator(args.infile)
     dg = support_digraph(K, args.threshold)
-    cycle = find_nondegenerate_cycle(K, args.threshold)
+    cycle = shortest_cycle(dg)
     report = {
         "threshold": dg.threshold,
         "arcs": sum(len(s) for s in dg.successors),
@@ -141,6 +142,20 @@ def _cmd_radius_profile(args) -> int:
     return 0
 
 
+def _nonnegative_real(text: str) -> float:
+    value = float(text)  # argparse reports a ValueError as an invalid value
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, not {text!r}")
+    return value
+
+
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, not {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kerneltri",
@@ -152,35 +167,42 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--in", dest="infile", required=True, help="operator JSON file")
         p.add_argument("--out", default=None, help="output file (default stdout)")
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+
+    def tolerance(p):
+        p.add_argument("--tol", type=_nonnegative_real, default=DEFAULT_TOL)
 
     p = sub.add_parser("spectrum", help="eigenvalue report")
     common(p)
+    tolerance(p)
     p.set_defaults(fn=_cmd_spectrum)
 
     p = sub.add_parser("check-increasing", help="increasing-spectrum verdict")
     common(p)
+    tolerance(p)
     p.add_argument("--max-points", type=int, default=DEFAULT_MAX_POINTS)
-    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
+    p.add_argument("--samples", type=_nonnegative_int, default=DEFAULT_SAMPLES)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=_cmd_check_increasing)
 
     p = sub.add_parser("cycles", help="support digraph and non-degenerate cycle search")
     common(p)
-    p.add_argument("--threshold", type=float, default=None)
+    p.add_argument("--threshold", type=_nonnegative_real, default=None)
     p.set_defaults(fn=_cmd_cycles)
 
     p = sub.add_parser("moments", help="moment-matrix trace identities")
     common(p)
+    tolerance(p)
     p.set_defaults(fn=_cmd_moments)
 
     p = sub.add_parser("triangularize", help="construct a certificate")
     common(p)
+    tolerance(p)
     p.add_argument("--kind", choices=("scc", "nilpotent", "increasing"), required=True)
     p.set_defaults(fn=_cmd_triangularize)
 
     p = sub.add_parser("verify", help="re-verify a certificate")
     common(p)
+    tolerance(p)
     p.add_argument("--cert", required=True, help="certificate JSON file")
     p.set_defaults(fn=_cmd_verify)
 

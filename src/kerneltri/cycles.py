@@ -58,47 +58,41 @@ def cycle_product(K: Operator, vertices: list[int]) -> complex:
 def find_nondegenerate_cycle(
     K: Operator, threshold: float | None = None
 ) -> tuple[int, ...] | None:
+    """:func:`shortest_cycle` of the support digraph at `threshold`
+    (by default K.zero_threshold)."""
+    return shortest_cycle(support_digraph(K, threshold))
+
+
+def shortest_cycle(dg: SupportDigraph) -> tuple[int, ...] | None:
     """Shortest vertex-distinct cycle (length >= 2) in the off-diagonal
     support digraph; ties broken lexicographically. None if the support
     is acyclic apart from loops."""
-    dg = support_digraph(K, threshold)
     p = dg.size
     succ = [tuple(j for j in dg.successors[i] if j != i) for i in range(p)]
-    heads = np.repeat(np.arange(p), [len(s) for s in succ])
-    tails = np.fromiter(itertools.chain.from_iterable(succ), dtype=np.intp, count=heads.size)
+    tails = np.repeat(np.arange(p), [len(s) for s in succ])
+    heads = np.fromiter(itertools.chain.from_iterable(succ), dtype=np.intp, count=tails.size)
 
     # dist[s, v]: arc count of the shortest path s -> v (inf if none)
-    arcs = csr_array((np.ones(heads.size), (heads, tails)), shape=(p, p))
+    arcs = csr_array((np.ones(tails.size), (tails, heads)), shape=(p, p))
     dist = shortest_path(arcs, unweighted=True)
 
     # each arc u -> v closes a cycle through the shortest path v -> u
-    back = dist[tails, heads].min(initial=np.inf)
-    if back == np.inf:
+    back = dist[heads, tails]
+    closing = back.min(initial=np.inf)
+    if closing == np.inf:
         return None
-    girth = int(back) + 1
+    girth = int(closing) + 1
 
-    # lexicographically smallest cycle of length == girth, found by DFS
-    # pruned with the shortest-path distances
-    def extend(path: list[int], used: set[int]) -> tuple[int, ...] | None:
-        start = path[0]
-        remaining = girth - len(path)
-        if remaining == 0:
-            return tuple(path) if start in succ[path[-1]] else None
-        for v in succ[path[-1]]:
-            # after appending v there are `remaining` arcs left to spend,
-            # the last of which must land on start
-            if v in used or dist[v][start] > remaining:
-                continue
-            found = extend(path + [v], used | {v})
-            if found is not None:
-                return found
-        return None
-
-    for s in range(p):
-        cyc = extend([s], {s})
-        if cyc is not None:
-            return cyc
-    return None
+    # Walk from the smallest point on a shortest cycle, each step to the
+    # smallest successor k arcs short of the start. No successor is nearer:
+    # that would close a walk, and so a cycle, shorter than the girth; and a
+    # repeated point would split off a shorter cycle too. So the walk is the
+    # lexicographically smallest shortest cycle and never backtracks.
+    start = int(tails[back == closing].min())
+    cycle = [start]
+    for k in range(girth - 1, 0, -1):
+        cycle.append(next(v for v in succ[cycle[-1]] if dist[v, start] == k))
+    return tuple(cycle)
 
 
 @dataclass(frozen=True)

@@ -67,6 +67,8 @@ class Operator:
 def kernel_operator(space: MeasureSpace, kernel: np.ndarray) -> Operator:
     """Operator from a p×p matrix of raw kernel samples."""
     kernel = np.asarray(kernel, dtype=complex)
+    if not np.all(np.isfinite(kernel)):  # before the weighting warns on inf * 0
+        raise PreconditionError("non-finite kernel values")
     entries = kernel * space.weights[np.newaxis, :]
     return Operator(space=space, entries=entries, kernel_values=kernel)
 
@@ -97,6 +99,8 @@ class FiniteRankOperator:
             raise DimensionMismatchError("factor rows != space size")
         if self.F.shape[1] != self.G.shape[1]:
             raise DimensionMismatchError("factor count mismatch between F and G")
+        if not (np.all(np.isfinite(self.F)) and np.all(np.isfinite(self.G))):
+            raise PreconditionError("non-finite factor entries")  # before the SVD fails
         n = self.F.shape[1]
         if n > 0:
             if np.linalg.matrix_rank(self.F) < n or np.linalg.matrix_rank(self.G) < n:

@@ -8,6 +8,8 @@ import functools
 import itertools
 
 import numpy as np
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import shortest_path
 
 from kerneltri import (
     FiniteRankOperator,
@@ -18,6 +20,7 @@ from kerneltri import (
     compress,
     factor,
     kernel_operator,
+    support_digraph,
 )
 from kerneltri.operators import ZERO_TOL
 from kerneltri.spaces import mask_indices, standard_pair_masks
@@ -220,3 +223,69 @@ def near_tolerance_instance(rng: np.random.Generator, p: int, ratio: float, tol:
     perm = rng.permutation(p)
     return kernel_operator(build_space(0, range(2, p + 2)), mat[np.ix_(perm, perm)])
 
+
+
+def reference_shortest_cycle(K, threshold=None) -> tuple[int, ...] | None:
+    """The cycle search as a DFS from every start point, pruned with the
+    shortest-path distances and backtracking on repeated points: the
+    reference for `find_nondegenerate_cycle`, which walks the distances
+    directly."""
+    dg = support_digraph(K, threshold)
+    p = dg.size
+    succ = [tuple(j for j in dg.successors[i] if j != i) for i in range(p)]
+    heads = np.repeat(np.arange(p), [len(s) for s in succ])
+    tails = np.fromiter(itertools.chain.from_iterable(succ), dtype=np.intp, count=heads.size)
+
+    # dist[s, v]: arc count of the shortest path s -> v (inf if none)
+    arcs = csr_array((np.ones(heads.size), (heads, tails)), shape=(p, p))
+    dist = shortest_path(arcs, unweighted=True)
+
+    # each arc u -> v closes a cycle through the shortest path v -> u
+    back = dist[tails, heads].min(initial=np.inf)
+    if back == np.inf:
+        return None
+    girth = int(back) + 1
+
+    # lexicographically smallest cycle of length == girth, found by DFS
+    # pruned with the shortest-path distances
+    def extend(path: list[int], used: set[int]) -> tuple[int, ...] | None:
+        start = path[0]
+        remaining = girth - len(path)
+        if remaining == 0:
+            return tuple(path) if start in succ[path[-1]] else None
+        for v in succ[path[-1]]:
+            # after appending v there are `remaining` arcs left to spend,
+            # the last of which must land on start
+            if v in used or dist[v][start] > remaining:
+                continue
+            found = extend(path + [v], used | {v})
+            if found is not None:
+                return found
+        return None
+
+    for s in range(p):
+        cyc = extend([s], {s})
+        if cyc is not None:
+            return cyc
+    return None
+
+
+def reference_chain_invariant(K, blocks, tol: float = 1e-8) -> tuple[bool, str]:
+    """(passed, detail) of the chain-invariance check as a loop over the
+    prefixes F_b, each rescanning its rectangle K[outside, inside]: the
+    reference for `verify_certificate`, which reads the first leaking
+    prefix off the below-block entries."""
+    kernel = K.kernel_values
+    p = K.size
+    thr = tol * max(1.0, float(np.abs(kernel).max()) if kernel.size else 1.0)
+    pos = np.empty(p, dtype=int)
+    for b, block in enumerate(blocks):
+        pos[list(block)] = b
+    for b in range(len(blocks)):
+        inside = [i for i in range(p) if pos[i] <= b]
+        outside = [i for i in range(p) if pos[i] > b]
+        if inside and outside:
+            leak = float(np.abs(kernel[np.ix_(outside, inside)]).max())
+            if leak > thr:
+                return False, f"prefix {b} leaks {leak:.3e}"
+    return True, ""

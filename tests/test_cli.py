@@ -3,6 +3,7 @@ import json
 import math
 import tempfile
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -430,6 +431,23 @@ class TestErrorsAndDeterminism:
         assert code == 2
         assert text == ""
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=str)
+    @pytest.mark.parametrize("field", ["kernel", "F", "G"])
+    def test_non_finite_entries_exit_two_without_warnings(self, tmp_path, capsys, field, value):
+        if field == "kernel":
+            desc = {"kind": "dense", "space": {"atoms": [2, 3]}, "kernel": [[0.0, 1.0], [0.0, 0.0]]}
+        else:
+            desc = {"kind": "finite_rank", "space": {"atoms": [2, 3]}, "F": [[1.0], [0.0]], "G": [[0.0], [1.0]]}
+        desc[field][0][0] = value  # json.dumps writes NaN, Infinity, -Infinity
+        op = write_json(tmp_path, "op.json", desc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, text = run(tmp_path, "spectrum", "--in", op)
+        assert code == 2
+        assert text == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: non-finite") and err.count("\n") == 1
+
     def test_largest_named_operator_loads(self):
         assert named_operator("volterra_linear", cells=512).size == 512
 
@@ -453,6 +471,40 @@ class TestErrorsAndDeterminism:
             assert code == 0
             outputs.add(out.read_bytes())
         assert len(outputs) == 1
+
+
+class TestNumericFlags:
+    """Numeric flags out of range exit 2 before the operator loads."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("check-increasing", "--tol", "-1"),
+            ("check-increasing", "--tol", "nan"),
+            ("check-increasing", "--tol", "inf"),
+            ("verify", "--tol", "nan", "--cert", "cert.json"),
+            ("check-increasing", "--samples", "-5"),
+            ("cycles", "--threshold", "-1"),
+            ("cycles", "--threshold", "nan"),
+            ("cycles", "--tol", "1e-8"),
+            ("radius-profile", "--tol", "1e-8"),
+        ],
+    )
+    def test_refused_before_loading(self, tmp_path, capsys, argv):
+        # the operator file does not exist: loading it would return 2, not exit
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--in", str(tmp_path / "absent.json")])
+        assert exc.value.code == 2
+        assert "absent.json" not in capsys.readouterr().err
+
+    def test_zero_is_accepted(self, tmp_path):
+        op = write_json(tmp_path, "op.json", {"kind": "named", "name": "volterra_linear", "cells": 4})
+        assert run(tmp_path, "cycles", "--in", op, "--threshold", "0")[0] == 0
+        code, text = run(
+            tmp_path, "check-increasing", "--in", op, "--tol", "0", "--max-points", "2", "--samples", "0"
+        )
+        assert code == 0
+        assert not json.loads(text)["exhaustive"]
 
 
 def test_named_operator_round_trip_matches_library():

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_nilpotent_instance
+from conftest import random_nilpotent_instance, reference_shortest_cycle
 
 from kerneltri import (
     PreconditionError,
@@ -18,6 +20,7 @@ from kerneltri import (
     ncycle_trace_sum,
     sharpness_example,
     sharpness_example_factors,
+    shortest_cycle,
     support_digraph,
     trace_power,
     volterra_linear,
@@ -108,6 +111,32 @@ class TestFindNondegenerateCycle:
             cyc = find_nondegenerate_cycle(K)
             if cyc is not None:
                 assert abs(cycle_product(K, list(cyc))) > 0
+
+
+class TestShortestCycleAgainstReference:
+    @given(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.integers(min_value=1, max_value=24),
+        st.sampled_from([0.03, 0.1, 0.3, 1.0]),
+        st.booleans(),
+        st.booleans(),
+        st.sampled_from([None, 0.0, 0.5]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_backtracking_dfs(self, seed, p, density, loops, acyclic, threshold):
+        rng = np.random.default_rng(seed)
+        mat = rng.standard_normal((p, p)) * (rng.random((p, p)) < density)
+        if acyclic:  # strictly upper triangular in a random point order
+            perm = rng.permutation(p)
+            mat = np.triu(mat, 1)[np.ix_(perm, perm)]
+        if loops:
+            mat[np.diag_indices(p)] = rng.standard_normal(p)
+        K = atomic_operator(mat)
+        expected = reference_shortest_cycle(K, threshold)
+        assert find_nondegenerate_cycle(K, threshold) == expected
+        assert shortest_cycle(support_digraph(K, threshold)) == expected
+        if acyclic:
+            assert expected is None
 
 
 class TestNcycleTraceSum:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import (
     random_hybrid_instance,
     random_nilpotent_instance,
+    reference_chain_invariant,
     reference_nilpotent_failure,
     reference_peel_zero_columns,
 )
@@ -32,6 +33,7 @@ from kerneltri import (
     verify_certificate,
     volterra_linear,
 )
+from kerneltri.operators import magnitude
 from kerneltri.triangular import _peel_zero_columns, _zero_columns
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -271,6 +273,40 @@ class TestNilpotentBlockForm:
         with pytest.raises(PreconditionError):
             nilpotent_block_form(finite_rank(np.diag([1.0, 0.0])))
 
+    def test_superdiagonal_block_within_tol_vanishes(self):
+        # the block (1, 2) is above the structural-zero threshold but at most
+        # tol * scale, where verify_certificate would call it vanishing
+        mat = np.zeros((3, 3))
+        mat[0, 1] = 1.0
+        mat[1, 2] = 1e-9
+        with pytest.raises(TheoremViolationError, match=r"superdiagonal block \(1, 2\) vanishes"):
+            nilpotent_block_form(atomic_operator(mat))
+        mat[1, 2] = 1e-7
+        cert = nilpotent_block_form(atomic_operator(mat))
+        assert cert.blocks == ((0,), (1,), (2,))
+        assert verify_certificate(atomic_operator(mat), cert).passed
+
+    def test_near_threshold_entries_give_no_certificate_the_verifier_rejects(self):
+        # one nonzero entry shrunk to 0.3-3 x 1e-10 x scale, between the
+        # structural-zero threshold and the verifier's tol * scale
+        emitted = 0
+        for seed in range(10000, 10400):
+            rng = np.random.default_rng(seed)
+            kfr, _ = random_nilpotent_instance(rng)
+            kernel = densify(kfr).kernel_values.copy()
+            nonzero = np.argwhere(kernel != 0)
+            i, j = nonzero[rng.integers(len(nonzero))]
+            kernel[i, j] *= rng.uniform(0.3, 3.0) * 1e-10 * magnitude(kernel) / abs(kernel[i, j])
+            K = kernel_operator(kfr.space, kernel)
+            try:
+                cert = nilpotent_block_form(K)
+            except TheoremViolationError:
+                continue
+            emitted += 1
+            report = verify_certificate(K, cert)
+            assert report.passed, (seed, report.failures())
+        assert emitted > 300
+
 
 class TestEigenatomPeel:
     def test_diagonal_atoms(self):
@@ -485,3 +521,41 @@ class TestVerifyCertificate:
         again = TriangularizationCertificate.from_dict(cert.to_dict())
         assert again == cert
         assert verify_certificate(K, again).passed
+
+
+class TestChainInvarianceAgainstReference:
+    """An ordered partition, a kernel that is zero below its blocks, and a
+    few planted below-block entries of 1e-12 to 1 x scale."""
+
+    @given(
+        seeds,
+        st.integers(min_value=1, max_value=12),
+        st.integers(min_value=0, max_value=4),
+        st.sampled_from(["scc", "nilpotent_rank", "increasing_spectrum"]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_prefix_loop(self, seed, p, planted, kind):
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(1, p + 1))
+        pos = np.concatenate([np.arange(m), rng.integers(0, m, p - m)])
+        rng.shuffle(pos)
+        blocks = tuple(tuple(np.flatnonzero(pos == b).tolist()) for b in range(m))
+        scale = 10.0 ** rng.uniform(-3, 3)
+        kernel = scale * rng.standard_normal((p, p)) * (rng.random((p, p)) < 0.7)
+        below = pos[:, None] > pos[None, :]
+        kernel[below] = 0.0
+        cells = np.argwhere(below)
+        for i, j in cells[rng.integers(len(cells), size=planted)] if cells.size else ():
+            kernel[i, j] = scale * 10.0 ** rng.uniform(-12, 0)
+        K = atomic_operator(kernel)
+        cert = TriangularizationCertificate(kind, blocks, (), None, None, 0.0, 1e-8, False)
+
+        data = verify_certificate(K, cert).to_dict()
+        passed, detail = reference_chain_invariant(K, blocks)
+        checks = data["checks"]
+        assert list(checks)[:3] == ["partition", "residual", "chain_invariant"]
+        assert checks["chain_invariant"] == {"passed": passed, "detail": detail}
+        # a leak out of some prefix is a below-block entry above tol * scale
+        thr = 1e-8 * magnitude(kernel)
+        assert passed == (np.abs(kernel[below]).max(initial=0.0) <= thr)
+        assert data["passed"] == all(c["passed"] for c in checks.values())
