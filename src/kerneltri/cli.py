@@ -27,6 +27,12 @@ from .triangular import (
 )
 
 
+#: largest --max-points accepted: a holding operator on 16 points has 3^16
+#: (about 43 million) pairs, and its level spectra take 2^16·16 complex
+#: values (16 MB); the library's `max_points` parameter has no bound
+MAX_POINTS_LIMIT = 16
+
+
 class InputError(Exception):
     pass
 
@@ -156,6 +162,13 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
+def _max_points(text: str) -> int:
+    value = _nonnegative_int(text)
+    if value > MAX_POINTS_LIMIT:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_POINTS_LIMIT}, not {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kerneltri",
@@ -179,9 +192,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-increasing", help="increasing-spectrum verdict")
     common(p)
     tolerance(p)
-    p.add_argument("--max-points", type=int, default=DEFAULT_MAX_POINTS)
+    p.add_argument("--max-points", type=_max_points, default=DEFAULT_MAX_POINTS)
     p.add_argument("--samples", type=_nonnegative_int, default=DEFAULT_SAMPLES)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.set_defaults(fn=_cmd_check_increasing)
 
     p = sub.add_parser("cycles", help="support digraph and non-degenerate cycle search")

@@ -9,9 +9,7 @@ nested cell chain plus seeded random pairs).
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -19,24 +17,23 @@ from .errors import PreconditionError
 from .operators import Operator, compress
 from .spaces import (
     DEFAULT_MAX_POINTS,
-    MeasureSpace,
     StandardSet,
     _subsets_by_size,
     level_mask_indices,
     level_pair_table,
-    mask_indices,
     nested_chain,
     pair_masks,
 )
 from .spectral import (
     DEFAULT_TOL,
     SpectrumReport,
+    block_ranges,
     eigenvalues,
     first_excluded,
-    inclusion_witness,
     nearest_distances,
     nonzero_eigen_match,
     spectrum_subset,
+    subset_spectra,
     MatchResult,
 )
 
@@ -67,22 +64,44 @@ class PropertyReport:
         return d
 
 
-def _sampled_pairs(space: MeasureSpace, samples: int, seed: int) -> Iterator[tuple[int, int]]:
-    """All pairs along the nested cell chain, then `samples` seeded random
-    pairs E ⊆ F (per sample: F's bits, then the bits kept in E)."""
-    if space.num_cells > 0:
-        chain = nested_chain(space, space.num_cells)
-        yield from itertools.combinations([s.mask for s in chain], 2)
+def _sampled_check(K: Operator, tol: float, samples: int, seed: int) -> PropertyReport:
+    """The sampled path of :func:`check_increasing_spectrum`."""
+    p = K.size
+    tol_eff = tol * K.scale
+    points = np.arange(p)
+    # cells come first, so each set of the nested cell chain is a prefix;
+    # its pairs come first, in the order of itertools.combinations
+    prefixes = np.array(
+        [s.mask.bit_length() for s in nested_chain(K.space, K.space.num_cells)]
+        if K.space.num_cells > 0
+        else [],
+        dtype=np.intp,
+    )
+    e_len, f_len = (prefixes[i] for i in np.triu_indices(prefixes.size, 1))
     rng = np.random.default_rng(seed)
-    p = space.size
-    for _ in range(samples):
-        f_bits = rng.integers(0, 2, size=p)
-        e_bits = f_bits * rng.integers(0, 2, size=p)
-        # Python ints: an int64 mask would overflow from 63 points on
-        yield (
-            sum(1 << i for i in np.flatnonzero(e_bits).tolist()),
-            sum(1 << i for i in np.flatnonzero(f_bits).tolist()),
-        )
+    for lo, hi in block_ranges(e_len.size + samples, p):
+        chain = slice(min(lo, e_len.size), min(hi, e_len.size))
+        e = points < e_len[chain, None]
+        f = points < f_len[chain, None]
+        drawn = hi - max(lo, e_len.size)
+        if drawn > 0:
+            # per sample F's bits, then the bits kept in E: one call for the
+            # block yields the same bits as one call per sample
+            bits = rng.integers(0, 2, size=(drawn, 2, p)).astype(bool)
+            e = np.concatenate([e, bits[:, 0] & bits[:, 1]])
+            f = np.concatenate([f, bits[:, 0]])
+        n = hi - lo
+        spectra, inverse = subset_spectra(K.entries, np.concatenate([e, f]))
+        hit = first_excluded(spectra[inverse[:n]], spectra[inverse[n:]], tol_eff)
+        if hit is not None:
+            row, col = divmod(hit, spectra.shape[1])
+            witness = (
+                tuple(np.flatnonzero(e[row]).tolist()),
+                tuple(np.flatnonzero(f[row]).tolist()),
+                complex(spectra[inverse[row], col]),
+            )
+            return PropertyReport(False, lo + row + 1, False, tol, witness)
+    return PropertyReport(True, e_len.size + samples, False, tol)
 
 
 #: complex entries per vectorized block of eigenvalue distances (512 KiB;
@@ -220,34 +239,21 @@ def check_increasing_spectrum(
     minimal one), and `pairs_checked` counts the pairs decided: up to and
     including the witness, or all 3^p on a pass.
 
-    Larger spaces fall back to the sampled mode (pairs along the nested
-    cell chain, then `samples` seeded random pairs, checked one by one)
-    and the report carries exhaustive=False.
+    Larger spaces fall back to the sampled mode, and the report carries
+    exhaustive=False. Its pairs are those along the nested cell chain,
+    then `samples` seeded random pairs E ⊆ F (per sample F's bits, then
+    the bits kept in E). They are decided in blocks of at most
+    `SPECTRA_BLOCK_ENTRIES // p²` pairs (see :func:`block_ranges`), the
+    first one small and each next one twice as large: one draw per block,
+    one :func:`subset_spectra` call on its distinct subsets and one
+    :func:`first_excluded` scan in pair order. Memory is bounded however
+    large `samples` is. The witness is the first violating pair in that
+    order, and `pairs_checked` counts the pairs up to and including it,
+    or all of them on a pass.
     """
-    p = K.size
-    if p <= max_points:
+    if K.size <= max_points:
         return _exhaustive_check(K, tol)
-    tol_eff = tol * K.scale
-
-    @functools.cache
-    def spectrum(mask: int) -> np.ndarray:
-        idx = mask_indices(mask, p)
-        # two takes cost a quarter of np.ix_ indexing on these small matrices
-        return np.linalg.eigvals(K.entries.take(idx, 0).take(idx, 1))
-
-    checked = 0
-    for e_mask, f_mask in _sampled_pairs(K.space, samples, seed):
-        checked += 1
-        witness = inclusion_witness(spectrum(e_mask), spectrum(f_mask), tol_eff)
-        if witness is not None:
-            return PropertyReport(
-                False,
-                checked,
-                False,
-                tol,
-                (mask_indices(e_mask, p), mask_indices(f_mask, p), witness),
-            )
-    return PropertyReport(True, checked, False, tol)
+    return _sampled_check(K, tol, samples, seed)
 
 
 def radius_profile(K: Operator, chain: list[StandardSet]) -> list[float]:

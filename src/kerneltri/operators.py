@@ -113,7 +113,9 @@ class FiniteRankOperator:
         return self.F.shape[1]
 
     def kernel_matrix(self) -> np.ndarray:
-        return self.F @ self.G.T
+        # finite factors may overflow: the caller's finiteness check reports it
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.F @ self.G.T
 
 
 def densify(kfr: FiniteRankOperator) -> Operator:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -97,6 +97,56 @@ def first_excluded(inner: np.ndarray, outer: np.ndarray, tol: float) -> int | No
     none."""
     bad = np.flatnonzero(nearest_distances(inner, outer) > tol)
     return int(bad[0]) if bad.size else None
+
+
+#: matrix entries per block of stacked subset spectra: a block of n
+#: subsets (or pairs) on p points has n·p² <= SPECTRA_BLOCK_ENTRIES, so its
+#: gathered compressions and its complex distance table take a few MB
+#: however many subsets or pairs are decided
+SPECTRA_BLOCK_ENTRIES = 1 << 17
+#: entries of the first block; each later block doubles, up to the bound
+FIRST_BLOCK_ENTRIES = 1 << 14
+
+
+def block_ranges(total: int, p: int) -> Iterator[tuple[int, int]]:
+    """Consecutive ranges [lo, hi) that cover 0 .. total-1 for items
+    (subsets or pairs) on p points: the first range holds
+    FIRST_BLOCK_ENTRIES // p² items, each next one twice as many, none
+    more than SPECTRA_BLOCK_ENTRIES // p², and every range at least one.
+    A decision met early then costs a small block, a long run few blocks."""
+    square = max(1, p * p)
+    cap = max(1, SPECTRA_BLOCK_ENTRIES // square)
+    size = max(1, min(cap, FIRST_BLOCK_ENTRIES // square))
+    lo = 0
+    while lo < total:
+        hi = min(total, lo + size)
+        yield lo, hi
+        lo, size = hi, min(cap, 2 * size)
+
+
+def subset_spectra(entries: np.ndarray, members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Spectra of the compressions of the square matrix `entries` to the
+    subsets whose rows in `members` (n × p, nonzero = in the subset) mark
+    their points: returns (spectra, inverse), where row inverse[r] of
+    spectra holds the eigenvalues of subset r, NaN-padded to the largest
+    subset size (an empty subset gives a row of NaN). Equal rows share one
+    eigen-decomposition, and each subset size takes one stacked eigvals
+    call."""
+    n, p = members.shape
+    if p == 0:  # every subset is empty: no bytes to key the rows by
+        return np.empty((1, 0), dtype=complex), np.zeros(n, dtype=np.intp)
+    packed = np.packbits(members.astype(bool), axis=1)
+    # one opaque key per row sorts several times faster than unique(axis=0)
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).reshape(n)
+    rows, inverse = np.unique(keys, return_inverse=True)
+    bits = np.unpackbits(rows.view(np.uint8).reshape(rows.size, -1), axis=1, count=p).view(bool)
+    sizes = bits.sum(axis=1)
+    spectra = np.full((rows.shape[0], int(sizes.max(initial=0))), np.nan, dtype=complex)
+    for s in np.unique(sizes[sizes > 0]).tolist():
+        sel = np.flatnonzero(sizes == s)
+        cols = np.nonzero(bits[sel])[1].reshape(-1, s)
+        spectra[sel, :s] = np.linalg.eigvals(entries[cols[:, :, None], cols[:, None, :]])
+    return spectra, inverse.reshape(-1)
 
 
 def inclusion_witness(inner: np.ndarray, outer: np.ndarray, tol: float) -> complex | None:

@@ -33,7 +33,13 @@ from .operators import (
     numerical_rank,
 )
 from .spaces import DEFAULT_MAX_POINTS, StandardSet, _subsets_by_size
-from .spectral import DEFAULT_TOL, eigenvalues, match_multisets
+from .spectral import (
+    DEFAULT_TOL,
+    block_ranges,
+    eigenvalues,
+    match_multisets,
+    subset_spectra,
+)
 from .cycles import support_digraph
 
 
@@ -269,7 +275,8 @@ def assert_nilpotent_compressions(K: Operator, tol: float = DEFAULT_TOL) -> None
 
     Exhaustive over all subsets up to DEFAULT_MAX_POINTS points, naming the
     failing subset of smallest bitmask; larger spaces are sampled (full set,
-    all singletons, seeded random subsets), naming the first failure met.
+    all singletons, 2048 seeded random subsets, decided in blocks by
+    :func:`subset_spectra`), naming the first failure in that order.
     """
     p = K.size
     cutoff = tol * K.scale
@@ -292,13 +299,15 @@ def assert_nilpotent_compressions(K: Operator, tol: float = DEFAULT_TOL) -> None
         if failing:  # check() recomputes the smallest-mask failure and raises
             check(tuple(min(failing, key=lambda pts: sum(1 << i for i in pts))))
         return
-    check(tuple(range(p)))
-    for i in range(p):
-        check((i,))
-    rng = np.random.default_rng(0)
-    for _ in range(2048):
-        bits = rng.integers(0, 2, size=p)
-        check(tuple(np.nonzero(bits)[0].tolist()))
+    # the full set, the singletons, then 2048 seeded subsets, in blocks
+    draws = np.random.default_rng(0).integers(0, 2, size=(2048, p))
+    members = np.concatenate([np.ones((1, p)), np.eye(p), draws]).astype(bool)
+    for lo, hi in block_ranges(members.shape[0], p):
+        spectra, inverse = subset_spectra(K.entries, members[lo:hi])
+        radius = np.fmax.reduce(np.abs(spectra), axis=1, initial=0.0)
+        # check() recomputes each failure in order and raises at the first
+        for row in np.flatnonzero(radius[inverse] > cutoff).tolist():
+            check(tuple(np.flatnonzero(members[lo + row]).tolist()))
 
 
 def nilpotent_block_form(

@@ -23,7 +23,7 @@ from kerneltri import (
     support_digraph,
 )
 from kerneltri.operators import ZERO_TOL
-from kerneltri.spaces import mask_indices, standard_pair_masks
+from kerneltri.spaces import mask_indices, nested_chain, standard_pair_masks
 from kerneltri.spectral import inclusion_witness
 
 
@@ -77,6 +77,50 @@ def reference_increasing_check(K, tol: float = 1e-8) -> PropertyReport:
     return PropertyReport(True, checked, True, tol)
 
 
+def reference_sample_masks(space, samples: int, seed: int):
+    """The sampled pairs as masks, one pair at a time: all pairs along the
+    nested cell chain, then `samples` seeded pairs E ⊆ F drawn with two
+    `integers` calls each (F's bits, then the bits kept in E)."""
+    if space.num_cells > 0:
+        chain = nested_chain(space, space.num_cells)
+        yield from itertools.combinations([s.mask for s in chain], 2)
+    rng = np.random.default_rng(seed)
+    for _ in range(samples):
+        f_bits = rng.integers(0, 2, size=space.size)
+        e_bits = f_bits * rng.integers(0, 2, size=space.size)
+        yield (
+            sum(1 << i for i in np.flatnonzero(e_bits).tolist()),
+            sum(1 << i for i in np.flatnonzero(f_bits).tolist()),
+        )
+
+
+def reference_sampled_check(K, tol: float = 1e-8, samples: int = 10_000, seed: int = 0):
+    """The sampled check as a plain per-pair loop, one eigvals call per
+    new subset: the reference for the block-wise sampled path of
+    `check_increasing_spectrum`."""
+    p = K.size
+    tol_eff = tol * K.scale
+
+    @functools.cache
+    def spectrum(mask: int) -> np.ndarray:
+        idx = mask_indices(mask, p)
+        return np.linalg.eigvals(K.entries.take(idx, 0).take(idx, 1))
+
+    checked = 0
+    for e_mask, f_mask in reference_sample_masks(K.space, samples, seed):
+        checked += 1
+        witness = inclusion_witness(spectrum(e_mask), spectrum(f_mask), tol_eff)
+        if witness is not None:
+            return PropertyReport(
+                False,
+                checked,
+                False,
+                tol,
+                (mask_indices(e_mask, p), mask_indices(f_mask, p), witness),
+            )
+    return PropertyReport(True, checked, False, tol)
+
+
 def reference_peel_zero_columns(K) -> tuple[tuple[int, ...], ...]:
     """The zero-column peel as it ran on SVD factors: compress K to the
     remaining points, refactor the compression, and strip the columns of
@@ -109,6 +153,24 @@ def reference_nilpotent_failure(K, tol: float = 1e-8) -> str | None:
     p = K.size
     for mask in range(1, 1 << p):
         idx = list(mask_indices(mask, p))
+        radius = np.abs(np.linalg.eigvals(K.entries[np.ix_(idx, idx)])).max()
+        if radius > tol * K.scale:
+            return f"standard compression on points {idx} is not nilpotent (radius {radius:.3e})"
+    return None
+
+
+def reference_nilpotent_sampled_failure(K, tol: float = 1e-8) -> str | None:
+    """The sampled nilpotence check as a plain loop: the full set, each
+    singleton, then 2048 subsets drawn one `integers` call each from seed
+    0, one eigvals call per subset; the message of the first failing
+    subset, or None when every one of them is nilpotent."""
+    p = K.size
+    rng = np.random.default_rng(0)
+    subsets = [list(range(p))] + [[i] for i in range(p)]
+    subsets += [np.nonzero(rng.integers(0, 2, size=p))[0].tolist() for _ in range(2048)]
+    for idx in subsets:
+        if not idx:
+            continue
         radius = np.abs(np.linalg.eigvals(K.entries[np.ix_(idx, idx)])).max()
         if radius > tol * K.scale:
             return f"standard compression on points {idx} is not nilpotent (radius {radius:.3e})"

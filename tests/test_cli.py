@@ -20,7 +20,7 @@ from kerneltri import (
     operator_from_dict,
     sharpness_example,
 )
-from kerneltri.cli import main
+from kerneltri.cli import MAX_POINTS_LIMIT, main
 
 
 def run(tmp_path, *argv):
@@ -448,6 +448,17 @@ class TestErrorsAndDeterminism:
         err = capsys.readouterr().err
         assert err.startswith("error: non-finite") and err.count("\n") == 1
 
+    def test_overflowing_factors_exit_two_without_warnings(self, tmp_path, capsys):
+        # finite factors whose product F @ G.T overflows to inf
+        desc = {"kind": "finite_rank", "space": {"atoms": [2, 3]}, "F": [[1e200], [1]], "G": [[1e200], [0]]}
+        op = write_json(tmp_path, "op.json", desc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, text = run(tmp_path, "spectrum", "--in", op)
+        assert code == 2
+        assert text == ""
+        assert capsys.readouterr().err == "error: non-finite kernel values\n"
+
     def test_largest_named_operator_loads(self):
         assert named_operator("volterra_linear", cells=512).size == 512
 
@@ -484,6 +495,9 @@ class TestNumericFlags:
             ("check-increasing", "--tol", "inf"),
             ("verify", "--tol", "nan", "--cert", "cert.json"),
             ("check-increasing", "--samples", "-5"),
+            ("check-increasing", "--seed", "-1"),
+            ("check-increasing", "--max-points", "-1"),
+            ("check-increasing", "--max-points", str(MAX_POINTS_LIMIT + 1)),
             ("cycles", "--threshold", "-1"),
             ("cycles", "--threshold", "nan"),
             ("cycles", "--tol", "1e-8"),
@@ -505,6 +519,12 @@ class TestNumericFlags:
         )
         assert code == 0
         assert not json.loads(text)["exhaustive"]
+
+    def test_max_points_limit_is_accepted(self, tmp_path):
+        op = write_json(tmp_path, "op.json", {"kind": "named", "name": "volterra_linear", "cells": 4})
+        code, text = run(tmp_path, "check-increasing", "--in", op, "--max-points", str(MAX_POINTS_LIMIT))
+        assert code == 0
+        assert json.loads(text)["exhaustive"]
 
 
 def test_named_operator_round_trip_matches_library():

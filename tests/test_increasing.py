@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,6 +12,7 @@ from conftest import (
     random_hybrid_instance,
     random_nilpotent_instance,
     reference_increasing_check,
+    reference_sampled_check,
     worst_covering_margin,
 )
 
@@ -30,6 +32,7 @@ from kerneltri import (
     sharpness_example,
     volterra_linear,
 )
+from kerneltri.spectral import SPECTRA_BLOCK_ENTRIES, block_ranges
 
 
 def atomic_operator(matrix):
@@ -256,6 +259,82 @@ class TestLevelByLevelAgainstReference:
             warnings.simplefilter("error")
             assert check_increasing_spectrum(K).verdict
             assert not check_increasing_spectrum(atomic_operator(np.ones((6, 6)))).verdict
+
+
+def sampled_instance(seed: int, kind: str):
+    """An operator on 13 to 18 points with at least one cell, so the nested
+    chain contributes pairs: "hold" is upper triangular (every compression
+    keeps its diagonal as spectrum), "dense" violates within a few pairs
+    and "cycle" isolates a cycle through 5 to 7 atoms, so only pairs whose
+    F holds the whole cycle can violate and the witness comes late."""
+    rng = np.random.default_rng(seed)
+    p = int(rng.integers(13, 19))
+    cells = int(rng.integers(1, p // 2 + 1))
+    mat = np.triu(rng.standard_normal((p, p)) * (rng.random((p, p)) < 0.5), 1)
+    mat += np.diag(rng.standard_normal(p))
+    if kind == "dense":
+        mat = rng.standard_normal((p, p))
+    elif kind == "cycle":
+        k = min(int(rng.integers(5, 8)), p - cells)
+        pts = np.sort(rng.choice(np.arange(cells, p), size=k, replace=False))
+        diag = mat[pts, pts]
+        mat[pts, :] = 0.0
+        mat[:, pts] = 0.0
+        mat[pts, pts] = diag
+        mat[np.roll(pts, 1), pts] = 1.0
+    return kernel_operator(build_space(cells, range(2, p - cells + 2)), mat)
+
+
+class TestSampledCheck:
+    """The block-wise sampled path against the per-pair loop it replaced."""
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("samples", [0, 1, 300, 1000])
+    @pytest.mark.parametrize("kind", ["hold", "dense", "cycle"])
+    def test_matches_per_pair_loop(self, kind, samples, seed):
+        for instance in range(3):
+            K = sampled_instance(100 * seed + instance, kind)
+            report = check_increasing_spectrum(K, max_points=12, samples=samples, seed=seed)
+            assert report == reference_sampled_check(K, samples=samples, seed=seed)
+            if kind == "hold" or samples == 0 and kind == "cycle":
+                assert report.verdict  # the chain holds no atom of the cycle
+            elif samples >= 300 and kind == "dense":
+                assert not report.verdict
+
+    def test_late_witnesses_cross_block_boundaries(self):
+        first_block = next(block_ranges(1000, 13))[1]
+        reports = [
+            check_increasing_spectrum(
+                sampled_instance(seed, "cycle"), max_points=12, samples=1000, seed=seed
+            )
+            for seed in range(8)
+        ]
+        assert not any(r.verdict for r in reports)
+        assert max(r.pairs_checked for r in reports) > first_block
+
+    @pytest.mark.parametrize("p", [1, 2, 7, 8, 13, 31, 32, 33, 62, 63, 64, 65, 79])
+    def test_block_draw_equals_per_sample_draws(self, p):
+        for seed in (0, 1, 12345):
+            blocks = np.random.default_rng(seed)
+            drawn = np.concatenate(
+                [blocks.integers(0, 2, size=(hi - lo, 2, p)) for lo, hi in block_ranges(300, p)]
+            )
+            single = np.random.default_rng(seed)
+            expected = [[single.integers(0, 2, size=p) for _ in range(2)] for _ in range(300)]
+            np.testing.assert_array_equal(drawn, np.array(expected))
+
+    def test_memory_does_not_grow_with_samples(self):
+        K = sampled_instance(3, "hold")
+        peaks = {}
+        for samples in (20_000, 100_000):
+            tracemalloc.start()
+            try:
+                assert check_increasing_spectrum(K, max_points=12, samples=samples).verdict
+                peaks[samples] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[100_000] < 1.5 * peaks[20_000]
+        assert peaks[100_000] < 16 * SPECTRA_BLOCK_ENTRIES * 4  # a few complex block tables
 
 
 class TestRadiusProfile:

@@ -10,6 +10,7 @@ from conftest import (
     random_nilpotent_instance,
     reference_chain_invariant,
     reference_nilpotent_failure,
+    reference_nilpotent_sampled_failure,
     reference_peel_zero_columns,
 )
 
@@ -152,6 +153,53 @@ class TestAssertNilpotentCompressions:
 
     def test_large_space_sampled_path(self):
         assert_nilpotent_compressions(volterra_linear(16))
+
+    # nilpotent gadgets whose first failure lies in each stage of the
+    # sampled order: none, the full set, a singleton, a drawn subset
+    GADGETS = {
+        "none": [[0.0]],
+        "full": [[0.0, 1.0], [1e-5, 0.0]],
+        "singleton": [[1.0, 1.0], [-1.0, -1.0]],
+        "drawn": [[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, -1.0, 0.0]],
+    }
+    # the nilpotent 3x3 gadget has a Jordan block of size 3, so its computed
+    # eigenvalues are off by about eps^(1/3); tol = 1e-4 sits far above that
+    # and far below the radius 1 of its failing pairs
+    TOL = 1e-4
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("gadget", GADGETS)
+    def test_sampled_path_matches_per_subset_loop(self, gadget, seed):
+        # 13 to 16 points: the gadget beside a strictly upper triangular
+        # block, with no arc between them, in a random order
+        rng = np.random.default_rng(seed)
+        g = np.array(self.GADGETS[gadget])
+        p = int(rng.integers(13, 17))
+        mat = np.zeros((p, p))
+        mat[: g.shape[0], : g.shape[0]] = g
+        rest = p - g.shape[0]
+        mat[g.shape[0] :, g.shape[0] :] = np.triu(
+            rng.standard_normal((rest, rest)) * (rng.random((rest, rest)) < 0.5), 1
+        )
+        perm = rng.permutation(p)
+        K = atomic_operator(mat[np.ix_(perm, perm)])
+        expected = reference_nilpotent_sampled_failure(K, self.TOL)
+        if gadget == "none":
+            assert expected is None
+            assert_nilpotent_compressions(K, self.TOL)
+            return
+        with pytest.raises(PreconditionError) as exc:
+            assert_nilpotent_compressions(K, self.TOL)
+        assert str(exc.value) == expected
+        named = len(expected.split("[")[1].split(","))
+        assert {"full": named == p, "singleton": named == 1}.get(gadget, 1 < named < p)
+
+    def test_sampled_draw_equals_per_subset_draws(self):
+        for p in (13, 16, 64, 65):
+            single = np.random.default_rng(0)
+            expected = [single.integers(0, 2, size=p) for _ in range(2048)]
+            drawn = np.random.default_rng(0).integers(0, 2, size=(2048, p))
+            np.testing.assert_array_equal(drawn, np.array(expected))
 
     def test_error_names_smallest_failing_mask(self):
         # {0, 1} (mask 3) carries a 2-cycle and {2} (mask 4) a diagonal entry;
