@@ -28,6 +28,7 @@ from .spectral import (
     DEFAULT_TOL,
     SpectrumReport,
     block_ranges,
+    block_size,
     eigenvalues,
     first_excluded,
     nearest_distances,
@@ -79,7 +80,8 @@ def _sampled_check(K: Operator, tol: float, samples: int, seed: int) -> Property
     )
     e_len, f_len = (prefixes[i] for i in np.triu_indices(prefixes.size, 1))
     rng = np.random.default_rng(seed)
-    for lo, hi in block_ranges(e_len.size + samples, p):
+    # the first block holds the chain pairs, or one sample when there are none
+    for lo, hi in block_ranges(e_len.size + samples, p, max(1, e_len.size)):
         chain = slice(min(lo, e_len.size), min(hi, e_len.size))
         e = points < e_len[chain, None]
         f = points < f_len[chain, None]
@@ -104,9 +106,6 @@ def _sampled_check(K: Operator, tol: float, samples: int, seed: int) -> Property
     return PropertyReport(True, e_len.size + samples, False, tol)
 
 
-#: complex entries per vectorized block of eigenvalue distances (512 KiB;
-#: larger blocks were no faster at 9 to 11 points)
-_CHUNK_ENTRIES = 1 << 15
 #: relative slack of the covering proof: covers the rounding of each
 #: computed |z - y|, of the chain sum and of m·w, all far below 1e-12
 _PROOF_SLACK = 1e-12
@@ -126,15 +125,16 @@ def _covering_pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _pair_chunks(lo: int, hi: int, m: int):
     """Pairs number lo..hi-1, all over T_m with lo a power of 3, in
-    enumeration order and in blocks of at most _CHUNK_ENTRIES m×m
-    distances: yields (number of the block's first pair, E level masks,
-    F level masks)."""
-    if (hi - lo) * m * m <= _CHUNK_ENTRIES:
+    enumeration order and in blocks of at most block_size(m) pairs:
+    yields (number of the block's first pair, E level masks, F level
+    masks)."""
+    cap = block_size(m)
+    if hi - lo <= cap:
         e, f = level_pair_table(m)
         yield lo, e[lo:hi], f[lo:hi]
         return
     k = 0
-    while 3 ** (k + 1) * m * m <= _CHUNK_ENTRIES:
+    while 3 ** (k + 1) <= cap:
         k += 1
     e_low, f_low = level_pair_table(k)
     high_bits = [1 << j for j in range(k, m)]
@@ -168,7 +168,7 @@ def _exhaustive_check(K: Operator, tol: float) -> PropertyReport:
     def covering_margin(k: int) -> float:
         """Worst margin over the covering pairs of level k."""
         cover_e, cover_f = _covering_pairs(k)
-        step = max(1, _CHUNK_ENTRIES // spec.shape[1] ** 2)
+        step = block_size(spec.shape[1])
         worst = 0.0
         for i in range(0, cover_e.size, step):
             dist = nearest_distances(spec[cover_e[i : i + step]], spec[cover_f[i : i + step]])
@@ -242,14 +242,15 @@ def check_increasing_spectrum(
     Larger spaces fall back to the sampled mode, and the report carries
     exhaustive=False. Its pairs are those along the nested cell chain,
     then `samples` seeded random pairs E ⊆ F (per sample F's bits, then
-    the bits kept in E). They are decided in blocks of at most
-    `SPECTRA_BLOCK_ENTRIES // p²` pairs (see :func:`block_ranges`), the
-    first one small and each next one twice as large: one draw per block,
-    one :func:`subset_spectra` call on its distinct subsets and one
-    :func:`first_excluded` scan in pair order. Memory is bounded however
-    large `samples` is. The witness is the first violating pair in that
-    order, and `pairs_checked` counts the pairs up to and including it,
-    or all of them on a pass.
+    the bits kept in E). They are decided in blocks (see
+    :func:`block_ranges`): the first holds the chain pairs (one sample
+    when there are none), each next one twice as many pairs, up to
+    `block_size(p)`. Each block
+    takes one draw, one :func:`subset_spectra` call on its distinct
+    subsets and one :func:`first_excluded` scan in pair order, so memory
+    is bounded however large `samples` is. The witness is the first
+    violating pair in that order, and `pairs_checked` counts the pairs up
+    to and including it, or all of them on a pass.
     """
     if K.size <= max_points:
         return _exhaustive_check(K, tol)

@@ -113,9 +113,13 @@ class FiniteRankOperator:
         return self.F.shape[1]
 
     def kernel_matrix(self) -> np.ndarray:
-        # finite factors may overflow: the caller's finiteness check reports it
+        """F @ G.T; raises PreconditionError when finite factors overflow
+        in the product."""
         with np.errstate(over="ignore", invalid="ignore"):
-            return self.F @ self.G.T
+            kernel = self.F @ self.G.T
+        if not np.all(np.isfinite(kernel)):
+            raise PreconditionError("non-finite kernel values")
+        return kernel
 
 
 def densify(kfr: FiniteRankOperator) -> Operator:

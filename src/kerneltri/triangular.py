@@ -302,7 +302,8 @@ def assert_nilpotent_compressions(K: Operator, tol: float = DEFAULT_TOL) -> None
     # the full set, the singletons, then 2048 seeded subsets, in blocks
     draws = np.random.default_rng(0).integers(0, 2, size=(2048, p))
     members = np.concatenate([np.ones((1, p)), np.eye(p), draws]).astype(bool)
-    for lo, hi in block_ranges(members.shape[0], p):
+    # the first block holds the full set and the singletons
+    for lo, hi in block_ranges(members.shape[0], p, p + 1):
         spectra, inverse = subset_spectra(K.entries, members[lo:hi])
         radius = np.fmax.reduce(np.abs(spectra), axis=1, initial=0.0)
         # check() recomputes each failure in order and raises at the first

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -262,3 +264,20 @@ class TestMomentIdentities:
         full = StandardSet.full(kfr.space)
         with pytest.raises(PreconditionError):
             moment_identities(kfr, [full, full])
+
+    def test_rejects_overflowing_factors_without_warnings(self):
+        # finite factors whose product F @ G.T overflows to inf
+        from kerneltri import FiniteRankOperator
+
+        space = build_space(0, [2, 3])
+        F = np.array([[1e200], [1.0]], dtype=complex)
+        G = np.array([[1e200], [0.0]], dtype=complex)
+        kfr = FiniteRankOperator(space=space, F=F, G=G)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PreconditionError, match="non-finite kernel values"):
+                moment_identities(kfr, [StandardSet.from_indices(space, [1])])
+            with pytest.raises(PreconditionError, match="non-finite kernel values"):
+                moment_matrix(kfr, StandardSet.from_indices(space, [1]))
+            with pytest.raises(PreconditionError, match="non-finite kernel values"):
+                densify(kfr)

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import warnings
 
@@ -32,7 +33,7 @@ from kerneltri import (
     sharpness_example,
     volterra_linear,
 )
-from kerneltri.spectral import SPECTRA_BLOCK_ENTRIES, block_ranges
+from kerneltri.spectral import BLOCK_ENTRIES, block_ranges, block_size
 
 
 def atomic_operator(matrix):
@@ -302,39 +303,52 @@ class TestSampledCheck:
                 assert not report.verdict
 
     def test_late_witnesses_cross_block_boundaries(self):
-        first_block = next(block_ranges(1000, 13))[1]
-        reports = [
-            check_increasing_spectrum(
-                sampled_instance(seed, "cycle"), max_points=12, samples=1000, seed=seed
-            )
-            for seed in range(8)
-        ]
-        assert not any(r.verdict for r in reports)
-        assert max(r.pairs_checked for r in reports) > first_block
+        # every witness lies past the first block (the chain pairs, or one
+        # sample when there are none), and some lie in a block of full size
+        full_blocks = []
+        for seed in range(8):
+            K = sampled_instance(seed, "cycle")
+            report = check_increasing_spectrum(K, max_points=12, samples=1000, seed=seed)
+            assert not report.verdict
+            assert report == reference_sampled_check(K, samples=1000, seed=seed)
+            chain = math.comb(K.space.num_cells + 1, 2)
+            ranges = list(block_ranges(chain + 1000, K.size, max(1, chain)))
+            block = next(i for i, (lo, hi) in enumerate(ranges) if report.pairs_checked <= hi)
+            assert block > 0
+            full_blocks.append(ranges[block][1] - ranges[block][0] == block_size(K.size))
+        assert any(full_blocks)
 
-    @pytest.mark.parametrize("p", [1, 2, 7, 8, 13, 31, 32, 33, 62, 63, 64, 65, 79])
-    def test_block_draw_equals_per_sample_draws(self, p):
+    @pytest.mark.parametrize(
+        "shape",
+        # the sampled check's pairs (F's bits, then E's), drawn in blocks
+        [(300, 2, p) for p in (1, 2, 7, 8, 13, 31, 32, 33, 62, 63, 64, 65, 79)]
+        # the subsets of the sampled nilpotence check, drawn in one call
+        + [(2048, p) for p in (13, 16, 64, 65)],
+    )
+    def test_block_draw_equals_per_sample_draws(self, shape):
+        n, row, p = shape[0], shape[1:], shape[-1]
+        ranges = list(block_ranges(n, p, 1)) if len(row) == 2 else [(0, n)]
         for seed in (0, 1, 12345):
             blocks = np.random.default_rng(seed)
             drawn = np.concatenate(
-                [blocks.integers(0, 2, size=(hi - lo, 2, p)) for lo, hi in block_ranges(300, p)]
+                [blocks.integers(0, 2, size=(hi - lo, *row)) for lo, hi in ranges]
             )
             single = np.random.default_rng(seed)
-            expected = [[single.integers(0, 2, size=p) for _ in range(2)] for _ in range(300)]
-            np.testing.assert_array_equal(drawn, np.array(expected))
+            expected = [single.integers(0, 2, size=p) for _ in range(drawn.size // p)]
+            np.testing.assert_array_equal(drawn, np.reshape(expected, shape))
 
     def test_memory_does_not_grow_with_samples(self):
         K = sampled_instance(3, "hold")
         peaks = {}
-        for samples in (20_000, 100_000):
+        for samples in (1_000, 100_000):
             tracemalloc.start()
             try:
                 assert check_increasing_spectrum(K, max_points=12, samples=samples).verdict
                 peaks[samples] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert peaks[100_000] < 1.5 * peaks[20_000]
-        assert peaks[100_000] < 16 * SPECTRA_BLOCK_ENTRIES * 4  # a few complex block tables
+        assert peaks[100_000] < 1.5 * peaks[1_000]
+        assert peaks[100_000] < 16 * BLOCK_ENTRIES * 4  # a few complex block tables
 
 
 class TestRadiusProfile:

@@ -194,13 +194,6 @@ class TestAssertNilpotentCompressions:
         named = len(expected.split("[")[1].split(","))
         assert {"full": named == p, "singleton": named == 1}.get(gadget, 1 < named < p)
 
-    def test_sampled_draw_equals_per_subset_draws(self):
-        for p in (13, 16, 64, 65):
-            single = np.random.default_rng(0)
-            expected = [single.integers(0, 2, size=p) for _ in range(2048)]
-            drawn = np.random.default_rng(0).integers(0, 2, size=(2048, p))
-            np.testing.assert_array_equal(drawn, np.array(expected))
-
     def test_error_names_smallest_failing_mask(self):
         # {0, 1} (mask 3) carries a 2-cycle and {2} (mask 4) a diagonal entry;
         # the batched scan meets size 1 first, yet names the smaller mask
