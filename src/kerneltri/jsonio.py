@@ -171,12 +171,7 @@ def operator_from_dict(data: dict) -> Operator:
         return named_operator(str(data["name"]), **extra)
     if kind == "dense":
         kernel = _complex_matrix(data["kernel"])
-        space = _space_for(data, kernel)
-        if kernel.shape != (space.size, space.size):
-            raise DimensionMismatchError(
-                f"kernel shape {kernel.shape} does not match {space.size} points"
-            )
-        return kernel_operator(space, kernel)
+        return kernel_operator(_space_for(data, kernel), kernel)
     if kind == "finite_rank":
         F = _complex_matrix(data["F"])
         G = _complex_matrix(data["G"])

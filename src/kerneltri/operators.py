@@ -1,13 +1,13 @@
 """Kernel operators in dense discretized form and finite-rank factored form.
 
-An operator stores both the raw kernel samples k(x_i, x_j) and the weighted
-action matrix a[i][j] = k(x_i, x_j) * w_j, so kernel identities and spectra
-are each read off the natural representation.
+An operator is given by its raw kernel samples k(x_i, x_j); the weighted
+action matrix a[i][j] = k(x_i, x_j) * w_j is derived from them once, so
+kernel identities and spectra are each read off the natural representation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
 
@@ -28,30 +28,34 @@ def magnitude(a: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class Operator:
+    """Kernel samples k(x_i, x_j) on `space`; `entries` is derived from them."""
+
     space: MeasureSpace
-    entries: np.ndarray
     kernel_values: np.ndarray
+    entries: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         p = self.space.size
-        if self.entries.shape != (p, p):
-            raise DimensionMismatchError(
-                f"entries shape {self.entries.shape} != space size {p}"
-            )
-        if not np.all(np.isfinite(self.entries)):
+        kernel = self.kernel_values
+        if kernel.shape != (p, p):
+            raise DimensionMismatchError(f"kernel shape {kernel.shape} does not match {p} points")
+        with np.errstate(over="ignore", invalid="ignore"):  # reported by the scan below
+            entries = kernel * self.space.weights
+        # weights are positive, so a non-finite kernel value gives a
+        # non-finite entry: one scan decides both
+        if not np.isfinite(entries).all():
+            if not np.isfinite(kernel).all():
+                raise PreconditionError("non-finite kernel values")
             raise PreconditionError("non-finite operator entries")
-        if self.kernel_values.shape != (p, p):
-            raise DimensionMismatchError("kernel_values shape mismatch")
-        if not np.all(np.isfinite(self.kernel_values)):
-            raise PreconditionError("non-finite kernel values")
-        self.entries.flags.writeable = False
-        self.kernel_values.flags.writeable = False
+        kernel.flags.writeable = False
+        entries.flags.writeable = False
+        object.__setattr__(self, "entries", entries)
 
     @property
     def size(self) -> int:
         return self.space.size
 
-    @property
+    @cached_property
     def scale(self) -> float:
         """magnitude(entries); the spectral scale that eigenvalue
         tolerances are relative to."""
@@ -66,11 +70,7 @@ class Operator:
 
 def kernel_operator(space: MeasureSpace, kernel: np.ndarray) -> Operator:
     """Operator from a p×p matrix of raw kernel samples."""
-    kernel = np.asarray(kernel, dtype=complex)
-    if not np.all(np.isfinite(kernel)):  # before the weighting warns on inf * 0
-        raise PreconditionError("non-finite kernel values")
-    entries = kernel * space.weights[np.newaxis, :]
-    return Operator(space=space, entries=entries, kernel_values=kernel)
+    return Operator(space, np.asarray(kernel, dtype=complex))
 
 
 def kernel_operator_from_function(
@@ -115,33 +115,30 @@ class FiniteRankOperator:
     def kernel_matrix(self) -> np.ndarray:
         """F @ G.T; raises PreconditionError when finite factors overflow
         in the product."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            kernel = self.F @ self.G.T
-        if not np.all(np.isfinite(kernel)):
-            raise PreconditionError("non-finite kernel values")
-        return kernel
+        return densify(self).kernel_values
 
 
 def densify(kfr: FiniteRankOperator) -> Operator:
     """Dense operator with kernel_values[i][j] = sum_t F[i,t] G[j,t]."""
-    return kernel_operator(kfr.space, kfr.kernel_matrix())
+    with np.errstate(over="ignore", invalid="ignore"):  # Operator reports the overflow
+        kernel = kfr.F @ kfr.G.T
+    return Operator(kfr.space, np.asarray(kernel, dtype=complex))
+
+
+def _svd_rank(s: np.ndarray) -> int:
+    """Count of the singular values s (descending) > ZERO_TOL * s[0]."""
+    return 0 if s.size == 0 or s[0] == 0.0 else int(np.sum(s > ZERO_TOL * s[0]))
 
 
 def numerical_rank(K: Operator) -> int:
     """Rank of the raw kernel matrix: singular values > ZERO_TOL * sigma_max."""
-    kernel = K.kernel_values
-    if kernel.size == 0:
-        return 0
-    s = np.linalg.svd(kernel, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > ZERO_TOL * s[0]))
+    return _svd_rank(np.linalg.svd(K.kernel_values, compute_uv=False))
 
 
 def factor(K: Operator) -> FiniteRankOperator:
     """Extract SVD-based factors (F, G) with kernel = F @ G.T."""
     u, s, vh = np.linalg.svd(K.kernel_values)
-    n = 0 if s.size == 0 or s[0] == 0.0 else int(np.sum(s > ZERO_TOL * s[0]))
+    n = _svd_rank(s)
     F = u[:, :n] * s[:n]
     G = vh[:n, :].T.copy()
     return FiniteRankOperator(space=K.space, F=F, G=G)
@@ -152,9 +149,7 @@ def compress(K: Operator, E: StandardSet) -> Operator:
     if E.space != K.space:
         raise DimensionMismatchError("standard set over a different space")
     idx = list(E.indices())
-    sub_space = K.space.restrict(idx)
-    sel = np.ix_(idx, idx)
-    return Operator(sub_space, K.entries[sel].copy(), K.kernel_values[sel].copy())
+    return Operator(K.space.restrict(idx), K.kernel_values[np.ix_(idx, idx)])
 
 
 def modulus(K: Operator) -> Operator:

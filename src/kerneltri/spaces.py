@@ -251,12 +251,20 @@ def nested_chain(space: MeasureSpace, steps: int) -> list[StandardSet]:
         raise SpaceError("steps must be >= 1")
     if space.num_cells == 0:
         raise SpaceError("nested_chain requires at least one cell")
+    mids = space.midpoints
     chain: list[StandardSet] = []
-    for s in range(steps + 1):
+    s = 0
+    while True:
         # cells come first with ascending midpoints, so E_s is a prefix mask
-        count = bisect.bisect_right(space.midpoints, s / steps)
-        ss = StandardSet(space, (1 << count) - 1)
-        # collapse steps finer than the grid so the chain stays strictly increasing
-        if not chain or ss.mask != chain[-1].mask:
-            chain.append(ss)
-    return chain
+        count = bisect.bisect_right(mids, s / steps)
+        chain.append(StandardSet(space, (1 << count) - 1))
+        if count == len(mids) or not mids[count] <= 1.0:
+            return chain
+        # steps finer than the grid repeat a set: bisect for the first step
+        # whose s / steps reaches the next midpoint, so the chain stays
+        # strictly increasing at log2(steps) divisions per set
+        lo, hi = s + 1, steps
+        while lo < hi:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if mid / steps >= mids[count] else (mid + 1, hi)
+        s = lo

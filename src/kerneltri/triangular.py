@@ -281,34 +281,33 @@ def assert_nilpotent_compressions(K: Operator, tol: float = DEFAULT_TOL) -> None
     p = K.size
     cutoff = tol * K.scale
 
-    def check(indices: tuple[int, ...]):
-        if not indices:
-            return
-        vals = np.linalg.eigvals(K.entries[np.ix_(indices, indices)])
-        if np.abs(vals).max() > cutoff:
-            raise PreconditionError(
-                f"standard compression on points {list(indices)} is not "
-                f"nilpotent (radius {np.abs(vals).max():.3e})"
-            )
+    def fail(points: list[int], radius: float):
+        raise PreconditionError(
+            f"standard compression on points {points} is not nilpotent (radius {radius:.3e})"
+        )
 
     if p <= DEFAULT_MAX_POINTS:
-        failing = []
+        failing = []  # (bitmask, points, radius) of every failing subset
         for _, _, cols in _subsets_by_size(0, p):  # with m = p, column = point
             vals = np.linalg.eigvals(K.entries[cols[:, :, None], cols[:, None, :]])
-            failing += cols[np.abs(vals).max(axis=1) > cutoff].tolist()
-        if failing:  # check() recomputes the smallest-mask failure and raises
-            check(tuple(min(failing, key=lambda pts: sum(1 << i for i in pts))))
+            radius = np.abs(vals).max(axis=1)
+            bad = radius > cutoff
+            failing += zip((1 << cols[bad]).sum(axis=1).tolist(), cols[bad].tolist(), radius[bad])
+        if failing:
+            fail(*min(failing)[1:])
         return
-    # the full set, the singletons, then 2048 seeded subsets, in blocks
-    draws = np.random.default_rng(0).integers(0, 2, size=(2048, p))
-    members = np.concatenate([np.ones((1, p)), np.eye(p), draws]).astype(bool)
-    # the first block holds the full set and the singletons
-    for lo, hi in block_ranges(members.shape[0], p, p + 1):
-        spectra, inverse = subset_spectra(K.entries, members[lo:hi])
-        radius = np.fmax.reduce(np.abs(spectra), axis=1, initial=0.0)
-        # check() recomputes each failure in order and raises at the first
-        for row in np.flatnonzero(radius[inverse] > cutoff).tolist():
-            check(tuple(np.flatnonzero(members[lo + row]).tolist()))
+    # the full set, the singletons, then 2048 subsets drawn from seed 0, in
+    # blocks; the first block holds the full set and the singletons
+    rng = np.random.default_rng(0)
+    fixed = np.concatenate([np.ones((1, p)), np.eye(p)])
+    for lo, hi in block_ranges(p + 1 + 2048, p, p + 1):
+        draws = rng.integers(0, 2, size=(max(0, hi - max(lo, p + 1)), p))
+        members = np.concatenate([fixed[lo:hi], draws]).astype(bool)
+        spectra, inverse = subset_spectra(K.entries, members)
+        radius = np.fmax.reduce(np.abs(spectra), axis=1, initial=0.0)[inverse]
+        bad = np.flatnonzero(radius > cutoff)
+        if bad.size:
+            fail(np.flatnonzero(members[bad[0]]).tolist(), radius[bad[0]])
 
 
 def nilpotent_block_form(

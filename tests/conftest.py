@@ -146,6 +146,19 @@ def reference_peel_zero_columns(K) -> tuple[tuple[int, ...], ...]:
     return tuple(blocks)
 
 
+def reference_nested_chain(space, steps: int) -> list[StandardSet]:
+    """The nested chain as a loop over every step s = 0 .. steps, keeping
+    the cells with midpoint <= s / steps and dropping repeated sets: the
+    reference for `nested_chain`, which jumps from set to set."""
+    chain: list[StandardSet] = []
+    for s in range(steps + 1):
+        count = sum(1 for m in space.midpoints if m <= s / steps)
+        ss = StandardSet(space, (1 << count) - 1)
+        if not chain or ss.mask != chain[-1].mask:
+            chain.append(ss)
+    return chain
+
+
 def reference_nilpotent_failure(K, tol: float = 1e-8) -> str | None:
     """The exhaustive nilpotence check as a plain loop over the subset
     bitmasks 1 .. 2^p - 1, one eigvals call each: the message of the first

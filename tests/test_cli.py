@@ -326,6 +326,14 @@ class TestRadiusProfile:
         code, _ = run(tmp_path, "radius-profile", "--in", example_file)
         assert code == 2
 
+    def test_huge_steps_cost_one_pass_per_set(self, tmp_path):
+        op = write_json(tmp_path, "vol.json", {"kind": "named", "name": "volterra_linear", "cells": 8})
+        start = time.perf_counter()
+        code, text = run(tmp_path, "radius-profile", "--in", op, "--steps", str(10**12))
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert json.loads(text)["set_sizes"] == list(range(9))
+
 
 class TestErrorsAndDeterminism:
     def test_missing_file(self, tmp_path):
@@ -458,6 +466,14 @@ class TestErrorsAndDeterminism:
         assert code == 2
         assert text == ""
         assert capsys.readouterr().err == "error: non-finite kernel values\n"
+
+    def test_rectangular_kernel_exits_two(self, tmp_path, capsys):
+        desc = {"kind": "dense", "space": {"atoms": [2, 3]}, "kernel": [[1, 2, 3], [4, 5, 6]]}
+        op = write_json(tmp_path, "op.json", desc)
+        code, text = run(tmp_path, "spectrum", "--in", op)
+        assert code == 2
+        assert text == ""
+        assert capsys.readouterr().err == "error: kernel shape (2, 3) does not match 2 points\n"
 
     def test_largest_named_operator_loads(self):
         assert named_operator("volterra_linear", cells=512).size == 512

@@ -322,12 +322,19 @@ class TestSampledCheck:
         "shape",
         # the sampled check's pairs (F's bits, then E's), drawn in blocks
         [(300, 2, p) for p in (1, 2, 7, 8, 13, 31, 32, 33, 62, 63, 64, 65, 79)]
-        # the subsets of the sampled nilpotence check, drawn in one call
+        # the subsets of the sampled nilpotence check, drawn in blocks
         + [(2048, p) for p in (13, 16, 64, 65)],
     )
     def test_block_draw_equals_per_sample_draws(self, shape):
         n, row, p = shape[0], shape[1:], shape[-1]
-        ranges = list(block_ranges(n, p, 1)) if len(row) == 2 else [(0, n)]
+        if len(row) == 2:
+            ranges = list(block_ranges(n, p, 1))
+        else:  # each block draws what is left after the p + 1 fixed subsets
+            ranges = [
+                (max(lo, p + 1) - p - 1, hi - p - 1)
+                for lo, hi in block_ranges(p + 1 + n, p, p + 1)
+                if hi > p + 1
+            ]
         for seed in (0, 1, 12345):
             blocks = np.random.default_rng(seed)
             drawn = np.concatenate(

@@ -1,15 +1,24 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
+
+from conftest import random_hybrid_instance, random_nilpotent_instance
 
 from kerneltri import (
     DimensionMismatchError,
     FiniteRankOperator,
+    MeasureSpace,
+    Operator,
+    PreconditionError,
     StandardSet,
     build_space,
     compress,
     densify,
     factor,
     kernel_operator,
+    moment_identities,
     modulus,
     numerical_rank,
     sharpness_example,
@@ -75,6 +84,44 @@ class TestDensify:
         space = build_space(0, [2, 3])
         with pytest.raises(DimensionMismatchError):
             FiniteRankOperator(space=space, F=np.ones((2, 1)), G=np.ones((3, 1)))
+
+
+class TestOperatorConstruction:
+    def test_kernel_alone_builds_the_operator(self):
+        init = [f.name for f in dataclasses.fields(Operator) if f.init]
+        assert init == ["space", "kernel_values"]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_entries_are_the_weighted_kernel_on_every_path(self, seed):
+        K, _ = random_hybrid_instance(np.random.default_rng(seed))
+        kfr, _ = random_nilpotent_instance(np.random.default_rng(seed))
+        half = StandardSet.from_indices(K.space, range(0, K.size, 2))
+        for op in (K, compress(K, half), densify(factor(K)), densify(kfr), modulus(K)):
+            weighted = op.kernel_values * op.space.weights
+            assert op.entries.tobytes() == weighted.tobytes()
+            assert not op.entries.flags.writeable and not op.kernel_values.flags.writeable
+
+    def test_kernel_shape_must_match_the_points(self):
+        with pytest.raises(DimensionMismatchError, match=r"kernel shape \(2, 3\) does not match 2 points"):
+            kernel_operator(build_space(0, [2, 3]), np.ones((2, 3)))
+
+    def test_overflowing_weight_is_named_without_warnings(self):
+        # a finite kernel times a finite cell weight that overflows
+        space = MeasureSpace((0.5,), (1e300,), (2,))
+        kernel = np.array([[1e10, 0], [0, 1]], dtype=complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PreconditionError, match="non-finite operator entries"):
+                kernel_operator(space, kernel)
+
+    def test_overflowing_factors_are_refused_by_every_reader(self):
+        space = build_space(0, [2, 3])
+        kfr = FiniteRankOperator(space=space, F=np.array([[1e200], [1.0]]), G=np.array([[1e200], [0.0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for read in (densify, FiniteRankOperator.kernel_matrix, lambda k: moment_identities(k, [])):
+                with pytest.raises(PreconditionError, match="non-finite kernel values"):
+                    read(kfr)
 
 
 class TestStructuralZeroRule:

@@ -2,8 +2,13 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import reference_nested_chain
 
 from kerneltri import (
+    MeasureSpace,
     SpaceError,
     ExhaustiveCheckInfeasibleError,
     StandardSet,
@@ -169,3 +174,19 @@ class TestNestedChain:
     def test_requires_cells(self):
         with pytest.raises(SpaceError):
             nested_chain(build_space(0, [2]), 2)
+
+    @given(st.integers(min_value=1, max_value=40), st.integers(min_value=1, max_value=10**4))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_step_loop(self, cells, steps):
+        space = build_space(cells, [2])
+        assert nested_chain(space, steps) == reference_nested_chain(space, steps)
+
+    @given(st.data(), st.integers(min_value=1, max_value=10**4))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_step_loop_on_step_midpoints(self, data, steps):
+        # midpoints equal to some s / steps are met exactly, and those
+        # outside [0, 1] lie before the first step or past the last one
+        ticks = st.integers(min_value=-1 - steps // 10, max_value=1 + steps + steps // 5)
+        mids = tuple(sorted(t / steps for t in data.draw(st.lists(ticks, min_size=1, max_size=40, unique=True))))
+        space = MeasureSpace(mids, (1.0,) * len(mids), ())
+        assert nested_chain(space, steps) == reference_nested_chain(space, steps)

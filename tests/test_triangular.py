@@ -28,6 +28,7 @@ from kerneltri import (
     kernel_operator,
     max_kernel_projection,
     nilpotent_block_form,
+    ones_kernel,
     scc_triangularize,
     sharpness_example,
     sharpness_example_factors,
@@ -193,6 +194,45 @@ class TestAssertNilpotentCompressions:
         assert str(exc.value) == expected
         named = len(expected.split("[")[1].split(","))
         assert {"full": named == p, "singleton": named == 1}.get(gadget, 1 < named < p)
+
+    @staticmethod
+    def count_decompositions(monkeypatch) -> list[tuple[int, int]]:
+        """Wrap np.linalg.eigvals; the returned list gets, per call, the
+        size of its matrices and how many it decomposed."""
+        eigvals = np.linalg.eigvals
+        counts: list[tuple[int, int]] = []
+
+        def counting(a):
+            a = np.asarray(a)
+            counts.append((a.shape[-1], int(np.prod(a.shape[:-2]))))
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counting)
+        return counts
+
+    @pytest.mark.parametrize("p", [13, 64])
+    def test_failing_full_set_is_decomposed_once(self, monkeypatch, p):
+        # sampled path: the full set fails first and is named from its
+        # batched spectrum, not decomposed again
+        K = ones_kernel(p)
+        expected = reference_nilpotent_sampled_failure(K)
+        counts = self.count_decompositions(monkeypatch)
+        with pytest.raises(PreconditionError) as exc:
+            assert_nilpotent_compressions(K)
+        assert str(exc.value) == expected == (
+            f"standard compression on points {list(range(p))} is not nilpotent (radius 1.000e+00)"
+        )
+        assert sum(n for size, n in counts if size == p) == 1
+
+    def test_exhaustive_failure_is_decomposed_once(self, monkeypatch):
+        # each of the 2^5 - 1 subsets once, the named failure {0} included
+        K = ones_kernel(5)
+        expected = reference_nilpotent_failure(K)
+        counts = self.count_decompositions(monkeypatch)
+        with pytest.raises(PreconditionError) as exc:
+            assert_nilpotent_compressions(K)
+        assert str(exc.value) == expected
+        assert sum(n for _, n in counts) == 2**5 - 1
 
     def test_error_names_smallest_failing_mask(self):
         # {0, 1} (mask 3) carries a 2-cycle and {2} (mask 4) a diagonal entry;
