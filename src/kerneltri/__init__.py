@@ -65,8 +65,6 @@ from .jsonio import (
     canonical_dumps,
     named_operator,
     operator_from_dict,
-    space_from_dict,
-    space_to_dict,
 )
 from .errors import (
     DimensionMismatchError,

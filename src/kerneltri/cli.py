@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 = verdict/construction succeeded, 1 = property or
-verification failed (a report is still written), 2 = input or size error.
+Exit codes, decided in `main` alone: 0 = verdict/construction succeeded,
+1 = property or verification failed (a report is still written), 2 = input,
+size or write error (one `error:` line on stderr).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import sys
 
 from .errors import KernelTriError, TheoremViolationError
 from .increasing import DEFAULT_SAMPLES, check_increasing_spectrum, radius_profile
-from .jsonio import canonical_dumps, operator_from_dict
+from .jsonio import canonical_dumps, is_integer, operator_from_dict
 from .cycles import moment_identities, shortest_cycle, support_digraph
 from .operators import Operator, factor
 from .spaces import DEFAULT_MAX_POINTS, StandardSet, nested_chain
@@ -57,31 +58,32 @@ def _load_operator(path: str) -> tuple[Operator, dict]:
 
 
 def _write(text: str, out: str | None):
-    if out:
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {out}: {exc}") from exc
 
 
-def _cmd_spectrum(args) -> int:
-    K, _ = _load_operator(args.infile)
-    report = eigenvalues(K, tol=args.tol)
-    _write(canonical_dumps(report.to_dict()), args.out)
-    return 0
+# Each subcommand maps (operator, descriptor, args) to (report, ok); main
+# loads the operator, writes the report and turns ok into exit 0 or 1.
 
 
-def _cmd_check_increasing(args) -> int:
-    K, _ = _load_operator(args.infile)
+def _cmd_spectrum(K, data, args) -> tuple[dict, bool]:
+    return eigenvalues(K, tol=args.tol).to_dict(), True
+
+
+def _cmd_check_increasing(K, data, args) -> tuple[dict, bool]:
     report = check_increasing_spectrum(
         K, tol=args.tol, max_points=args.max_points, samples=args.samples, seed=args.seed
     )
-    _write(canonical_dumps(report.to_dict()), args.out)
-    return 0 if report.verdict else 1
+    return report.to_dict(), report.verdict
 
 
-def _cmd_cycles(args) -> int:
-    K, _ = _load_operator(args.infile)
+def _cmd_cycles(K, data, args) -> tuple[dict, bool]:
     dg = support_digraph(K, args.threshold)
     cycle = shortest_cycle(dg)
     report = {
@@ -89,27 +91,23 @@ def _cmd_cycles(args) -> int:
         "arcs": sum(len(s) for s in dg.successors),
         "cycle": None if cycle is None else list(cycle),
     }
-    _write(canonical_dumps(report), args.out)
-    return 0 if cycle is None else 1
+    return report, cycle is None
 
 
-def _cmd_moments(args) -> int:
-    K, data = _load_operator(args.infile)
+def _cmd_moments(K, data, args) -> tuple[dict, bool]:
     if "sets" not in data:
         raise InputError("moments needs a top-level \"sets\" list of index lists")
     if not isinstance(data["sets"], list) or not all(
-        isinstance(idx, list) and all(type(i) is int for i in idx) for idx in data["sets"]
+        isinstance(idx, list) and all(map(is_integer, idx)) for idx in data["sets"]
     ):
         raise InputError("\"sets\" must be a list of lists of integer point indices")
     kfr = factor(K)
     sets = [StandardSet.from_indices(K.space, idx) for idx in data["sets"]]
     report = moment_identities(kfr, sets, tol=args.tol)
-    _write(canonical_dumps(report.to_dict()), args.out)
-    return 0 if report.passed else 1
+    return report.to_dict(), report.passed
 
 
-def _cmd_triangularize(args) -> int:
-    K, _ = _load_operator(args.infile)
+def _cmd_triangularize(K, data, args) -> tuple[dict, bool]:
     try:
         if args.kind == "scc":
             cert = scc_triangularize(K)
@@ -118,34 +116,27 @@ def _cmd_triangularize(args) -> int:
         else:
             cert = increasing_spectrum_block_form(K, tol=args.tol)
     except TheoremViolationError as exc:
-        _write(canonical_dumps({"error": str(exc)}), args.out)
-        return 1
-    _write(canonical_dumps(cert.to_dict()), args.out)
-    return 0
+        return {"error": str(exc)}, False
+    return cert.to_dict(), True
 
 
-def _cmd_verify(args) -> int:
-    K, _ = _load_operator(args.infile)
+def _cmd_verify(K, data, args) -> tuple[dict, bool]:
     try:
         cert = TriangularizationCertificate.from_dict(_load_json(args.cert))
     except KeyError as exc:
         raise InputError(f"missing field in certificate: {exc}") from exc
     report = verify_certificate(K, cert, tol=args.tol)
-    _write(canonical_dumps(report.to_dict()), args.out)
-    return 0 if report.passed else 1
+    return report.to_dict(), report.passed
 
 
-def _cmd_radius_profile(args) -> int:
-    K, _ = _load_operator(args.infile)
+def _cmd_radius_profile(K, data, args) -> tuple[dict, bool]:
     chain = nested_chain(K.space, args.steps)
-    profile = radius_profile(K, chain)
     report = {
         "steps": args.steps,
-        "profile": profile,
+        "profile": radius_profile(K, chain),
         "set_sizes": [s.size for s in chain],
     }
-    _write(canonical_dumps(report), args.out)
-    return 0
+    return report, True
 
 
 def _nonnegative_real(text: str) -> float:
@@ -155,18 +146,19 @@ def _nonnegative_real(text: str) -> float:
     return value
 
 
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 0, not {text!r}")
-    return value
+def _bounded_int(low: int, high: int | None = None):
+    """argparse type for an integer in [low, high] (no upper bound when
+    high is None)."""
 
+    def integer(text: str) -> int:  # argparse reports "invalid integer value"
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, not {text!r}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, not {text!r}")
+        return value
 
-def _max_points(text: str) -> int:
-    value = _nonnegative_int(text)
-    if value > MAX_POINTS_LIMIT:
-        raise argparse.ArgumentTypeError(f"must be at most {MAX_POINTS_LIMIT}, not {text!r}")
-    return value
+    return integer
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -192,9 +184,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-increasing", help="increasing-spectrum verdict")
     common(p)
     tolerance(p)
-    p.add_argument("--max-points", type=_max_points, default=DEFAULT_MAX_POINTS)
-    p.add_argument("--samples", type=_nonnegative_int, default=DEFAULT_SAMPLES)
-    p.add_argument("--seed", type=_nonnegative_int, default=0)
+    p.add_argument(
+        "--max-points", type=_bounded_int(0, MAX_POINTS_LIMIT), default=DEFAULT_MAX_POINTS
+    )
+    p.add_argument("--samples", type=_bounded_int(0), default=DEFAULT_SAMPLES)
+    p.add_argument("--seed", type=_bounded_int(0), default=0)
     p.set_defaults(fn=_cmd_check_increasing)
 
     p = sub.add_parser("cycles", help="support digraph and non-degenerate cycle search")
@@ -221,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("radius-profile", help="spectral radius along the nested chain")
     common(p)
-    p.add_argument("--steps", type=int, default=16)
+    p.add_argument("--steps", type=_bounded_int(1), default=16)
     p.set_defaults(fn=_cmd_radius_profile)
 
     return parser
@@ -230,10 +224,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        K, data = _load_operator(args.infile)
+        report, ok = args.fn(K, data, args)
+        _write(canonical_dumps(report), args.out)
     except (InputError, KernelTriError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -108,15 +108,6 @@ class CycleTraceDecomposition:
     def residual(self) -> float:
         return abs(self.total - self.word_sum)
 
-    def to_dict(self) -> dict:
-        return {
-            "total": [self.total.real, self.total.imag],
-            "atom_part": [self.atom_part.real, self.atom_part.imag],
-            "remainder": [self.remainder.real, self.remainder.imag],
-            "word_sum": [self.word_sum.real, self.word_sum.imag],
-            "residual": self.residual,
-        }
-
 
 def ncycle_trace_sum(K: Operator, sets: list[StandardSet]) -> CycleTraceDecomposition:
     """For pairwise disjoint sets E_1..E_n, compute tr((PKP)^n) with

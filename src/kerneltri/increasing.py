@@ -274,18 +274,6 @@ class DichotomyReport:
     profile: tuple[float, ...]
     violations: tuple[tuple[int, complex], ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "inclusion_holds": self.inclusion_holds,
-            "radius": self.radius,
-            "consistent": self.consistent,
-            "tol": self.tol,
-            "profile": list(self.profile),
-            "violations": [
-                {"step": s, "eigenvalue": [z.real, z.imag]} for s, z in self.violations
-            ],
-        }
-
 
 def quasinilpotence_dichotomy(
     K: Operator, chain: list[StandardSet], tol: float = DEFAULT_TOL
@@ -323,17 +311,6 @@ class AtomicSplitReport:
     eigen_match: MatchResult
     cells_report: SpectrumReport | None
     passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "eigen_match": bool(self.eigen_match),
-            "unmatched_full": [[z.real, z.imag] for z in self.eigen_match.unmatched_left],
-            "unmatched_atoms": [[z.real, z.imag] for z in self.eigen_match.unmatched_right],
-            "cells_quasinilpotent": (
-                None if self.cells_report is None else self.cells_report.quasinilpotent
-            ),
-            "passed": self.passed,
-        }
 
 
 def atomic_vs_full_spectrum(K: Operator, tol: float = DEFAULT_TOL) -> AtomicSplitReport:

@@ -1,4 +1,4 @@
-"""Canonical JSON emission and operator/space descriptors.
+"""Canonical JSON emission and operator descriptors.
 
 Output is byte-stable: keys sorted, reals printed with 17 significant
 digits, complex numbers as [re, im] pairs.
@@ -75,15 +75,16 @@ def canonical_dumps(obj: Any) -> str:
     return "".join(out)
 
 
-def space_to_dict(space: MeasureSpace) -> dict:
-    return {"cells": space.num_cells, "atoms": list(space.atom_ids)}
+def is_integer(value) -> bool:
+    """The one rule for integer fields read from JSON: an int or NumPy
+    integer, and not a bool (True == 1 would pass otherwise)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _integer(value, what: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise PreconditionError(f"{what} must be an integer, not {value!r}") from exc
+    if not is_integer(value):
+        raise PreconditionError(f"{what} must be an integer, not {value!r}")
+    return int(value)
 
 
 def _space_fields(data: dict) -> tuple[int, list[int]]:
@@ -91,10 +92,6 @@ def _space_fields(data: dict) -> tuple[int, list[int]]:
         raise PreconditionError('a space must be an object with an "atoms" list')
     cells = _integer(data.get("cells", 0), '"cells"')
     return cells, [_integer(a, "an atom id") for a in data.get("atoms", [])]
-
-
-def space_from_dict(data: dict) -> MeasureSpace:
-    return build_space(*_space_fields(data))
 
 
 def _space_for(data: dict, *matrices: np.ndarray) -> MeasureSpace:

@@ -51,10 +51,12 @@ class MeasureSpace:
     def size(self) -> int:
         return self.num_cells + self.num_atoms
 
-    @property
+    @functools.cached_property
     def weights(self) -> np.ndarray:
-        """Quadrature weight per point (atoms weigh 1)."""
-        return np.array(list(self.cell_weights) + [1.0] * self.num_atoms)
+        """Quadrature weight per point (atoms weigh 1); read-only."""
+        weights = np.array(list(self.cell_weights) + [1.0] * self.num_atoms)
+        weights.flags.writeable = False
+        return weights
 
     def is_atom(self, index: int) -> bool:
         return index >= self.num_cells

@@ -41,6 +41,7 @@ from .spectral import (
     subset_spectra,
 )
 from .cycles import support_digraph
+from .jsonio import is_integer
 
 
 @dataclass(frozen=True)
@@ -50,12 +51,15 @@ class BlockDiagnosis:
     value: complex | None = None
 
 
+CERTIFICATE_KINDS = ("scc", "nilpotent_rank", "increasing_spectrum")
+
+
 @dataclass(frozen=True)
 class TriangularizationCertificate:
     """Ordered partition of the point set plus everything needed to
     re-verify block upper-triangularity and the block-count bound."""
 
-    kind: str  # "scc" | "nilpotent_rank" | "increasing_spectrum"
+    kind: str  # one of CERTIFICATE_KINDS
     blocks: tuple[tuple[int, ...], ...]
     diagonal: tuple[BlockDiagnosis, ...]
     rank: int | None
@@ -67,15 +71,6 @@ class TriangularizationCertificate:
     @property
     def num_blocks(self) -> int:
         return len(self.blocks)
-
-    def chain(self) -> list[tuple[int, ...]]:
-        """Induced increasing chain F_j = E_1 ∪ ... ∪ E_j of invariant sets."""
-        prefixes = []
-        acc: list[int] = []
-        for b in self.blocks:
-            acc.extend(b)
-            prefixes.append(tuple(sorted(acc)))
-        return prefixes
 
     def to_dict(self) -> dict:
         diag = []
@@ -119,7 +114,7 @@ class TriangularizationCertificate:
             )
             for d in diagonal
         )
-        return cls(
+        cert = cls(
             kind=data["kind"],
             blocks=tuple(tuple(b) for b in blocks),
             diagonal=diag,
@@ -129,6 +124,10 @@ class TriangularizationCertificate:
             tol=data["tol"],
             multiplicity_free=data["multiplicity_free"],
         )
+        # after every field is read, so a missing field is still named first
+        if cert.kind not in CERTIFICATE_KINDS:
+            raise PreconditionError(f"unknown certificate kind: {cert.kind!r}")
+        return cert
 
 
 def _is_pair(value) -> bool:
@@ -489,7 +488,7 @@ def verify_certificate(
     # 0.0 == 0 and True == 1 would pass the sort test, but cannot index
     ok = (
         all(cert.blocks)
-        and all(isinstance(i, (int, np.integer)) and not isinstance(i, bool) for i in flat)
+        and all(map(is_integer, flat))
         and sorted(flat) == list(range(p))
     )
     checks["partition"] = CheckResult(ok, "" if ok else "blocks do not partition the point set")

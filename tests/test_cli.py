@@ -374,6 +374,7 @@ class TestErrorsAndDeterminism:
             (lambda c: {**c, "bound": "3"}, None),
             (lambda c: [c], None),
             (lambda c: {k: v for k, v in c.items() if k != "tol"}, None),
+            (lambda c: {**c, "kind": "bogus"}, None),
             (None, {"kind": "dense", "space": {"atoms": [2]}, "kernel": 5}),
             (None, {"kind": "dense", "space": {"atoms": [2]}, "kernel": [[{}]]}),
             (None, {"kind": "dense", "space": {"atoms": [2]}, "kernel": [[10**400]]}),
@@ -382,14 +383,22 @@ class TestErrorsAndDeterminism:
             (None, {"kind": "dense", "space": 5, "kernel": [[0.0]]}),
             (None, {"kind": "dense", "space": {"atoms": 2}, "kernel": [[0.0]]}),
             (None, {"kind": "named", "name": "paper_example", "n": None}),
+            (None, {"kind": "named", "name": "paper_example", "n": 2.5}),
+            (None, {"kind": "named", "name": "volterra_linear", "cells": 8.7}),
+            (None, {"kind": "named", "name": "volterra_linear", "cells": True}),
+            (None, {"kind": "named", "name": "volterra_linear", "cells": "5"}),
+            (None, {"kind": "named", "name": "volterra_linear", "cells": 8.0}),
+            (None, {"kind": "dense", "space": {"atoms": [2.9]}, "kernel": [[1.0]]}),
             (None, [{"kind": "named", "name": "paper_example_1"}]),
             (None, 5),
         ],
         ids=[
             "blocks-flat", "blocks-null", "diagonal-non-dict", "lambda-number",
-            "bound-string", "certificate-list", "certificate-missing-tol", "kernel-number",
-            "kernel-dict-entry", "kernel-huge-int", "kernel-string", "kernel-ragged",
-            "space-number", "atoms-number", "n-null", "descriptor-list", "descriptor-number",
+            "bound-string", "certificate-list", "certificate-missing-tol", "certificate-kind",
+            "kernel-number", "kernel-dict-entry", "kernel-huge-int", "kernel-string",
+            "kernel-ragged", "space-number", "atoms-number", "n-null", "n-float", "cells-float",
+            "cells-bool", "cells-string", "cells-integral-float", "atom-float",
+            "descriptor-list", "descriptor-number",
         ],
     )
     def test_malformed_json_exits_two(self, tmp_path, capsys, cert, op):
@@ -404,7 +413,8 @@ class TestErrorsAndDeterminism:
         code, text = run(tmp_path, *argv)
         assert code == 2
         assert text == ""
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "desc",
@@ -475,6 +485,29 @@ class TestErrorsAndDeterminism:
         assert text == ""
         assert capsys.readouterr().err == "error: kernel shape (2, 3) does not match 2 points\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("spectrum",),
+            ("check-increasing",),
+            ("cycles",),
+            ("moments",),
+            ("triangularize", "--kind", "scc"),
+            ("verify",),
+            ("radius-profile",),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_unwritable_out_exits_two(self, tmp_path, capsys, argv):
+        desc = {"kind": "named", "name": "volterra_linear", "cells": 4, "sets": [[0], [1, 2]]}
+        op = write_json(tmp_path, "op.json", desc)
+        extra = ["--cert", _scc_certificate(tmp_path, op)] if argv == ("verify",) else []
+        out = tmp_path / "missing" / "x.json"
+        code = main([argv[0], "--in", op, *argv[1:], *extra, "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
+
     def test_largest_named_operator_loads(self):
         assert named_operator("volterra_linear", cells=512).size == 512
 
@@ -518,6 +551,7 @@ class TestNumericFlags:
             ("cycles", "--threshold", "nan"),
             ("cycles", "--tol", "1e-8"),
             ("radius-profile", "--tol", "1e-8"),
+            ("radius-profile", "--steps", "0"),
         ],
     )
     def test_refused_before_loading(self, tmp_path, capsys, argv):

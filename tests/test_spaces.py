@@ -50,6 +50,18 @@ class TestBuildSpace:
         for n in (1, 3, 7, 64):
             assert sum(build_space(n).cell_weights) == pytest.approx(1.0)
 
+    def test_weights_are_computed_once_and_read_only(self):
+        space = build_space(3, [2, 5])
+        for sp in (space, space.restrict([0, 2, 4]), space.restrict([3])):
+            w = sp.weights
+            assert sp.weights is w
+            assert not w.flags.writeable
+            with pytest.raises(ValueError):
+                w[0] = 2.0
+            expected = np.array(list(sp.cell_weights) + [1.0] * sp.num_atoms)
+            np.testing.assert_array_equal(w, expected)
+            assert w.dtype == expected.dtype
+
 
 class TestStandardSet:
     def test_boolean_operations(self):
