@@ -9,7 +9,7 @@ from functools import reduce
 
 import numpy as np
 from scipy.sparse import csr_array
-from scipy.sparse.csgraph import shortest_path
+from scipy.sparse.csgraph import connected_components, shortest_path
 
 from .errors import PreconditionError
 from .operators import (
@@ -66,21 +66,35 @@ def find_nondegenerate_cycle(
 def shortest_cycle(dg: SupportDigraph) -> tuple[int, ...] | None:
     """Shortest vertex-distinct cycle (length >= 2) in the off-diagonal
     support digraph; ties broken lexicographically. None if the support
-    is acyclic apart from loops."""
+    is acyclic apart from loops.
+
+    Every cycle lies inside one strongly connected component, so the
+    breadth-first searches start only from the points of the components
+    of 2 or more points, and none run when there is no such component.
+    """
     p = dg.size
     succ = [tuple(j for j in dg.successors[i] if j != i) for i in range(p)]
-    tails = np.repeat(np.arange(p), [len(s) for s in succ])
+    counts = [len(s) for s in succ]
+    tails = np.repeat(np.arange(p), counts)
     heads = np.fromiter(itertools.chain.from_iterable(succ), dtype=np.intp, count=tails.size)
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    arcs = csr_array((np.ones(heads.size), heads, indptr), shape=(p, p))
+    _, comp = connected_components(arcs, connection="strong")
+    inside = comp[tails] == comp[heads]  # the arcs that lie on some cycle
+    if not inside.any():
+        return None
+    tails, heads = tails[inside], heads[inside]
 
-    # dist[s, v]: arc count of the shortest path s -> v (inf if none)
-    arcs = csr_array((np.ones(tails.size), (tails, heads)), shape=(p, p))
-    dist = shortest_path(arcs, unweighted=True)
+    # the points on some cycle, ascending, and local[v] = v's rank among
+    # them; dist[local[s], v]: arc count of the shortest path s -> v
+    points = np.flatnonzero(np.bincount(comp)[comp] > 1)
+    local = np.full(p, -1)
+    local[points] = np.arange(points.size)
+    dist = shortest_path(arcs, unweighted=True, indices=points)
 
     # each arc u -> v closes a cycle through the shortest path v -> u
-    back = dist[heads, tails]
-    closing = back.min(initial=np.inf)
-    if closing == np.inf:
-        return None
+    back = dist[local[heads], tails]
+    closing = back.min()
     girth = int(closing) + 1
 
     # Walk from the smallest point on a shortest cycle, each step to the
@@ -91,7 +105,9 @@ def shortest_cycle(dg: SupportDigraph) -> tuple[int, ...] | None:
     start = int(tails[back == closing].min())
     cycle = [start]
     for k in range(girth - 1, 0, -1):
-        cycle.append(next(v for v in succ[cycle[-1]] if dist[v, start] == k))
+        cycle.append(
+            next(v for v in succ[cycle[-1]] if local[v] >= 0 and dist[local[v], start] == k)
+        )
     return tuple(cycle)
 
 

@@ -108,25 +108,46 @@ def _space_for(data: dict, *matrices: np.ndarray) -> MeasureSpace:
     return build_space(cells, atoms)
 
 
-def _complex_matrix(rows) -> np.ndarray:
-    def scalar(v) -> complex:
-        if isinstance(v, (list, tuple)):
-            if len(v) != 2:
-                raise PreconditionError("complex entries must be [re, im] pairs")
-            return complex(float(v[0]), float(v[1]))
-        return complex(float(v))
+#: the types json.load gives a JSON number; a bool is an int subclass, not one of them
+_NUMBER_TYPES = frozenset({int, float})
 
+
+def is_number(value) -> bool:
+    """The one rule for real fields read from JSON: an int or float, not a
+    bool, string or null."""
+    return type(value) in _NUMBER_TYPES
+
+
+def _is_pair(value) -> bool:
+    """A complex number read from JSON: an [re, im] list of two numbers."""
+    return type(value) is list and len(value) == 2 and all(map(is_number, value))
+
+
+def _complex_matrix(rows) -> np.ndarray:
+    """Rows of numbers or [re, im] pairs, filled into the real and imaginary
+    parts row by row; every entry is type-checked, so no string or bool is
+    cast to a number."""
     if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
         raise PreconditionError("a matrix must be a list of rows")
-    try:
-        mat = np.array([[scalar(v) for v in row] for row in rows], dtype=complex)
-    except (TypeError, ValueError, OverflowError) as exc:
-        # ValueError: a string that is no number, or rows of unequal length
-        raise PreconditionError(
-            f"matrix entries must be numbers or [re, im] pairs in rows of equal length: {exc}"
-        ) from exc
-    if mat.ndim != 2:
+    if not rows:
         raise DimensionMismatchError("matrix shape mismatch")
+    mat = np.zeros((len(rows), len(rows[0])), dtype=complex)
+    try:
+        for i, row in enumerate(rows):
+            if len(row) != mat.shape[1]:
+                raise PreconditionError("matrix rows must have equal length")
+            if set(map(type, row)) <= _NUMBER_TYPES:
+                mat.real[i] = row
+                continue
+            bad = [v for v in row if not (is_number(v) or _is_pair(v))]
+            if bad:
+                raise PreconditionError(
+                    f"matrix entries must be numbers or [re, im] pairs, not {bad[0]!r}"
+                )
+            mat.real[i] = [v[0] if type(v) is list else v for v in row]
+            mat.imag[i] = [v[1] if type(v) is list else 0.0 for v in row]
+    except OverflowError as exc:  # an int beyond the float range
+        raise PreconditionError(f"matrix entry out of range: {exc}") from exc
     return mat
 
 

@@ -18,6 +18,7 @@ Three certificate kinds:
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,16 +42,17 @@ from .spectral import (
     subset_spectra,
 )
 from .cycles import support_digraph
-from .jsonio import is_integer
+from .jsonio import is_integer, is_number
 
 
 @dataclass(frozen=True)
 class BlockDiagnosis:
     block: int
-    kind: str  # "zero" | "scalar" | "irreducible"
+    kind: str  # one of BLOCK_CLASSES
     value: complex | None = None
 
 
+BLOCK_CLASSES = ("zero", "scalar", "irreducible")
 CERTIFICATE_KINDS = ("scc", "nilpotent_rank", "increasing_spectrum")
 
 
@@ -91,20 +93,23 @@ class TriangularizationCertificate:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TriangularizationCertificate":
+        """Read a certificate, checking the type of every field; whether
+        the recorded classes, residual and bound hold is left to
+        :func:`verify_certificate`."""
         if not isinstance(data, dict):
             raise PreconditionError("a certificate must be a JSON object")
-        blocks, diagonal = data["blocks"], data["diagonal"]
+        blocks, diagonal, bound = data["blocks"], data["diagonal"], data["bound"]
         if not (isinstance(blocks, list) and all(isinstance(b, list) for b in blocks)):
             raise PreconditionError('certificate "blocks" must be a list of lists')
         if not (
             isinstance(diagonal, list)
             and all(isinstance(d, dict) for d in diagonal)
-            and all(_is_pair(d["lambda"]) for d in diagonal if "lambda" in d)
+            and all(_is_complex(d["lambda"]) for d in diagonal if "lambda" in d)
         ):
             raise PreconditionError(
                 'certificate "diagonal" must be a list of objects whose "lambda" is [re, im]'
             )
-        if not isinstance(data["bound"], dict):
+        if not isinstance(bound, dict):
             raise PreconditionError('certificate "bound" must be an object')
         diag = tuple(
             BlockDiagnosis(
@@ -114,12 +119,13 @@ class TriangularizationCertificate:
             )
             for d in diagonal
         )
+        counts = {key: bound[key] for key in ("m", "limit", "rank")}
         cert = cls(
             kind=data["kind"],
             blocks=tuple(tuple(b) for b in blocks),
             diagonal=diag,
-            rank=data["bound"]["rank"],
-            bound=data["bound"]["limit"],
+            rank=counts["rank"],
+            bound=counts["limit"],
             residual=data["residual"],
             tol=data["tol"],
             multiplicity_free=data["multiplicity_free"],
@@ -127,15 +133,33 @@ class TriangularizationCertificate:
         # after every field is read, so a missing field is still named first
         if cert.kind not in CERTIFICATE_KINDS:
             raise PreconditionError(f"unknown certificate kind: {cert.kind!r}")
+        for key in ("tol", "residual"):
+            if not _is_finite(data[key]):
+                raise PreconditionError(f'certificate "{key}" must be a finite number')
+        if not isinstance(cert.multiplicity_free, bool):
+            raise PreconditionError('certificate "multiplicity_free" must be true or false')
+        for key, value in counts.items():
+            if not (value is None or is_integer(value)):
+                raise PreconditionError(f'certificate "bound.{key}" must be an integer or null')
+        for d in cert.diagonal:
+            if not is_integer(d.block):
+                raise PreconditionError('a certificate "diagonal" block must be an integer')
+            if d.kind not in BLOCK_CLASSES:
+                raise PreconditionError(f"unknown diagonal class: {d.kind!r}")
         return cert
 
 
-def _is_pair(value) -> bool:
-    return (
-        isinstance(value, list)
-        and len(value) == 2
-        and all(isinstance(x, (int, float)) for x in value)
-    )
+def _is_finite(value) -> bool:
+    """A JSON number that converts to a finite float."""
+    try:
+        return is_number(value) and math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def _is_complex(value) -> bool:
+    """An [re, im] list of two finite numbers."""
+    return type(value) is list and len(value) == 2 and all(map(_is_finite, value))
 
 
 def _certificate(
@@ -144,25 +168,28 @@ def _certificate(
     """Certificate for `blocks`, with each diagonal block classed against
     K.zero_threshold and the below-block residual taken on the kernel."""
     kernel, thr = K.kernel_values, K.zero_threshold
-    pos = np.empty(K.size, dtype=int)
+    pos = np.empty(K.size, dtype=np.intp)  # pos[i]: the block holding point i
+    pos[[i for block in blocks for i in block]] = [b for b, blk in enumerate(blocks) for _ in blk]
+    mag = np.abs(kernel)
+    # the blocks holding a row whose largest |k| inside its own block is
+    # above the threshold; every other diagonal block is zero
+    row_peak = np.where(pos[:, None] == pos[None, :], mag, 0.0).max(axis=1, initial=0.0)
+    nonzero = set(pos[row_peak > thr].tolist())
     diagonal = []
     for b, block in enumerate(blocks):
-        pos[list(block)] = b
-        sub = kernel[np.ix_(block, block)]
-        if sub.size == 0 or np.abs(sub).max() <= thr:
+        if b not in nonzero:
             diagonal.append(BlockDiagnosis(b, "zero"))
         elif len(block) == 1 and K.space.is_atom(block[0]):
-            diagonal.append(BlockDiagnosis(b, "scalar", complex(sub[0, 0])))
+            diagonal.append(BlockDiagnosis(b, "scalar", complex(kernel[block[0], block[0]])))
         else:
             diagonal.append(BlockDiagnosis(b, "irreducible"))
-    below = pos[:, None] > pos[None, :]
     return TriangularizationCertificate(
         kind=kind,
         blocks=blocks,
         diagonal=tuple(diagonal),
         rank=rank,
         bound=bound,
-        residual=float(np.abs(kernel)[below].max()) if below.any() else 0.0,
+        residual=float(np.where(pos[:, None] > pos[None, :], mag, 0.0).max(initial=0.0)),
         tol=tol,
         multiplicity_free=all(len(b) == 1 for b in blocks),
     )

@@ -13,6 +13,7 @@ from scipy.sparse.csgraph import shortest_path
 
 from kerneltri import (
     FiniteRankOperator,
+    PreconditionError,
     PropertyReport,
     StandardSet,
     TheoremViolationError,
@@ -25,6 +26,7 @@ from kerneltri import (
 from kerneltri.operators import ZERO_TOL
 from kerneltri.spaces import mask_indices, nested_chain, standard_pair_masks
 from kerneltri.spectral import inclusion_witness
+from kerneltri.triangular import BlockDiagnosis, TriangularizationCertificate
 
 
 def brute_increasing_oracle(matrix: np.ndarray, tol: float = 1e-8) -> bool:
@@ -364,3 +366,69 @@ def reference_chain_invariant(K, blocks, tol: float = 1e-8) -> tuple[bool, str]:
             if leak > thr:
                 return False, f"prefix {b} leaks {leak:.3e}"
     return True, ""
+
+
+def mixed_component_digraph(rng: np.random.Generator, p: int) -> np.ndarray:
+    """A p×p kernel whose support mixes trivial and nontrivial strongly
+    connected components: forward arcs in a random point order, a few
+    windows of consecutive positions closed into a ring plus random arcs
+    inside (each window one component), and random self-loops."""
+    order = rng.permutation(p)
+    rank = np.empty(p, dtype=int)
+    rank[order] = np.arange(p)
+    mat = (rank[:, None] < rank[None, :]) * rng.random((p, p)) * (rng.random((p, p)) < 0.2)
+    r = int(rng.integers(0, 3))  # the first window's start
+    while r < p - 1:
+        pts = order[r : r + int(rng.integers(2, 6))]
+        mat[np.ix_(pts, pts)] += rng.random((pts.size, pts.size)) < 0.3
+        mat[pts, np.roll(pts, -1)] = 1.0 + rng.random(pts.size)
+        r += pts.size + int(rng.integers(0, 4))
+    loops = np.flatnonzero(rng.random(p) < 0.3)
+    mat[loops, loops] = rng.standard_normal(loops.size)
+    return mat
+
+
+def reference_certificate(
+    kind: str, K, blocks, tol: float, rank: int | None = None, bound: int | None = None
+) -> TriangularizationCertificate:
+    """The certificate as a loop over the blocks, one `np.ix_` diagonal
+    block each: the reference for `_certificate`, which classes every block
+    from one array pass."""
+    kernel, thr = K.kernel_values, K.zero_threshold
+    pos = np.empty(K.size, dtype=int)
+    diagonal = []
+    for b, block in enumerate(blocks):
+        pos[list(block)] = b
+        sub = kernel[np.ix_(block, block)]
+        if sub.size == 0 or np.abs(sub).max() <= thr:
+            diagonal.append(BlockDiagnosis(b, "zero"))
+        elif len(block) == 1 and K.space.is_atom(block[0]):
+            diagonal.append(BlockDiagnosis(b, "scalar", complex(sub[0, 0])))
+        else:
+            diagonal.append(BlockDiagnosis(b, "irreducible"))
+    below = pos[:, None] > pos[None, :]
+    return TriangularizationCertificate(
+        kind=kind,
+        blocks=blocks,
+        diagonal=tuple(diagonal),
+        rank=rank,
+        bound=bound,
+        residual=float(np.abs(kernel)[below].max()) if below.any() else 0.0,
+        tol=tol,
+        multiplicity_free=all(len(b) == 1 for b in blocks),
+    )
+
+
+def reference_complex_matrix(rows) -> np.ndarray:
+    """A matrix descriptor read one entry at a time with `complex(float(v))`:
+    the reference for `jsonio._complex_matrix` on valid input."""
+
+    def scalar(v) -> complex:
+        if isinstance(v, list):
+            return complex(float(v[0]), float(v[1]))
+        return complex(float(v))
+
+    try:
+        return np.array([[scalar(v) for v in row] for row in rows], dtype=complex)
+    except OverflowError as exc:
+        raise PreconditionError(str(exc)) from exc

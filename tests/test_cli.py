@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_nilpotent_instance
+from conftest import random_nilpotent_instance, reference_complex_matrix
 
 from kerneltri import (
     canonical_dumps,
@@ -21,6 +21,7 @@ from kerneltri import (
     sharpness_example,
 )
 from kerneltri.cli import MAX_POINTS_LIMIT, main
+from kerneltri.jsonio import _complex_matrix
 
 
 def run(tmp_path, *argv):
@@ -335,6 +336,16 @@ class TestRadiusProfile:
         assert json.loads(text)["set_sizes"] == list(range(9))
 
 
+#: every certificate field the verifier does not read, each of the wrong type
+_UNREAD_CERTIFICATE_FIELDS = {
+    "tol": "abc",
+    "residual": [1],
+    "multiplicity_free": 5,
+    "bound": {"m": "x", "limit": "y", "rank": {}},
+    "diagonal": [{"block": "q", "class": "nonsense"}],
+}
+
+
 class TestErrorsAndDeterminism:
     def test_missing_file(self, tmp_path):
         code, _ = run(tmp_path, "spectrum", "--in", str(tmp_path / "absent.json"))
@@ -375,10 +386,29 @@ class TestErrorsAndDeterminism:
             (lambda c: [c], None),
             (lambda c: {k: v for k, v in c.items() if k != "tol"}, None),
             (lambda c: {**c, "kind": "bogus"}, None),
+            (lambda c: {**c, "tol": "abc"}, None),
+            (lambda c: {**c, "tol": math.nan}, None),
+            (lambda c: {**c, "residual": [1]}, None),
+            (lambda c: {**c, "residual": True}, None),
+            (lambda c: {**c, "multiplicity_free": 5}, None),
+            (lambda c: {**c, "bound": {**c["bound"], "m": "x"}}, None),
+            (lambda c: {**c, "bound": {**c["bound"], "limit": 2.0}}, None),
+            (lambda c: {**c, "bound": {**c["bound"], "rank": {}}}, None),
+            (lambda c: {**c, "diagonal": [{**c["diagonal"][0], "block": "q"}]}, None),
+            (lambda c: {**c, "diagonal": [{**c["diagonal"][0], "class": "nonsense"}]}, None),
+            (lambda c: {**c, "diagonal": [{"block": 1, "class": "scalar", "lambda": [10**400, 0]}]}, None),
+            (lambda c: {**c, **_UNREAD_CERTIFICATE_FIELDS}, None),
             (None, {"kind": "dense", "space": {"atoms": [2]}, "kernel": 5}),
             (None, {"kind": "dense", "space": {"atoms": [2]}, "kernel": [[{}]]}),
             (None, {"kind": "dense", "space": {"atoms": [2]}, "kernel": [[10**400]]}),
             (None, {"kind": "dense", "space": {"atoms": [2]}, "kernel": [["abc"]]}),
+            (None, {"kind": "dense", "space": {"atoms": [2, 3]}, "kernel": [["5", True], [0, " 1e3 "]]}),
+            (None, {"kind": "dense", "space": {"atoms": [2]}, "kernel": [[True]]}),
+            (None, {"kind": "dense", "space": {"atoms": [2]}, "kernel": [[None]]}),
+            (None, {"kind": "dense", "space": {"atoms": [2]}, "kernel": [[[1, "2"]]]}),
+            (None, {"kind": "dense", "space": {"atoms": [2]}, "kernel": [[[1, False]]]}),
+            (None, {"kind": "finite_rank", "space": {"atoms": [2, 3]}, "F": [["1"], [0]], "G": [[0], [1]]}),
+            (None, {"kind": "finite_rank", "space": {"atoms": [2, 3]}, "F": [[1], [0]], "G": [[None], [1]]}),
             (None, {"kind": "dense", "space": {"atoms": [2, 3]}, "kernel": [[0.0, 1.0], [0.0]]}),
             (None, {"kind": "dense", "space": 5, "kernel": [[0.0]]}),
             (None, {"kind": "dense", "space": {"atoms": 2}, "kernel": [[0.0]]}),
@@ -395,7 +425,12 @@ class TestErrorsAndDeterminism:
         ids=[
             "blocks-flat", "blocks-null", "diagonal-non-dict", "lambda-number",
             "bound-string", "certificate-list", "certificate-missing-tol", "certificate-kind",
+            "tol-string", "tol-nan", "residual-list", "residual-bool", "multiplicity-number",
+            "bound-m-string", "bound-limit-float", "bound-rank-object", "block-string",
+            "class-unknown", "lambda-huge-int", "unread-fields",
             "kernel-number", "kernel-dict-entry", "kernel-huge-int", "kernel-string",
+            "kernel-numeric-strings", "kernel-bool", "kernel-null", "pair-string", "pair-bool",
+            "F-string", "G-null",
             "kernel-ragged", "space-number", "atoms-number", "n-null", "n-float", "cells-float",
             "cells-bool", "cells-string", "cells-integral-float", "atom-float",
             "descriptor-list", "descriptor-number",
@@ -575,6 +610,40 @@ class TestNumericFlags:
         code, text = run(tmp_path, "check-increasing", "--in", op, "--max-points", str(MAX_POINTS_LIMIT))
         assert code == 0
         assert json.loads(text)["exhaustive"]
+
+
+class TestComplexMatrixAgainstReference:
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[0, -0.0, [1, -0.0]], [2**70, -(2**63) - 5, [0.5, 2**53 + 1]], [1e308, [-0.0, 0], 3]],
+            [[math.nan, 1], [math.inf, [-math.inf, math.nan]]],
+            [[10**300, [0, -5e-324]], [[-(10**300), 7], -1]],
+            [[[1, 2]]],
+            [[], []],
+        ],
+        ids=["signed-zeros-and-large-ints", "non-finite", "extremes", "one-pair", "no-columns"],
+    )
+    def test_matches_per_entry_loop(self, rows):
+        mat = _complex_matrix(rows)
+        assert mat.shape == (len(rows), len(rows[0]))
+        assert mat.tobytes() == reference_complex_matrix(rows).tobytes()
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_seeded_mixed_rows(self, seed):
+        rng = np.random.default_rng(seed)
+        p, q = (int(v) for v in rng.integers(1, 9, size=2))
+
+        def number():
+            if rng.random() < 0.3:
+                return int(rng.integers(-(2**62), 2**62))
+            return float(rng.standard_normal() * 10.0 ** int(rng.integers(-300, 300)))
+
+        rows = [
+            [[number(), number()] if rng.random() < 0.4 else number() for _ in range(q)]
+            for _ in range(p)
+        ]
+        assert _complex_matrix(rows).tobytes() == reference_complex_matrix(rows).tobytes()
 
 
 def test_named_operator_round_trip_matches_library():

@@ -5,7 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_nilpotent_instance, reference_shortest_cycle
+from conftest import (
+    mixed_component_digraph,
+    random_nilpotent_instance,
+    reference_shortest_cycle,
+)
 
 from kerneltri import (
     PreconditionError,
@@ -139,6 +143,15 @@ class TestShortestCycleAgainstReference:
         assert shortest_cycle(support_digraph(K, threshold)) == expected
         if acyclic:
             assert expected is None
+
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_matches_on_mixed_components(self, seed):
+        rng = np.random.default_rng(seed)
+        K = atomic_operator(mixed_component_digraph(rng, int(rng.integers(2, 48))))
+        for threshold in (None, 0.5):
+            expected = reference_shortest_cycle(K, threshold)
+            assert shortest_cycle(support_digraph(K, threshold)) == expected
 
 
 class TestNcycleTraceSum:

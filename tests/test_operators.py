@@ -18,6 +18,7 @@ from kerneltri import (
     densify,
     factor,
     kernel_operator,
+    kernel_operator_from_function,
     moment_identities,
     modulus,
     numerical_rank,
@@ -27,6 +28,7 @@ from kerneltri import (
     trace,
     trace_power,
     trace_split,
+    volterra_linear,
 )
 from kerneltri.operators import ZERO_TOL, magnitude
 
@@ -302,3 +304,11 @@ def test_sharpness_example_factors_reproduce_matrix():
         # upper triangular 0/1 matrix
         assert np.all(np.tril(K.kernel_values, -1) == 0)
         assert set(np.unique(K.kernel_values.real)) <= {0.0, 1.0}
+
+
+@pytest.mark.parametrize("n", [*range(1, 65), 512])
+def test_volterra_linear_matches_the_sampled_kernel(n):
+    expected = kernel_operator_from_function(build_space(n), lambda x, y: max(x - y, 0.0))
+    K = volterra_linear(n)
+    assert K.kernel_values.tobytes() == expected.kernel_values.tobytes()
+    assert K.entries.tobytes() == expected.entries.tobytes()

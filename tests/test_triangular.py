@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    mixed_component_digraph,
     random_hybrid_instance,
     random_nilpotent_instance,
+    reference_certificate,
     reference_chain_invariant,
     reference_nilpotent_failure,
     reference_nilpotent_sampled_failure,
@@ -21,6 +23,7 @@ from kerneltri import (
     TriangularizationCertificate,
     assert_nilpotent_compressions,
     build_space,
+    canonical_dumps,
     densify,
     eigenatom_peel,
     factor,
@@ -36,7 +39,7 @@ from kerneltri import (
     volterra_linear,
 )
 from kerneltri.operators import magnitude
-from kerneltri.triangular import _peel_zero_columns, _zero_columns
+from kerneltri.triangular import _certificate, _peel_zero_columns, _zero_columns
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -640,3 +643,53 @@ class TestChainInvarianceAgainstReference:
         thr = 1e-8 * magnitude(kernel)
         assert passed == (np.abs(kernel[below]).max(initial=0.0) <= thr)
         assert data["passed"] == all(c["passed"] for c in checks.values())
+
+
+class TestCertificateAgainstReference:
+    @staticmethod
+    def assert_matches(K, cert):
+        expected = reference_certificate(
+            cert.kind, K, cert.blocks, cert.tol, rank=cert.rank, bound=cert.bound
+        )
+        assert cert == expected
+        assert canonical_dumps(cert.to_dict()) == canonical_dumps(expected.to_dict())
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_constructed_certificates(self, seed):
+        rng = np.random.default_rng(seed)
+        kfr, _ = random_nilpotent_instance(rng)
+        nil = densify(kfr)
+        hybrid, _ = random_hybrid_instance(rng)
+        mixed = atomic_operator(mixed_component_digraph(rng, int(rng.integers(2, 30))))
+        for K in (nil, hybrid, mixed):
+            self.assert_matches(K, scc_triangularize(K))
+        self.assert_matches(nil, nilpotent_block_form(nil))
+        self.assert_matches(hybrid, increasing_spectrum_block_form(hybrid))
+
+    @pytest.mark.parametrize(
+        "K, construct",
+        [
+            (volterra_linear(1), nilpotent_block_form),
+            (volterra_linear(64), nilpotent_block_form),
+            (ones_kernel(8), scc_triangularize),
+            (sharpness_example(3), increasing_spectrum_block_form),
+        ],
+        ids=["V1", "V64", "ones8", "paper3"],
+    )
+    def test_named_operators(self, K, construct):
+        self.assert_matches(K, scc_triangularize(K))
+        self.assert_matches(K, construct(K))
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_arbitrary_partitions(self, seed):
+        """Blocks no constructor would pick: below-block residuals, scalar
+        atoms, zero and irreducible blocks side by side."""
+        rng = np.random.default_rng(seed)
+        K, _ = random_hybrid_instance(rng)
+        labels = rng.integers(0, int(rng.integers(1, K.size + 1)), size=K.size)
+        blocks = tuple(
+            tuple(np.flatnonzero(labels == b).tolist())
+            for b in rng.permutation(labels.max() + 1)
+            if (labels == b).any()
+        )
+        self.assert_matches(K, _certificate("scc", K, blocks, K.zero_threshold))
