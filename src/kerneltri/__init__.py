@@ -1,11 +1,12 @@
 """Checks and certificates for kernel operators with increasing spectrum
 relative to standard compressions."""
 
+import types as _types
+
 from .spaces import (
     MeasureSpace,
     StandardSet,
     build_space,
-    enumerate_standard_pairs,
     nested_chain,
 )
 from .operators import (
@@ -15,39 +16,30 @@ from .operators import (
     densify,
     factor,
     kernel_operator,
-    kernel_operator_from_function,
     modulus,
     numerical_rank,
     ones_kernel,
     sharpness_example,
     sharpness_example_factors,
-    split_atom_diagonal,
     trace,
     trace_power,
-    trace_split,
     volterra_linear,
 )
 from .spectral import (
     SpectrumReport,
     eigenvalues,
     nonzero_eigen_match,
-    spectrum_subset,
 )
 from .increasing import (
     PropertyReport,
-    atomic_vs_full_spectrum,
     check_increasing_spectrum,
-    quasinilpotence_dichotomy,
     radius_profile,
 )
 from .cycles import (
-    MomentMatrix,
     SupportDigraph,
-    cycle_product,
     find_nondegenerate_cycle,
     moment_identities,
     moment_matrix,
-    ncycle_trace_sum,
     shortest_cycle,
     support_digraph,
 )
@@ -68,11 +60,15 @@ from .jsonio import (
 )
 from .errors import (
     DimensionMismatchError,
-    ExhaustiveCheckInfeasibleError,
     KernelTriError,
     PreconditionError,
     SpaceError,
     TheoremViolationError,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the names imported above; the submodules they come from are not exported
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _types.ModuleType)
+)

@@ -101,6 +101,9 @@ def _cmd_moments(K, data, args) -> tuple[dict, bool]:
         isinstance(idx, list) and all(map(is_integer, idx)) for idx in data["sets"]
     ):
         raise InputError("\"sets\" must be a list of lists of integer point indices")
+    # disjoint nonempty sets number at most one per point
+    if not all(data["sets"]):
+        raise InputError("\"sets\" must not hold an empty index list")
     kfr = factor(K)
     sets = [StandardSet.from_indices(K.space, idx) for idx in data["sets"]]
     report = moment_identities(kfr, sets, tol=args.tol)

@@ -1,25 +1,17 @@
-"""Support digraph, non-degenerate cycles, n-cycle trace sums and the
-moment-matrix identities of finite-rank kernels."""
+"""Support digraph, non-degenerate cycles and the moment-matrix
+identities of finite-rank kernels."""
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 from scipy.sparse import csr_array
 from scipy.sparse.csgraph import connected_components, shortest_path
 
 from .errors import PreconditionError
-from .operators import (
-    FiniteRankOperator,
-    Operator,
-    ZERO_TOL,
-    compress,
-    magnitude,
-    trace_power,
-)
+from .operators import FiniteRankOperator, Operator, ZERO_TOL, magnitude
 from .spaces import StandardSet
 
 
@@ -31,9 +23,6 @@ class SupportDigraph:
     threshold: float
     successors: tuple[tuple[int, ...], ...]
 
-    def has_arc(self, i: int, j: int) -> bool:
-        return j in self.successors[i]
-
 
 def support_digraph(K: Operator, threshold: float | None = None) -> SupportDigraph:
     """Support digraph at `threshold`, by default K.zero_threshold."""
@@ -42,17 +31,6 @@ def support_digraph(K: Operator, threshold: float | None = None) -> SupportDigra
     mask = np.abs(K.kernel_values) > threshold
     succ = tuple(tuple(np.nonzero(row)[0].tolist()) for row in mask)
     return SupportDigraph(size=K.size, threshold=threshold, successors=succ)
-
-
-def cycle_product(K: Operator, vertices: list[int]) -> complex:
-    """k(x_1,x_2) k(x_2,x_3) ... k(x_n,x_1) over distinct vertices."""
-    kernel = K.kernel_values
-    if len(vertices) < 2:
-        raise PreconditionError("a cycle needs at least 2 vertices")
-    if len(set(vertices)) != len(vertices):
-        raise PreconditionError("repeated vertex in cycle")
-    pairs = list(zip(vertices, vertices[1:] + vertices[:1]))
-    return complex(reduce(lambda acc, ij: acc * kernel[ij], pairs, 1.0 + 0.0j))
 
 
 def find_nondegenerate_cycle(
@@ -111,82 +89,11 @@ def shortest_cycle(dg: SupportDigraph) -> tuple[int, ...] | None:
     return tuple(cycle)
 
 
-@dataclass(frozen=True)
-class CycleTraceDecomposition:
-    """tr((PKP)^n) split into the atomic-diagonal part and the rest."""
-
-    total: complex
-    atom_part: complex
-    remainder: complex
-    word_sum: complex
-
-    @property
-    def residual(self) -> float:
-        return abs(self.total - self.word_sum)
-
-
-def ncycle_trace_sum(K: Operator, sets: list[StandardSet]) -> CycleTraceDecomposition:
-    """For pairwise disjoint sets E_1..E_n, compute tr((PKP)^n) with
-    P = P_{E_1} + ... + P_{E_n}, its decomposition into sum_j k(j,j)^n over
-    the atoms covered plus the n-cycle remainder, and the cross-check sum
-    over all n-letter index words of the cyclic block traces."""
-    n = len(sets)
-    if not 2 <= n <= 6:
-        raise PreconditionError("number of sets must be between 2 and 6")
-    for i, a in enumerate(sets):
-        for b in sets[i + 1 :]:
-            if not a.isdisjoint(b):
-                raise PreconditionError("sets must be pairwise disjoint")
-    union = sets[0]
-    for s in sets[1:]:
-        union = union.union(s)
-    kernel = K.kernel_values
-    total = trace_power(compress(K, union), n)
-    atom_part = sum(
-        (complex(kernel[j, j]) ** n for j in union.indices() if K.space.is_atom(j)),
-        0.0 + 0.0j,
-    )
-
-    # blocks as full-size matrices: B[a] = P_{E_a} K P_{E_b} summed over words
-    p = K.size
-    proj = []
-    for s in sets:
-        d = np.zeros(p)
-        d[list(s.indices())] = 1.0
-        proj.append(d)
-    blocks = {
-        (a, b): (proj[a][:, None] * K.entries) * proj[b][None, :]
-        for a in range(n)
-        for b in range(n)
-    }
-    word_sum = 0.0 + 0.0j
-    for word in itertools.product(range(n), repeat=n):
-        prod = blocks[(word[0], word[1])]
-        for t in range(1, n):
-            prod = prod @ blocks[(word[t], word[(t + 1) % n])]
-        word_sum += complex(np.trace(prod))
-    return CycleTraceDecomposition(
-        total=total,
-        atom_part=complex(atom_part),
-        remainder=total - complex(atom_part),
-        word_sum=word_sum,
-    )
-
-
-@dataclass(frozen=True)
-class MomentMatrix:
-    """M(E) = sum_{x in E} G(x) F(x)^t w(x) for a rank-n factored kernel."""
-
-    values: np.ndarray
-
-    def trace(self) -> complex:
-        return complex(np.trace(self.values))
-
-
 def moment_matrix(
     kfr: FiniteRankOperator, E: StandardSet, tol: float = 1e-8
-) -> MomentMatrix:
-    """Requires the densified kernel diagonal to vanish on E."""
+) -> np.ndarray:
+    """M(E) = sum_{x in E} G(x) F(x)^t w(x), an n×n array for a rank-n
+    factored kernel. Requires the densified kernel diagonal to vanish on E."""
     if E.space != kfr.space:
         raise PreconditionError("standard set over a different space")
     kernel = kfr.kernel_matrix()
@@ -204,7 +111,7 @@ def moment_matrix(
     m = np.zeros((n, n), dtype=complex)
     for i in idx:
         m += np.outer(kfr.G[i], kfr.F[i]) * w[i]
-    return MomentMatrix(values=m)
+    return m
 
 
 @dataclass(frozen=True)
@@ -234,19 +141,18 @@ def moment_identities(
 ) -> MomentResidualReport:
     """Residuals |tr(M(E)^2)| per set and |tr(M(E) M(F))| per pair; for
     operators with nilpotent standard compressions all must vanish."""
-    for i, a in enumerate(sets):
-        for b in sets[i + 1 :]:
-            if not a.isdisjoint(b):
-                raise PreconditionError("sets must be pairwise disjoint")
+    union = 0
+    for s in sets:
+        if union & s.mask:
+            raise PreconditionError("sets must be pairwise disjoint")
+        union |= s.mask
     scale = magnitude(kfr.kernel_matrix())
     moments = [moment_matrix(kfr, s, tol=max(tol, ZERO_TOL)) for s in sets]
-    squares = tuple(
-        float(abs(np.trace(m.values @ m.values))) for m in moments
-    )
+    squares = tuple(float(abs(np.trace(m @ m))) for m in moments)
     crosses = []
     for i in range(len(moments)):
         for j in range(i + 1, len(moments)):
-            r = float(abs(np.trace(moments[i].values @ moments[j].values)))
+            r = float(abs(np.trace(moments[i] @ moments[j])))
             crosses.append((i, j, r))
     residuals = list(squares) + [r for _, _, r in crosses]
     max_res = max(residuals, default=0.0)

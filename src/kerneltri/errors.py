@@ -13,19 +13,6 @@ class DimensionMismatchError(KernelTriError):
     """Objects defined over incompatible spaces or shapes."""
 
 
-class ExhaustiveCheckInfeasibleError(KernelTriError):
-    """The space is too large for an exhaustive pair enumeration."""
-
-    def __init__(self, points: int, max_points: int):
-        self.points = points
-        self.max_points = max_points
-        self.pair_count = 3**points
-        super().__init__(
-            f"space too large for exhaustive check: {points} points > "
-            f"{max_points} allowed ({self.pair_count} ordered pairs)"
-        )
-
-
 class PreconditionError(KernelTriError):
     """A documented operation precondition does not hold for the input."""
 

@@ -1,4 +1,4 @@
-"""Verification of the increasing-spectrum property and related diagnostics.
+"""Verification of the increasing-spectrum property and the radius profile.
 
 The property quantifies over all ordered pairs E ⊆ F of standard sets.
 For p points that is 3^p pairs; up to `max_points` the check is exhaustive,
@@ -26,16 +26,12 @@ from .spaces import (
 )
 from .spectral import (
     DEFAULT_TOL,
-    SpectrumReport,
     block_ranges,
     block_size,
     eigenvalues,
     first_excluded,
     nearest_distances,
-    nonzero_eigen_match,
-    spectrum_subset,
     subset_spectra,
-    MatchResult,
 )
 
 DEFAULT_SAMPLES = 10_000
@@ -263,66 +259,3 @@ def radius_profile(K: Operator, chain: list[StandardSet]) -> list[float]:
         if not (a.issubset(b) and a.mask != b.mask):
             raise PreconditionError("chain is not strictly increasing")
     return [eigenvalues(compress(K, s)).radius for s in chain]
-
-
-@dataclass(frozen=True)
-class DichotomyReport:
-    inclusion_holds: bool
-    radius: float
-    consistent: bool
-    tol: float
-    profile: tuple[float, ...]
-    violations: tuple[tuple[int, complex], ...]
-
-
-def quasinilpotence_dichotomy(
-    K: Operator, chain: list[StandardSet], tol: float = DEFAULT_TOL
-) -> DichotomyReport:
-    """Either the chain compressions escape σ(K), or K is (numerically)
-    quasinilpotent: spectrum inclusion along the chain together with a
-    positive spectral radius would force uncountably many radius-profile
-    values inside the finite set |σ(K)|."""
-    if K.space.num_atoms > 0:
-        raise PreconditionError("dichotomy is defined for cells-only spaces")
-    tol_eff = tol * K.scale
-    full = eigenvalues(K, tol)
-    profile = []
-    violations = []
-    for step, s in enumerate(chain):
-        rep = eigenvalues(compress(K, s), tol)
-        profile.append(rep.radius)
-        res = spectrum_subset(rep, full, tol_eff)
-        if not res:
-            violations.append((step, res.witness))
-    inclusion = not violations
-    consistent = (not inclusion) or full.radius <= tol_eff
-    return DichotomyReport(
-        inclusion_holds=inclusion,
-        radius=full.radius,
-        consistent=consistent,
-        tol=tol,
-        profile=tuple(profile),
-        violations=tuple(violations),
-    )
-
-
-@dataclass(frozen=True)
-class AtomicSplitReport:
-    eigen_match: MatchResult
-    cells_report: SpectrumReport | None
-    passed: bool
-
-
-def atomic_vs_full_spectrum(K: Operator, tol: float = DEFAULT_TOL) -> AtomicSplitReport:
-    """Check that (i) K and its atom compression share the nonzero
-    eigenvalue multiset and (ii) the cell compression is quasinilpotent."""
-    space = K.space
-    atoms = StandardSet.from_indices(space, range(space.num_cells, space.size))
-    cells = atoms.complement()
-    match = nonzero_eigen_match(K, compress(K, atoms), tol)
-    cells_report = None
-    cells_ok = True
-    if space.num_cells > 0:
-        cells_report = eigenvalues(compress(K, cells), tol)
-        cells_ok = cells_report.quasinilpotent
-    return AtomicSplitReport(match, cells_report, bool(match) and cells_ok)

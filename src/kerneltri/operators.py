@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
@@ -71,15 +70,6 @@ class Operator:
 def kernel_operator(space: MeasureSpace, kernel: np.ndarray) -> Operator:
     """Operator from a p×p matrix of raw kernel samples."""
     return Operator(space, np.asarray(kernel, dtype=complex))
-
-
-def kernel_operator_from_function(
-    space: MeasureSpace, fn: Callable[[float, float], complex]
-) -> Operator:
-    """Sample a kernel function on the grid midpoints and atom ids."""
-    coords = list(space.midpoints) + list(space.atom_ids)
-    kernel = np.array([[fn(x, y) for y in coords] for x in coords], dtype=complex)
-    return kernel_operator(space, kernel)
 
 
 @dataclass(frozen=True)
@@ -162,27 +152,11 @@ def trace(K: Operator) -> complex:
     return complex(np.trace(K.entries))
 
 
-def trace_split(K: Operator) -> tuple[complex, complex]:
-    """(cell part, atom part) of the trace; they sum to trace(K)."""
-    d = np.diag(K.entries)
-    nc = K.space.num_cells
-    return complex(d[:nc].sum()), complex(d[nc:].sum())
-
-
 def trace_power(K: Operator, n: int) -> complex:
     """tr(K^n) by repeated multiplication of the weighted entries."""
     if n < 1:
         raise PreconditionError("power must be >= 1")
     return complex(np.trace(np.linalg.matrix_power(K.entries, n)))
-
-
-def split_atom_diagonal(K: Operator) -> tuple[Operator, Operator]:
-    """K = G + D with D the diagonal kernel carried by the atoms only."""
-    kernel = K.kernel_values
-    d_kernel = np.zeros_like(kernel)
-    for j in range(K.space.num_cells, K.space.size):
-        d_kernel[j, j] = kernel[j, j]
-    return kernel_operator(K.space, kernel - d_kernel), kernel_operator(K.space, d_kernel)
 
 
 # --- named built-in operators -------------------------------------------

@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import ExhaustiveCheckInfeasibleError, SpaceError
+from .errors import SpaceError
 
 #: largest space whose 3^p standard pairs are enumerated exhaustively
 DEFAULT_MAX_POINTS = 12
@@ -228,22 +228,6 @@ def _subsets_by_size(low: int, m: int) -> list[tuple[int, np.ndarray, np.ndarray
 def level_mask_indices(lmask: int, p: int) -> tuple[int, ...]:
     """Ascending indices of the points 0..p-1 in the level mask `lmask`."""
     return tuple(i for i in range(p) if lmask >> (p - 1 - i) & 1)
-
-
-def enumerate_standard_pairs(
-    space: MeasureSpace, max_points: int = DEFAULT_MAX_POINTS
-) -> Iterator[tuple[StandardSet, StandardSet]]:
-    """Yield every ordered pair (E, F) of standard sets with E ⊆ F, in the
-    order of :func:`standard_pair_masks`.
-
-    There are exactly 3^p such pairs (each point is in neither set, in F
-    only, or in both).
-    """
-    p = space.size
-    if p > max_points:
-        raise ExhaustiveCheckInfeasibleError(p, max_points)
-    for e, f in standard_pair_masks(p):
-        yield StandardSet(space, e), StandardSet(space, f)
 
 
 def nested_chain(space: MeasureSpace, steps: int) -> list[StandardSet]:

@@ -1,4 +1,5 @@
-"""Eigenvalue reports, spectrum-inclusion tests and nonzero-spectrum matching."""
+"""Eigenvalue reports, batched spectrum-inclusion scans and nonzero-spectrum
+matching."""
 
 from __future__ import annotations
 
@@ -24,10 +25,6 @@ class SpectrumReport:
     quasinilpotent: bool
     tol: float
     scale: float
-
-    @property
-    def dimension(self) -> int:
-        return len(self.eigenvalues)
 
     def to_dict(self) -> dict:
         return {
@@ -68,15 +65,6 @@ def eigenvalues(K: Operator, tol: float = DEFAULT_TOL) -> SpectrumReport:
         tol=tol,
         scale=scale,
     )
-
-
-@dataclass(frozen=True)
-class InclusionResult:
-    holds: bool
-    witness: complex | None = None
-
-    def __bool__(self) -> bool:
-        return self.holds
 
 
 def nearest_distances(inner: np.ndarray, outer: np.ndarray) -> np.ndarray:
@@ -152,24 +140,6 @@ def subset_spectra(entries: np.ndarray, members: np.ndarray) -> tuple[np.ndarray
         cols = np.nonzero(bits[sel])[1].reshape(-1, s)
         spectra[sel, :s] = np.linalg.eigvals(entries[cols[:, :, None], cols[:, None, :]])
     return spectra, inverse.reshape(-1)
-
-
-def inclusion_witness(inner: np.ndarray, outer: np.ndarray, tol: float) -> complex | None:
-    """First value of `inner` farther than tol from every value of `outer`;
-    None when every inner value lies within tol of some outer one."""
-    hit = first_excluded(inner, outer, tol)
-    return None if hit is None else complex(inner[hit])
-
-
-def spectrum_subset(
-    inner: SpectrumReport, outer: SpectrumReport, tol: float = DEFAULT_TOL
-) -> InclusionResult:
-    """Set-semantics inclusion: every inner eigenvalue lies within tol of
-    some outer eigenvalue. Returns the first unmatched value as witness."""
-    witness = inclusion_witness(
-        np.array(inner.eigenvalues), np.array(outer.eigenvalues), tol
-    )
-    return InclusionResult(witness is None, witness)
 
 
 @dataclass(frozen=True)

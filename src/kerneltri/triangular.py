@@ -42,7 +42,7 @@ from .spectral import (
     subset_spectra,
 )
 from .cycles import support_digraph
-from .jsonio import is_integer, is_number
+from .jsonio import canonical_dumps, is_integer, is_number
 
 
 @dataclass(frozen=True)
@@ -69,10 +69,12 @@ class TriangularizationCertificate:
     residual: float
     tol: float
     multiplicity_free: bool
+    #: the recorded block count ("bound.m"); len(blocks) when not given
+    num_blocks: int | None = None
 
-    @property
-    def num_blocks(self) -> int:
-        return len(self.blocks)
+    def __post_init__(self):
+        if self.num_blocks is None:
+            object.__setattr__(self, "num_blocks", len(self.blocks))
 
     def to_dict(self) -> dict:
         diag = []
@@ -129,6 +131,7 @@ class TriangularizationCertificate:
             residual=data["residual"],
             tol=data["tol"],
             multiplicity_free=data["multiplicity_free"],
+            num_blocks=counts["m"],
         )
         # after every field is read, so a missing field is still named first
         if cert.kind not in CERTIFICATE_KINDS:
@@ -138,8 +141,10 @@ class TriangularizationCertificate:
                 raise PreconditionError(f'certificate "{key}" must be a finite number')
         if not isinstance(cert.multiplicity_free, bool):
             raise PreconditionError('certificate "multiplicity_free" must be true or false')
-        for key, value in counts.items():
-            if not (value is None or is_integer(value)):
+        if not is_integer(counts["m"]):  # null would read as len(blocks)
+            raise PreconditionError('certificate "bound.m" must be an integer')
+        for key in ("limit", "rank"):
+            if not (counts[key] is None or is_integer(counts[key])):
                 raise PreconditionError(f'certificate "bound.{key}" must be an integer or null')
         for d in cert.diagonal:
             if not is_integer(d.block):
@@ -594,13 +599,32 @@ def verify_certificate(
             else f"scalars {scalars} do not match nonzero spectrum {eigs}",
         )
 
+    m = len(cert.blocks)
+    rank = limit = None  # an scc certificate records neither
     if cert.kind in ("nilpotent_rank", "increasing_spectrum"):
         s = np.linalg.svd(np.asarray(kernel, dtype=complex), compute_uv=False)
         rank = 0 if s.size == 0 or s[0] == 0.0 else int(np.sum(s > ZERO_TOL * s[0]))
         limit = rank + 1 if cert.kind == "nilpotent_rank" else 2 * rank + 1
-        ok = cert.num_blocks <= limit
+        ok = m <= limit
         checks["block_count_bound"] = CheckResult(
-            ok, f"{cert.num_blocks} blocks > limit {limit}" if ok is False else ""
+            ok, f"{m} blocks > limit {limit}" if ok is False else ""
         )
 
+    recorded = {
+        "bound.m": (cert.num_blocks, m),
+        "bound.limit": (cert.bound, limit),
+        "bound.rank": (cert.rank, rank),
+        "multiplicity_free": (cert.multiplicity_free, all(len(b) == 1 for b in cert.blocks)),
+    }
+    wrong = [
+        f"{key} {_as_json(got)} != {_as_json(want)}"
+        for key, (got, want) in recorded.items()
+        if got != want
+    ]
+    checks["recorded_counts"] = CheckResult(not wrong, "; ".join(wrong))
+
     return VerificationReport(checks)
+
+
+def _as_json(value) -> str:
+    return canonical_dumps(value).rstrip("\n")

@@ -25,8 +25,24 @@ from kerneltri import (
 )
 from kerneltri.operators import ZERO_TOL
 from kerneltri.spaces import mask_indices, nested_chain, standard_pair_masks
-from kerneltri.spectral import inclusion_witness
+from kerneltri.spectral import first_excluded
 from kerneltri.triangular import BlockDiagnosis, TriangularizationCertificate
+
+
+def inclusion_witness(inner: np.ndarray, outer: np.ndarray, tol: float) -> complex | None:
+    """First value of `inner` farther than tol from every value of `outer`
+    (by `first_excluded`); None when every inner value lies within tol of
+    some outer one."""
+    hit = first_excluded(inner, outer, tol)
+    return None if hit is None else complex(inner[hit])
+
+
+def kernel_operator_from_function(space, fn):
+    """Sample a kernel function on the grid midpoints and atom ids, one
+    call per entry: the reference for `volterra_linear`."""
+    coords = list(space.midpoints) + list(space.atom_ids)
+    kernel = np.array([[fn(x, y) for y in coords] for x in coords], dtype=complex)
+    return kernel_operator(space, kernel)
 
 
 def brute_increasing_oracle(matrix: np.ndarray, tol: float = 1e-8) -> bool:

@@ -195,6 +195,26 @@ class TestMoments:
         assert code == 2
         assert text == ""
 
+    def test_empty_sets_are_refused_at_once(self, tmp_path, capsys):
+        # empty sets are disjoint from everything, so nothing else bounds
+        # their number; the report would grow with its square
+        op = write_json(
+            tmp_path,
+            "vol.json",
+            {"kind": "named", "name": "volterra_linear", "cells": 8, "sets": [[]] * 2000},
+        )
+        start = time.perf_counter()
+        code, text = run(tmp_path, "moments", "--in", op)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert text == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def flip_multiplicity_free(cert):
+    return {**cert, "multiplicity_free": not cert["multiplicity_free"]}
+
 
 class TestTriangularize:
     def test_scc(self, tmp_path, example_file):
@@ -272,28 +292,67 @@ class TestTriangularize:
         assert code == 0
         assert json.loads(text)["passed"]
 
-    def test_verify_rejects_tampered_certificate(self, tmp_path, example_file):
-        cert_file = tmp_path / "cert.json"
-        main(
-            [
-                "triangularize",
-                "--in",
-                example_file,
-                "--kind",
-                "increasing",
-                "--out",
-                str(cert_file),
-            ]
+    @pytest.mark.parametrize(
+        "kind, tamper, check",
+        [
+            ("increasing", lambda c: {**c, "blocks": c["blocks"][::-1]}, "residual"),
+            ("increasing", lambda c: {**c, "bound": {**c["bound"], "m": 99}}, "recorded_counts"),
+            ("increasing", lambda c: {**c, "bound": {**c["bound"], "limit": 1}}, "recorded_counts"),
+            ("increasing", lambda c: {**c, "bound": {**c["bound"], "limit": None}}, "recorded_counts"),
+            ("increasing", lambda c: {**c, "bound": {**c["bound"], "rank": 7}}, "recorded_counts"),
+            ("increasing", flip_multiplicity_free, "recorded_counts"),
+            ("nilpotent", lambda c: {**c, "bound": {**c["bound"], "m": 1}}, "recorded_counts"),
+            ("nilpotent", lambda c: {**c, "bound": {**c["bound"], "rank": 0}}, "recorded_counts"),
+            ("nilpotent", flip_multiplicity_free, "recorded_counts"),
+            ("scc", lambda c: {**c, "bound": {**c["bound"], "m": 99}}, "recorded_counts"),
+            ("scc", lambda c: {**c, "bound": {**c["bound"], "limit": 5}}, "recorded_counts"),
+            ("scc", lambda c: {**c, "bound": {**c["bound"], "rank": 2}}, "recorded_counts"),
+            ("scc", flip_multiplicity_free, "recorded_counts"),
+        ],
+        ids=[
+            "increasing-reversed", "increasing-m", "increasing-limit", "increasing-limit-null",
+            "increasing-rank", "increasing-multiplicity-free", "nilpotent-m", "nilpotent-rank",
+            "nilpotent-multiplicity-free", "scc-m", "scc-limit", "scc-rank",
+            "scc-multiplicity-free",
+        ],
+    )
+    def test_verify_rejects_tampered_certificate(self, tmp_path, kind, tamper, check):
+        desc = (
+            {"kind": "named", "name": "volterra_linear", "cells": 4}
+            if kind == "nilpotent"
+            else {"kind": "named", "name": "paper_example_2"}
         )
+        op = write_json(tmp_path, "op.json", desc)
+        cert_file = tmp_path / "cert.json"
+        assert main(["triangularize", "--in", op, "--kind", kind, "--out", str(cert_file)]) == 0
+        code, text = run(tmp_path, "verify", "--in", op, "--cert", str(cert_file))
+        assert code == 0
+        assert json.loads(text)["checks"]["recorded_counts"] == {"passed": True, "detail": ""}
         cert = json.loads(cert_file.read_text())
-        cert["blocks"] = list(reversed(cert["blocks"]))
-        cert_file.write_text(json.dumps(cert))
+        cert_file.write_text(json.dumps(tamper(cert)))
+        code, text = run(tmp_path, "verify", "--in", op, "--cert", str(cert_file))
+        assert code == 1
+        report = json.loads(text)
+        assert not report["passed"]
+        assert not report["checks"][check]["passed"]
+
+    def test_verify_names_every_wrong_count(self, tmp_path):
+        # the scc certificate of paper_example_1 with each recorded count
+        # edited; the classes and the residual are not rechecked
+        op = write_json(tmp_path, "op.json", {"kind": "named", "name": "paper_example_1"})
+        cert = json.loads(Path(_scc_certificate(tmp_path, op)).read_text())
+        assert cert["bound"] == {"m": 3, "limit": None, "rank": None}
+        assert cert["multiplicity_free"] is True
+        cert.update(bound={"m": 99, "limit": 1, "rank": 7}, multiplicity_free=False)
         code, text = run(
-            tmp_path, "verify", "--in", example_file, "--cert", str(cert_file)
+            tmp_path, "verify", "--in", op, "--cert", write_json(tmp_path, "bad.json", cert)
         )
         assert code == 1
-        assert not json.loads(text)["passed"]
-
+        assert json.loads(text)["checks"]["recorded_counts"] == {
+            "passed": False,
+            "detail": "bound.m 99 != 3; bound.limit 1 != null; bound.rank 7 != null; "
+            "multiplicity_free false != true",
+        }
 
     @pytest.mark.parametrize("entry", [float, bool])
     def test_verify_reports_non_integer_block_entries(self, tmp_path, entry):
@@ -392,6 +451,7 @@ class TestErrorsAndDeterminism:
             (lambda c: {**c, "residual": True}, None),
             (lambda c: {**c, "multiplicity_free": 5}, None),
             (lambda c: {**c, "bound": {**c["bound"], "m": "x"}}, None),
+            (lambda c: {**c, "bound": {**c["bound"], "m": None}}, None),
             (lambda c: {**c, "bound": {**c["bound"], "limit": 2.0}}, None),
             (lambda c: {**c, "bound": {**c["bound"], "rank": {}}}, None),
             (lambda c: {**c, "diagonal": [{**c["diagonal"][0], "block": "q"}]}, None),
@@ -426,7 +486,7 @@ class TestErrorsAndDeterminism:
             "blocks-flat", "blocks-null", "diagonal-non-dict", "lambda-number",
             "bound-string", "certificate-list", "certificate-missing-tol", "certificate-kind",
             "tol-string", "tol-nan", "residual-list", "residual-bool", "multiplicity-number",
-            "bound-m-string", "bound-limit-float", "bound-rank-object", "block-string",
+            "bound-m-string", "bound-m-null", "bound-limit-float", "bound-rank-object", "block-string",
             "class-unknown", "lambda-huge-int", "unread-fields",
             "kernel-number", "kernel-dict-entry", "kernel-huge-int", "kernel-string",
             "kernel-numeric-strings", "kernel-bool", "kernel-null", "pair-string", "pair-bool",

@@ -15,20 +15,16 @@ from kerneltri import (
     PreconditionError,
     StandardSet,
     build_space,
-    compress,
-    cycle_product,
     densify,
     factor,
     find_nondegenerate_cycle,
     kernel_operator,
     moment_identities,
     moment_matrix,
-    ncycle_trace_sum,
     sharpness_example,
     sharpness_example_factors,
     shortest_cycle,
     support_digraph,
-    trace_power,
     volterra_linear,
 )
 
@@ -48,8 +44,6 @@ class TestSupportDigraph:
             (3, 4),
             (),
         )
-        assert dg.has_arc(0, 1)
-        assert not dg.has_arc(1, 0)
 
     def test_threshold_cuts_small_entries(self):
         K = atomic_operator([[0.0, 1e-4], [2.0, 0.0]])
@@ -60,23 +54,6 @@ class TestSupportDigraph:
         dg = support_digraph(volterra_linear(8))
         for i, succ in enumerate(dg.successors):
             assert all(j < i for j in succ)
-
-
-class TestCycleProduct:
-    def test_two_cycle(self):
-        K = atomic_operator([[0.0, 2.0], [3.0, 0.0]])
-        assert cycle_product(K, [0, 1]) == pytest.approx(6.0)
-
-    def test_three_cycle_with_signs(self):
-        K = atomic_operator([[0, -1, 0], [0, 0, 2], [5, 0, 0]])
-        assert cycle_product(K, [0, 1, 2]) == pytest.approx(-10.0)
-
-    def test_rejects_degenerate(self):
-        K = atomic_operator(np.eye(2))
-        with pytest.raises(PreconditionError):
-            cycle_product(K, [0])
-        with pytest.raises(PreconditionError):
-            cycle_product(K, [0, 1, 0])
 
 
 class TestFindNondegenerateCycle:
@@ -109,6 +86,14 @@ class TestFindNondegenerateCycle:
         mat[1, 2] = mat[2, 1] = 1.0
         assert find_nondegenerate_cycle(atomic_operator(mat)) == (0, 3)
 
+    def test_signed_three_cycle(self):
+        # k(0, 1) k(1, 2) k(2, 0) = -1 * 2 * 5
+        K = atomic_operator([[0, -1, 0], [0, 0, 2], [5, 0, 0]])
+        cyc = find_nondegenerate_cycle(K)
+        assert cyc == (0, 1, 2)
+        arcs = list(zip(cyc, cyc[1:] + cyc[:1]))
+        assert np.prod([K.kernel_values[a] for a in arcs]) == pytest.approx(-10.0)
+
     def test_found_cycle_has_nonzero_product(self):
         rng = np.random.default_rng(6)
         for _ in range(20):
@@ -116,7 +101,10 @@ class TestFindNondegenerateCycle:
             K = atomic_operator(mat)
             cyc = find_nondegenerate_cycle(K)
             if cyc is not None:
-                assert abs(cycle_product(K, list(cyc))) > 0
+                # k(x_1, x_2) k(x_2, x_3) ... k(x_n, x_1) over distinct points
+                assert len(set(cyc)) == len(cyc) >= 2
+                arcs = list(zip(cyc, cyc[1:] + cyc[:1]))
+                assert abs(np.prod([K.kernel_values[a] for a in arcs])) > 0
 
 
 class TestShortestCycleAgainstReference:
@@ -154,59 +142,6 @@ class TestShortestCycleAgainstReference:
             assert shortest_cycle(support_digraph(K, threshold)) == expected
 
 
-class TestNcycleTraceSum:
-    def test_matches_matrix_power_oracle(self):
-        rng = np.random.default_rng(14)
-        space = build_space(3, [2, 4, 9])
-        kernel = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        K = kernel_operator(space, kernel)
-        sets = [
-            StandardSet.from_indices(space, [0, 3]),
-            StandardSet.from_indices(space, [1, 4]),
-            StandardSet.from_indices(space, [5]),
-        ]
-        dec = ncycle_trace_sum(K, sets)
-        idx = [0, 1, 3, 4, 5]
-        sub = K.entries[np.ix_(idx, idx)]
-        oracle = np.trace(np.linalg.matrix_power(sub, 3))
-        assert dec.total == pytest.approx(oracle, abs=1e-10)
-        assert dec.residual < 1e-10
-        assert dec.total == pytest.approx(dec.atom_part + dec.remainder)
-
-    def test_atom_part_on_diagonal_atoms(self):
-        space = build_space(0, [2, 3])
-        K = kernel_operator(space, np.diag([2.0, 3.0]).astype(complex))
-        sets = [
-            StandardSet.from_indices(space, [0]),
-            StandardSet.from_indices(space, [1]),
-        ]
-        dec = ncycle_trace_sum(K, sets)
-        assert dec.atom_part == pytest.approx(2.0**2 + 3.0**2)
-        assert dec.remainder == pytest.approx(0.0, abs=1e-12)
-
-    def test_nilpotent_instance_vanishes(self):
-        rng = np.random.default_rng(40)
-        kfr, blocks = random_nilpotent_instance(rng)
-        K = densify(kfr)
-        sets = [StandardSet.from_indices(K.space, b) for b in blocks[:3]]
-        dec = ncycle_trace_sum(K, sets)
-        assert abs(dec.total) < 1e-8 * K.scale**3
-        assert dec.residual < 1e-8 * K.scale**3
-
-    def test_rejects_overlapping_sets(self):
-        K = sharpness_example(2)
-        a = StandardSet.from_indices(K.space, [0, 1])
-        b = StandardSet.from_indices(K.space, [1, 2])
-        with pytest.raises(PreconditionError):
-            ncycle_trace_sum(K, [a, b])
-
-    def test_rejects_bad_length(self):
-        K = sharpness_example(2)
-        a = StandardSet.from_indices(K.space, [0])
-        with pytest.raises(PreconditionError):
-            ncycle_trace_sum(K, [a])
-
-
 class TestMomentMatrix:
     def test_additive_over_disjoint_sets(self):
         rng = np.random.default_rng(33)
@@ -215,16 +150,16 @@ class TestMomentMatrix:
         half = space.size // 2
         a = StandardSet.from_indices(space, range(half))
         b = StandardSet.from_indices(space, range(half, space.size))
-        ma = moment_matrix(kfr, a).values
-        mb = moment_matrix(kfr, b).values
-        mab = moment_matrix(kfr, a.union(b)).values
+        ma = moment_matrix(kfr, a)
+        mb = moment_matrix(kfr, b)
+        mab = moment_matrix(kfr, a.union(b))
         np.testing.assert_allclose(ma + mb, mab, atol=1e-12)
 
     def test_trace_vanishes_when_diagonal_does(self):
         rng = np.random.default_rng(34)
         kfr, _ = random_nilpotent_instance(rng)
         E = StandardSet.full(kfr.space)
-        assert abs(moment_matrix(kfr, E).trace()) < 1e-10
+        assert abs(np.trace(moment_matrix(kfr, E))) < 1e-10
 
     def test_precondition_on_planted_diagonal(self):
         space = build_space(0, [2, 3])
@@ -243,7 +178,8 @@ class TestMomentMatrix:
         kfr = factor(densify(sharpness_example_factors(2)))
         # diagonal of the example is nonzero at points 1 and 3
         E = StandardSet.from_indices(kfr.space, [0, 2, 4])
-        m = moment_matrix(kfr, E).values
+        m = moment_matrix(kfr, E)
+        assert m.shape == (kfr.rank, kfr.rank)
         w = kfr.space.weights
         oracle = sum(np.outer(kfr.G[i], kfr.F[i]) * w[i] for i in (0, 2, 4))
         np.testing.assert_allclose(m, oracle, atol=1e-12)
@@ -277,6 +213,11 @@ class TestMomentIdentities:
         full = StandardSet.full(kfr.space)
         with pytest.raises(PreconditionError):
             moment_identities(kfr, [full, full])
+        # the first and the last set share a point, the middle one neither
+        kfr = sharpness_example_factors(2)
+        sets = [StandardSet.from_indices(kfr.space, idx) for idx in ([0], [2], [4, 0])]
+        with pytest.raises(PreconditionError, match="pairwise disjoint"):
+            moment_identities(kfr, sets)
 
     def test_rejects_overflowing_factors_without_warnings(self):
         # finite factors whose product F @ G.T overflows to inf

@@ -20,7 +20,6 @@ from conftest import (
 from kerneltri import (
     PreconditionError,
     StandardSet,
-    atomic_vs_full_spectrum,
     build_space,
     check_increasing_spectrum,
     compress,
@@ -28,7 +27,6 @@ from kerneltri import (
     kernel_operator,
     nested_chain,
     ones_kernel,
-    quasinilpotence_dichotomy,
     radius_profile,
     sharpness_example,
     volterra_linear,
@@ -386,60 +384,3 @@ class TestRadiusProfile:
         with pytest.raises(PreconditionError):
             radius_profile(kernel_operator(space, np.zeros((4, 4), dtype=complex)),
                            [chain[2], chain[1]])
-
-
-class TestQuasinilpotenceDichotomy:
-    def test_volterra_consistent(self):
-        K = volterra_linear(64)
-        report = quasinilpotence_dichotomy(K, nested_chain(K.space, 16))
-        assert report.inclusion_holds
-        assert report.radius <= 1e-8
-        assert report.consistent
-
-    def test_rank_one_kernel_breaks_inclusion(self):
-        K = ones_kernel(64)
-        report = quasinilpotence_dichotomy(K, nested_chain(K.space, 16))
-        assert not report.inclusion_holds  # r(P_t K P_t) = t is not in sigma(K)
-        assert report.consistent
-
-    def test_zero_operator_trivially_consistent(self):
-        space = build_space(8)
-        K = kernel_operator(space, np.zeros((8, 8), dtype=complex))
-        report = quasinilpotence_dichotomy(K, nested_chain(space, 4))
-        assert report.inclusion_holds and report.consistent
-
-    def test_rejects_atoms(self):
-        space = build_space(2, [2])
-        K = kernel_operator(space, np.zeros((3, 3), dtype=complex))
-        with pytest.raises(PreconditionError):
-            quasinilpotence_dichotomy(K, [StandardSet.empty(space)])
-
-
-class TestAtomicVsFullSpectrum:
-    def test_purely_atomic_trivial(self):
-        K = atomic_operator(np.diag([1.0, 2.0]))
-        report = atomic_vs_full_spectrum(K)
-        assert report.passed
-        assert report.cells_report is None
-
-    def test_triangular_cells_with_atom_diagonal(self):
-        space = build_space(2, [2, 3])
-        kernel = np.zeros((4, 4), dtype=complex)
-        kernel[0, 1] = 1.0
-        kernel[0, 2] = 0.5  # coupling above the diagonal is fine
-        kernel[2, 2] = 2.0
-        kernel[3, 3] = 3.0
-        K = kernel_operator(space, kernel)
-        report = atomic_vs_full_spectrum(K)
-        assert report.passed
-        assert report.cells_report.quasinilpotent
-
-    def test_planted_violation_in_cells(self):
-        space = build_space(2, [2])
-        kernel = np.zeros((3, 3), dtype=complex)
-        kernel[0, 0] = kernel[1, 1] = 2.0  # cell block is the identity * 2/w
-        kernel[2, 2] = 1.0
-        K = kernel_operator(space, kernel)
-        report = atomic_vs_full_spectrum(K)
-        assert not report.passed
-        assert not report.cells_report.quasinilpotent

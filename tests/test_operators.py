@@ -4,7 +4,11 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import random_hybrid_instance, random_nilpotent_instance
+from conftest import (
+    kernel_operator_from_function,
+    random_hybrid_instance,
+    random_nilpotent_instance,
+)
 
 from kerneltri import (
     DimensionMismatchError,
@@ -18,16 +22,13 @@ from kerneltri import (
     densify,
     factor,
     kernel_operator,
-    kernel_operator_from_function,
     moment_identities,
     modulus,
     numerical_rank,
     sharpness_example,
     sharpness_example_factors,
-    split_atom_diagonal,
     trace,
     trace_power,
-    trace_split,
     volterra_linear,
 )
 from kerneltri.operators import ZERO_TOL, magnitude
@@ -209,7 +210,9 @@ class TestTrace:
         space = build_space(3, [2, 4])
         rng = np.random.default_rng(9)
         K = kernel_operator(space, rng.standard_normal((5, 5)).astype(complex))
-        c, a = trace_split(K)
+        atoms = StandardSet.from_indices(space, range(space.num_cells, space.size))
+        c = trace(compress(K, atoms.complement()))
+        a = trace(compress(K, atoms))
         assert c + a == pytest.approx(trace(K))
 
     def test_trace_respects_weights(self):
@@ -242,38 +245,37 @@ class TestTracePower:
             for n in range(1, 7):
                 assert trace_power(K, n) == pytest.approx((eig**n).sum(), abs=1e-8 * p)
 
+    def test_compression_matches_matrix_power_oracle(self):
+        # the sum over all words of tr(P_1 K P_2 K P_3 K) for disjoint P_i is
+        # the trace of the third power of the compression to their union
+        rng = np.random.default_rng(14)
+        space = build_space(3, [2, 4, 9])
+        kernel = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        K = kernel_operator(space, kernel)
+        idx = [0, 1, 3, 4, 5]
+        sub = K.entries[np.ix_(idx, idx)]
+        oracle = np.trace(np.linalg.matrix_power(sub, 3))
+        E = StandardSet.from_indices(space, idx)
+        assert trace_power(compress(K, E), 3) == pytest.approx(oracle, abs=1e-10)
+
+    def test_diagonal_atoms_give_power_sums(self):
+        space = build_space(0, [2, 3])
+        K = kernel_operator(space, np.diag([2.0, 3.0]).astype(complex))
+        assert trace_power(K, 2) == pytest.approx(2.0**2 + 3.0**2)
+
+    def test_nilpotent_compressions_vanish(self):
+        rng = np.random.default_rng(40)
+        kfr, blocks = random_nilpotent_instance(rng)
+        K = densify(kfr)
+        E = StandardSet.from_indices(K.space, [i for b in blocks[:3] for i in b])
+        for n in (1, 2, 3):
+            assert abs(trace_power(compress(K, E), n)) < 1e-8 * K.scale**n
+
     def test_cyclic_invariance(self):
         rng = np.random.default_rng(17)
         a = rng.standard_normal((5, 5))
         b = rng.standard_normal((5, 5))
         assert np.trace(a @ b) == pytest.approx(np.trace(b @ a))
-
-
-class TestSplitAtomDiagonal:
-    def test_purely_continuous(self):
-        space = build_space(4)
-        rng = np.random.default_rng(1)
-        K = kernel_operator(space, rng.standard_normal((4, 4)).astype(complex))
-        G, D = split_atom_diagonal(K)
-        np.testing.assert_array_equal(D.kernel_values, np.zeros((4, 4)))
-        np.testing.assert_array_equal(G.kernel_values, K.kernel_values)
-
-    def test_purely_atomic_diagonal(self):
-        K = atomic_operator(np.diag([1.0, 2.0]))
-        G, D = split_atom_diagonal(K)
-        np.testing.assert_array_equal(G.kernel_values, np.zeros((2, 2)))
-        np.testing.assert_array_equal(D.kernel_values, K.kernel_values)
-
-    def test_hybrid(self):
-        space = build_space(2, [2])
-        kernel = np.ones((3, 3), dtype=complex)
-        kernel[2, 2] = 5.0
-        K = kernel_operator(space, kernel)
-        G, D = split_atom_diagonal(K)
-        assert D.kernel_values[2, 2] == 5.0
-        assert np.count_nonzero(D.kernel_values) == 1
-        assert G.kernel_values[2, 2] == 0.0
-        np.testing.assert_array_equal(G.kernel_values + D.kernel_values, kernel)
 
 
 class TestExhaustiveTraceCompress:

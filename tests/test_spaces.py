@@ -10,10 +10,8 @@ from conftest import reference_nested_chain
 from kerneltri import (
     MeasureSpace,
     SpaceError,
-    ExhaustiveCheckInfeasibleError,
     StandardSet,
     build_space,
-    enumerate_standard_pairs,
     nested_chain,
 )
 from kerneltri.spaces import level_mask_indices, level_pair_table, mask_indices, standard_pair_masks
@@ -94,18 +92,13 @@ class TestStandardSet:
             a.union(b)
 
 
-class TestEnumerateStandardPairs:
+class TestStandardPairMasks:
     def test_single_point_gives_three_pairs(self):
-        space = build_space(1)
-        pairs = list(enumerate_standard_pairs(space))
-        assert len(pairs) == 3
-        sizes = {(e.size, f.size) for e, f in pairs}
-        assert sizes == {(0, 0), (0, 1), (1, 1)}
+        assert list(standard_pair_masks(1)) == [(0, 0), (0, 1), (1, 1)]
 
     def test_two_points_give_nine_pairs(self):
         # brute-force count: all (E, F) with E subset of F
-        space = build_space(2)
-        pairs = list(enumerate_standard_pairs(space))
+        pairs = list(standard_pair_masks(2))
         assert len(pairs) == 9
         brute = sum(
             1
@@ -117,18 +110,15 @@ class TestEnumerateStandardPairs:
 
     @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
     def test_count_and_uniqueness(self, p):
-        space = build_space(p)
         seen = set()
-        for e, f in enumerate_standard_pairs(space):
-            assert e.issubset(f)
-            key = (e.mask, f.mask)
-            assert key not in seen
-            seen.add(key)
+        for e, f in standard_pair_masks(p):
+            assert e & ~f == 0
+            assert (e, f) not in seen
+            seen.add((e, f))
         assert len(seen) == 3**p
 
     def test_twelve_point_count(self):
-        space = build_space(12)
-        count = sum(1 for _ in enumerate_standard_pairs(space, max_points=12))
+        count = sum(1 for _ in standard_pair_masks(12))
         assert count == 531441 == 3**12
 
     @pytest.mark.parametrize("p", [0, 1, 2, 3, 4, 5])
@@ -152,12 +142,6 @@ class TestEnumerateStandardPairs:
             ]
             assert got == [(mask_indices(a, p), mask_indices(b, p)) for a, b in pairs[: 3**m]]
             assert all(min(i for i in fi) >= p - m for _, fi in got if fi)
-
-    def test_size_overflow(self):
-        space = build_space(13)
-        with pytest.raises(ExhaustiveCheckInfeasibleError) as err:
-            next(enumerate_standard_pairs(space, max_points=12))
-        assert err.value.pair_count == 3**13
 
 
 class TestNestedChain:

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from conftest import inclusion_witness
+
 from kerneltri import (
     PreconditionError,
     StandardSet,
@@ -10,9 +12,8 @@ from kerneltri import (
     kernel_operator,
     nonzero_eigen_match,
     sharpness_example,
-    spectrum_subset,
 )
-from kerneltri.spectral import first_excluded, inclusion_witness
+from kerneltri.spectral import first_excluded
 
 
 def atomic_operator(matrix):
@@ -28,7 +29,7 @@ class TestEigenvalues:
         np.testing.assert_allclose(vals, [0, 0, 0, 1, 1], atol=1e-12)
         assert rep.radius == pytest.approx(1.0)
         assert not rep.quasinilpotent
-        assert rep.dimension == 5
+        assert len(rep.eigenvalues) == 5
 
     def test_diagonal(self):
         rep = eigenvalues(atomic_operator(np.diag([3.0, -1.0])))
@@ -43,7 +44,7 @@ class TestEigenvalues:
         K = atomic_operator(np.diag([1.0, 2.0]))
         empty = compress(K, StandardSet.empty(K.space))
         rep = eigenvalues(empty)
-        assert rep.dimension == 0
+        assert len(rep.eigenvalues) == 0
         assert rep.radius == 0.0
         assert rep.quasinilpotent
 
@@ -62,36 +63,40 @@ class TestEigenvalues:
         np.testing.assert_allclose(got, want, atol=1e-8)
 
 
-class TestSpectrumSubset:
+def excluded(inner, outer, tol):
+    """First eigenvalue of the report `inner` that no eigenvalue of the
+    report `outer` is within tol of, or None."""
+    return inclusion_witness(np.array(inner.eigenvalues), np.array(outer.eigenvalues), tol)
+
+
+class TestSpectrumInclusion:
     def test_subset_holds(self):
         inner = eigenvalues(atomic_operator(np.diag([0.0])))
         outer = eigenvalues(atomic_operator(np.diag([0.0, 1.0])))
-        assert spectrum_subset(inner, outer, 1e-8)
+        assert excluded(inner, outer, 1e-8) is None
 
     def test_witness_on_failure(self):
         inner = eigenvalues(atomic_operator(np.diag([0.5])))
         outer = eigenvalues(atomic_operator(np.diag([0.0, 1.0])))
-        res = spectrum_subset(inner, outer, 1e-8)
-        assert not res
-        assert res.witness == pytest.approx(0.5)
+        assert excluded(inner, outer, 1e-8) == pytest.approx(0.5)
 
     def test_leading_compression_of_sharpness_example(self):
         K = sharpness_example(2)
         inner = eigenvalues(compress(K, StandardSet.from_indices(K.space, [0, 1, 2, 3])))
         outer = eigenvalues(K)
-        assert spectrum_subset(inner, outer, 1e-8)
+        assert excluded(inner, outer, 1e-8) is None
 
     def test_reflexive(self):
         rng = np.random.default_rng(8)
         rep = eigenvalues(atomic_operator(rng.standard_normal((5, 5))))
-        assert spectrum_subset(rep, rep, 1e-10)
+        assert excluded(rep, rep, 1e-10) is None
 
     def test_set_semantics_ignores_multiplicity(self):
         inner = eigenvalues(atomic_operator(np.diag([1.0, 1.0, 1.0])))
         outer = eigenvalues(atomic_operator(np.diag([1.0, 0.0])))
         # inner has eigenvalue 1 three times, outer once: still included
-        assert spectrum_subset(inner, outer, 1e-8)
-        assert not spectrum_subset(outer, inner, 1e-8)  # 0 is missing
+        assert excluded(inner, outer, 1e-8) is None
+        assert excluded(outer, inner, 1e-8) == 0.0  # 0 is missing
 
 
 class TestFirstExcluded:
@@ -148,6 +153,18 @@ class TestNonzeroEigenMatch:
         K = kernel_operator(space, kernel)
         atoms = StandardSet.from_indices(space, [2, 3])
         assert nonzero_eigen_match(K, compress(K, atoms), 1e-8)
+
+    def test_cell_spectrum_breaks_the_match(self):
+        # the cell block is 2/w times the identity: its spectrum is not in
+        # the atom compression's, and the cells are not quasinilpotent
+        space = build_space(2, [2])
+        kernel = np.zeros((3, 3), dtype=complex)
+        kernel[0, 0] = kernel[1, 1] = 2.0
+        kernel[2, 2] = 1.0
+        K = kernel_operator(space, kernel)
+        atoms = StandardSet.from_indices(space, [2])
+        assert not nonzero_eigen_match(K, compress(K, atoms), 1e-8)
+        assert not eigenvalues(compress(K, atoms.complement())).quasinilpotent
 
     def test_mismatch_reports_values(self):
         K1 = atomic_operator(np.diag([1.0, 5.0]))
