@@ -39,7 +39,6 @@ from .cycles import (
     SupportDigraph,
     find_nondegenerate_cycle,
     moment_identities,
-    moment_matrix,
     shortest_cycle,
     support_digraph,
 )

@@ -11,7 +11,7 @@ from scipy.sparse import csr_array
 from scipy.sparse.csgraph import connected_components, shortest_path
 
 from .errors import PreconditionError
-from .operators import FiniteRankOperator, Operator, ZERO_TOL, magnitude
+from .operators import FiniteRankOperator, Operator, ZERO_TOL, densify, magnitude
 from .spaces import StandardSet
 
 
@@ -89,29 +89,23 @@ def shortest_cycle(dg: SupportDigraph) -> tuple[int, ...] | None:
     return tuple(cycle)
 
 
-def moment_matrix(
-    kfr: FiniteRankOperator, E: StandardSet, tol: float = 1e-8
-) -> np.ndarray:
-    """M(E) = sum_{x in E} G(x) F(x)^t w(x), an n×n array for a rank-n
-    factored kernel. Requires the densified kernel diagonal to vanish on E."""
-    if E.space != kfr.space:
-        raise PreconditionError("standard set over a different space")
-    kernel = kfr.kernel_matrix()
-    scale = magnitude(kernel)
-    idx = list(E.indices())
-    diag = np.abs(np.diag(kernel)[idx]) if idx else np.empty(0)
-    if diag.size and diag.max() > tol * scale:
-        bad = idx[int(diag.argmax())]
-        raise PreconditionError(
-            f"kernel diagonal does not vanish on the set: |k(x,x)| = "
-            f"{diag.max():.3e} at point {bad}"
-        )
-    w = kfr.space.weights
-    n = kfr.rank
-    m = np.zeros((n, n), dtype=complex)
-    for i in idx:
-        m += np.outer(kfr.G[i], kfr.F[i]) * w[i]
-    return m
+def acyclic_suffix(entries: np.ndarray) -> int:
+    """Largest m such that the exactly nonzero off-diagonal entries of the
+    square array `entries` among its last m points form no cycle.
+
+    Warshall's closure takes the points as pivots from the last one down:
+    once p-1 .. v+1 are taken, reach[i, j] says that some path i -> j
+    runs through those points only, so point v closes a cycle with them
+    exactly when reach[v, v] holds.
+    """
+    p = entries.shape[0]
+    reach = entries != 0
+    np.fill_diagonal(reach, False)
+    for m, v in enumerate(range(p - 1, -1, -1)):
+        if reach[v, v]:
+            return m
+        reach |= reach[:, v, None] & reach[v]
+    return p
 
 
 @dataclass(frozen=True)
@@ -139,26 +133,46 @@ class MomentResidualReport:
 def moment_identities(
     kfr: FiniteRankOperator, sets: list[StandardSet], tol: float = 1e-9
 ) -> MomentResidualReport:
-    """Residuals |tr(M(E)^2)| per set and |tr(M(E) M(F))| per pair; for
-    operators with nilpotent standard compressions all must vanish."""
+    """Residuals |tr(M(E)^2)| per set and |tr(M(E) M(F))| per pair, where
+    M(E) = sum_{x in E} G(x) F(x)^t w(x); for operators with nilpotent
+    standard compressions all must vanish. The densified kernel diagonal
+    must vanish on every set.
+
+    tr(M(E) M(F)) = sum_{x in E, y in F} a[x,y] a[y,x] over the weighted
+    entries a, so every residual is read off the one product
+    S^t (a ⊙ a^t) S, where column c of S is the 0/1 membership of set c.
+    """
     union = 0
     for s in sets:
         if union & s.mask:
             raise PreconditionError("sets must be pairwise disjoint")
         union |= s.mask
-    scale = magnitude(kfr.kernel_matrix())
-    moments = [moment_matrix(kfr, s, tol=max(tol, ZERO_TOL)) for s in sets]
-    squares = tuple(float(abs(np.trace(m @ m))) for m in moments)
-    crosses = []
-    for i in range(len(moments)):
-        for j in range(i + 1, len(moments)):
-            r = float(abs(np.trace(moments[i] @ moments[j])))
-            crosses.append((i, j, r))
-    residuals = list(squares) + [r for _, _, r in crosses]
-    max_res = max(residuals, default=0.0)
+    if any(s.space != kfr.space for s in sets):
+        raise PreconditionError("standard set over a different space")
+    K = densify(kfr)
+    scale = magnitude(K.kernel_values)
+    members = np.zeros((K.size, len(sets)), dtype=bool)
+    for c, s in enumerate(sets):
+        members[list(s.indices()), c] = True
+    # |k(x,x)| of the members of each set, 0 elsewhere
+    diag = np.where(members, np.abs(np.diagonal(K.kernel_values))[:, None], 0.0)
+    bad = np.flatnonzero(diag.max(axis=0, initial=0.0) > max(tol, ZERO_TOL) * scale)
+    if bad.size:
+        point = int(diag[:, bad[0]].argmax())
+        raise PreconditionError(
+            f"kernel diagonal does not vanish on the set: |k(x,x)| = "
+            f"{diag[point, bad[0]]:.3e} at point {point}"
+        )
+    a = K.entries
+    rows, cols = np.triu_indices(len(sets))
+    residuals = np.abs(members.T @ (a * a.T) @ members)[rows, cols]
+    cross = rows != cols
+    squares = tuple(residuals[~cross].tolist())
+    crosses = tuple(zip(rows[cross].tolist(), cols[cross].tolist(), residuals[cross].tolist()))
+    max_res = float(residuals.max(initial=0.0))
     return MomentResidualReport(
         square_residuals=squares,
-        cross_residuals=tuple(crosses),
+        cross_residuals=crosses,
         max_residual=max_res,
         tol=tol,
         scale=scale,

@@ -8,11 +8,11 @@ nested cell chain plus seeded random pairs).
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
+from .cycles import acyclic_suffix
 from .errors import PreconditionError
 from .operators import Operator, compress
 from .spaces import (
@@ -30,7 +30,6 @@ from .spectral import (
     block_size,
     eigenvalues,
     first_excluded,
-    nearest_distances,
     subset_spectra,
 )
 
@@ -75,6 +74,8 @@ def _sampled_check(K: Operator, tol: float, samples: int, seed: int) -> Property
         dtype=np.intp,
     )
     e_len, f_len = (prefixes[i] for i in np.triu_indices(prefixes.size, 1))
+    if acyclic_suffix(K.entries) == p:
+        return PropertyReport(True, e_len.size + samples, False, tol)
     rng = np.random.default_rng(seed)
     # the first block holds the chain pairs, or one sample when there are none
     for lo, hi in block_ranges(e_len.size + samples, p, max(1, e_len.size)):
@@ -102,23 +103,6 @@ def _sampled_check(K: Operator, tol: float, samples: int, seed: int) -> Property
     return PropertyReport(True, e_len.size + samples, False, tol)
 
 
-#: relative slack of the covering proof: covers the rounding of each
-#: computed |z - y|, of the chain sum and of m·w, all far below 1e-12
-_PROOF_SLACK = 1e-12
-#: levels always scanned; the covering proof is first tried one level later
-_SCANNED_LEVELS = 4
-
-
-@functools.cache
-def _covering_pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Level masks (E, F) of the covering pairs E = F∖{i} of level m with
-    E nonempty: F lies in T_m and holds its first point and i."""
-    f = np.arange(1 << (m - 1), 1 << m)
-    bits = (f[:, None] >> np.arange(m)) & 1
-    cover_f = [f[(bits[:, j] == 1) & (bits.sum(axis=1) > 1)] for j in range(m)]
-    return np.concatenate([g ^ (1 << j) for j, g in enumerate(cover_f)]), np.concatenate(cover_f)
-
-
 def _pair_chunks(lo: int, hi: int, m: int):
     """Pairs number lo..hi-1, all over T_m with lo a power of 3, in
     enumeration order and in blocks of at most block_size(m) pairs:
@@ -143,10 +127,11 @@ def _pair_chunks(lo: int, hi: int, m: int):
 def _exhaustive_check(K: Operator, tol: float) -> PropertyReport:
     """The exhaustive path of :func:`check_increasing_spectrum`."""
     p = K.size
-    if p == 0:
-        return PropertyReport(True, 1, True, tol)  # the one pair (∅, ∅)
-    tol_eff = tol * K.scale
     entries = K.entries
+    suffix = acyclic_suffix(entries)
+    if suffix == p:
+        return PropertyReport(True, 3**p, True, tol)
+    tol_eff = tol * K.scale
     # spectra per level mask of T_m, one row of m columns each, padded with
     # NaN (row 0 is the empty set); it grows by one level at a time, so a
     # witness found at level m costs only the 2^m subsets of T_m
@@ -161,18 +146,12 @@ def _exhaustive_check(K: Operator, tol: float) -> PropertyReport:
             grown[lmasks, :s] = np.linalg.eigvals(entries[idx[:, :, None], idx[:, None, :]])
         spec = grown
 
-    def covering_margin(k: int) -> float:
-        """Worst margin over the covering pairs of level k."""
-        cover_e, cover_f = _covering_pairs(k)
-        step = block_size(spec.shape[1])
-        worst = 0.0
-        for i in range(0, cover_e.size, step):
-            dist = nearest_distances(spec[cover_e[i : i + step]], spec[cover_f[i : i + step]])
-            worst = max(worst, float(np.fmax.reduce(dist, axis=None)))
-        return worst
-
-    def scan(lo: int, hi: int, m: int) -> PropertyReport | None:
-        for number, e, f in _pair_chunks(lo, hi, m):
+    # the pairs up to level `suffix` hold, so the scan starts one level later
+    low = 0
+    for m in range(suffix + 1, p + 1):
+        add_level(low, m)
+        low = m
+        for number, e, f in _pair_chunks(3 ** (m - 1), 3**m, m):
             hit = first_excluded(spec[e], spec[f], tol_eff)
             if hit is not None:
                 row, col = divmod(hit, m)
@@ -183,24 +162,6 @@ def _exhaustive_check(K: Operator, tol: float) -> PropertyReport:
                     complex(spec[e_lmask, col]),
                 )
                 return PropertyReport(False, number + row + 1, True, tol, witness)
-        return None
-
-    worst = 0.0  # worst covering margin of the levels up to `measured`
-    measured = 1  # level 1 has no covering pair with E nonempty
-    proven = True
-    # levels 1 and 2 (9 pairs) come as one; up to _SCANNED_LEVELS a scan
-    # costs no more than a proof, and finds an early witness sooner
-    for low, m in [(0, min(p, 2))] + [(m - 1, m) for m in range(3, p + 1)]:
-        add_level(low, m)
-        if proven and m > _SCANNED_LEVELS:
-            worst = max([worst] + [covering_margin(k) for k in range(measured + 1, m + 1)])
-            measured = m
-            proven = m * worst * (1.0 + _PROOF_SLACK) <= tol_eff
-            if proven:
-                continue
-        report = scan(3**low, 3**m, m)
-        if report is not None:
-            return report
     return PropertyReport(True, 3**p, True, tol)
 
 
@@ -215,30 +176,30 @@ def check_increasing_spectrum(
     eigenvalue of the inner compression within tol * K.scale of one of
     the outer.
 
+    Both paths first take :func:`acyclic_suffix` of K.entries: a
+    compression whose exactly nonzero off-diagonal entries form no cycle
+    is triangular up to a permutation, so its spectrum is its diagonal and
+    every pair inside its points holds at distance 0.
+
     Exhaustive for spaces with at most `max_points` points. In the order
     of :func:`standard_pair_masks` the first 3^m pairs are those over the
-    last m points T_m = {p-m, ..., p-1}, so the check goes level by level,
-    m = 1..p, level m adding the pairs whose F holds point p-m. Each level
-    eigen-decomposes its 2^(m-1) new subsets in one stacked call per
-    subset size; only the spectra of the subsets of T_m are held, so a
-    witness found at level m costs 2^m subsets however large p is. From
-    level 5 on, while no earlier attempt failed, it takes the worst margin
-    w over all covering pairs (F∖{i}, F) inside T_m: a pair E ⊆ F inside
-    T_m differs by at most m points, so m·w <= tol (with a relative slack
-    of 1e-12 for rounding) proves every pair up to level m by the triangle
-    inequality. Otherwise the level's pairs are scanned exactly in
-    enumeration order with :func:`first_excluded`, in vectorized blocks of
-    bounded size, and so are all later levels; levels 1 to 4 are always
-    scanned, as there a scan finds the early witnesses of most violators
-    for less than a proof costs. The reported witness on failure is the
-    first violating pair in enumeration order (the lexicographically
+    last m points T_m = {p-m, ..., p-1}, so level m (m = 1..p) adds the
+    pairs whose F holds point p-m. The levels up to the acyclic suffix
+    hold, all p of them on an acyclic support; each later level
+    eigen-decomposes its new subsets in one stacked call per subset size
+    and scans its pairs exactly, in enumeration order and in vectorized
+    blocks of bounded size, with :func:`first_excluded`. Only the spectra
+    of the subsets of T_m are held, so a witness found at level m costs
+    2^m subsets however large p is. The reported witness on failure is
+    the first violating pair in enumeration order (the lexicographically
     minimal one), and `pairs_checked` counts the pairs decided: up to and
     including the witness, or all 3^p on a pass.
 
     Larger spaces fall back to the sampled mode, and the report carries
     exhaustive=False. Its pairs are those along the nested cell chain,
     then `samples` seeded random pairs E ⊆ F (per sample F's bits, then
-    the bits kept in E). They are decided in blocks (see
+    the bits kept in E). All of them hold on an acyclic support;
+    otherwise they are decided in blocks (see
     :func:`block_ranges`): the first holds the chain pairs (one sample
     when there are none), each next one twice as many pairs, up to
     `block_size(p)`. Each block

@@ -67,23 +67,16 @@ def eigenvalues(K: Operator, tol: float = DEFAULT_TOL) -> SpectrumReport:
     )
 
 
-def nearest_distances(inner: np.ndarray, outer: np.ndarray) -> np.ndarray:
-    """Distance from each value of `inner` to the nearest value of
-    `outer`, row by row over any leading axes (inner (..., a), outer
-    (..., b)). NaN entries are padding: a padded inner value gets NaN, a
-    row of `outer` without values gives inf, and NaN never meets inf."""
-    dist = np.fmin.reduce(
-        np.abs(inner[..., :, None] - outer[..., None, :]), axis=-1, initial=np.inf
-    )
-    return np.where(np.isnan(inner), np.nan, dist)
-
-
 def first_excluded(inner: np.ndarray, outer: np.ndarray, tol: float) -> int | None:
     """Flat index into `inner` of its first value, in row-major order,
     that lies farther than tol from every value of the matching row of
-    `outer` (padding as in :func:`nearest_distances`); None when there is
-    none."""
-    bad = np.flatnonzero(nearest_distances(inner, outer) > tol)
+    `outer` (inner (..., a), outer (..., b)); None when there is none.
+    NaN entries are padding: a padded inner value is never excluded, and
+    a row of `outer` without values excludes every value of `inner`."""
+    dist = np.fmin.reduce(
+        np.abs(inner[..., :, None] - outer[..., None, :]), axis=-1, initial=np.inf
+    )
+    bad = np.flatnonzero((dist > tol) & ~np.isnan(inner))
     return int(bad[0]) if bad.size else None
 
 

@@ -37,6 +37,41 @@ def inclusion_witness(inner: np.ndarray, outer: np.ndarray, tol: float) -> compl
     return None if hit is None else complex(inner[hit])
 
 
+def moment_matrix(kfr, E, tol: float = 1e-8) -> np.ndarray:
+    """M(E) = sum_{x in E} G(x) F(x)^t w(x), an n×n array for a rank-n
+    factored kernel, as a loop over the points of E; requires the
+    densified kernel diagonal to vanish on E. The reference for the
+    residuals of `moment_identities`, which it reads off one p×p product
+    instead of one moment matrix per set."""
+    if E.space != kfr.space:
+        raise PreconditionError("standard set over a different space")
+    kernel = kfr.kernel_matrix()
+    scale = max(1.0, float(np.abs(kernel).max(initial=0.0)))
+    idx = list(E.indices())
+    diag = np.abs(np.diag(kernel)[idx]) if idx else np.empty(0)
+    if diag.size and diag.max() > tol * scale:
+        bad = idx[int(diag.argmax())]
+        raise PreconditionError(
+            f"kernel diagonal does not vanish on the set: |k(x,x)| = "
+            f"{diag.max():.3e} at point {bad}"
+        )
+    w = kfr.space.weights
+    m = np.zeros((kfr.rank, kfr.rank), dtype=complex)
+    for i in idx:
+        m += np.outer(kfr.G[i], kfr.F[i]) * w[i]
+    return m
+
+
+def forbid_eigenvalues(monkeypatch) -> None:
+    """Make every `np.linalg.eigvals` call fail, for tests of decisions
+    that must need no eigen-decomposition."""
+
+    def refuse(a):
+        raise AssertionError("eigen-decomposed a compression")
+
+    monkeypatch.setattr(np.linalg, "eigvals", refuse)
+
+
 def kernel_operator_from_function(space, fn):
     """Sample a kernel function on the grid midpoints and atom ids, one
     call per entry: the reference for `volterra_linear`."""
@@ -361,6 +396,27 @@ def reference_shortest_cycle(K, threshold=None) -> tuple[int, ...] | None:
         if cyc is not None:
             return cyc
     return None
+
+
+def reference_acyclic_suffix(entries: np.ndarray) -> int:
+    """The largest m whose last m points carry no cycle of exactly nonzero
+    off-diagonal entries, by peeling each suffix in turn, the longest
+    first: drop the points that no other remaining point has an arc into
+    until none is left (acyclic) or none can go (a cycle). The reference
+    for `acyclic_suffix`, which grows one Warshall closure instead."""
+    p = entries.shape[0]
+    for m in range(p, 0, -1):
+        remaining = set(range(p - m, p))
+        while True:
+            sources = {
+                j for j in remaining if all(entries[i, j] == 0 for i in remaining if i != j)
+            }
+            if not sources:
+                break
+            remaining -= sources
+        if not remaining:
+            return m
+    return 0
 
 
 def reference_chain_invariant(K, blocks, tol: float = 1e-8) -> tuple[bool, str]:

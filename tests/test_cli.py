@@ -308,12 +308,16 @@ class TestTriangularize:
             ("scc", lambda c: {**c, "bound": {**c["bound"], "limit": 5}}, "recorded_counts"),
             ("scc", lambda c: {**c, "bound": {**c["bound"], "rank": 2}}, "recorded_counts"),
             ("scc", flip_multiplicity_free, "recorded_counts"),
+            ("scc", lambda c: {**c, "residual": 5.0}, "recorded_counts"),
+            ("nilpotent", lambda c: {**c, "residual": 1e-3}, "recorded_counts"),
+            ("increasing", lambda c: {**c, "residual": -1.0}, "recorded_counts"),
         ],
         ids=[
             "increasing-reversed", "increasing-m", "increasing-limit", "increasing-limit-null",
             "increasing-rank", "increasing-multiplicity-free", "nilpotent-m", "nilpotent-rank",
             "nilpotent-multiplicity-free", "scc-m", "scc-limit", "scc-rank",
-            "scc-multiplicity-free",
+            "scc-multiplicity-free", "scc-residual", "nilpotent-residual",
+            "increasing-residual",
         ],
     )
     def test_verify_rejects_tampered_certificate(self, tmp_path, kind, tamper, check):
@@ -338,7 +342,7 @@ class TestTriangularize:
 
     def test_verify_names_every_wrong_count(self, tmp_path):
         # the scc certificate of paper_example_1 with each recorded count
-        # edited; the classes and the residual are not rechecked
+        # edited; the classes are not rechecked
         op = write_json(tmp_path, "op.json", {"kind": "named", "name": "paper_example_1"})
         cert = json.loads(Path(_scc_certificate(tmp_path, op)).read_text())
         assert cert["bound"] == {"m": 3, "limit": None, "rank": None}
@@ -352,6 +356,32 @@ class TestTriangularize:
             "passed": False,
             "detail": "bound.m 99 != 3; bound.limit 1 != null; bound.rank 7 != null; "
             "multiplicity_free false != true",
+        }
+
+    @pytest.mark.parametrize(
+        "residual, tol, detail",
+        [
+            (5.0, "1e-8", "residual 5.0 != 0.0"),
+            # within tol · max(1, max|k|) of the measured 0.0, as rounding
+            # on another BLAS may leave it
+            (2**-30, "1e-8", ""),
+            (0.0, "0", ""),
+            (2**-30, "0", "residual 9.3132257461547852e-10 != 0.0"),
+        ],
+    )
+    def test_verify_rechecks_the_recorded_residual(self, tmp_path, residual, tol, detail):
+        op = write_json(tmp_path, "op.json", {"kind": "named", "name": "paper_example_1"})
+        cert = json.loads(Path(_scc_certificate(tmp_path, op)).read_text())
+        assert cert["residual"] == 0.0
+        cert["residual"] = residual
+        code, text = run(
+            tmp_path, "verify", "--in", op, "--cert", write_json(tmp_path, "edited.json", cert),
+            "--tol", tol,
+        )
+        assert code == (1 if detail else 0)
+        assert json.loads(text)["checks"]["recorded_counts"] == {
+            "passed": not detail,
+            "detail": detail,
         }
 
     @pytest.mark.parametrize("entry", [float, bool])

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from conftest import (
     mixed_component_digraph,
+    moment_matrix,
     random_nilpotent_instance,
+    reference_acyclic_suffix,
     reference_shortest_cycle,
 )
 
@@ -20,13 +22,13 @@ from kerneltri import (
     find_nondegenerate_cycle,
     kernel_operator,
     moment_identities,
-    moment_matrix,
     sharpness_example,
     sharpness_example_factors,
     shortest_cycle,
     support_digraph,
     volterra_linear,
 )
+from kerneltri.cycles import acyclic_suffix
 
 
 def atomic_operator(matrix):
@@ -142,6 +144,42 @@ class TestShortestCycleAgainstReference:
             assert shortest_cycle(support_digraph(K, threshold)) == expected
 
 
+class TestAcyclicSuffix:
+    @given(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.integers(min_value=0, max_value=12),
+        st.floats(min_value=0.0, max_value=0.8),
+        st.integers(min_value=0, max_value=3),
+        st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_level_peel(self, seed, p, density, back, loops):
+        # forward arcs in a random point order, `back` arcs against it (of
+        # any size, down to the smallest subnormal) and, on half the draws,
+        # self-loops, which never close a cycle
+        rng = np.random.default_rng(seed)
+        order = rng.permutation(p)
+        rank = np.empty(p, dtype=int)
+        rank[order] = np.arange(p)
+        mat = (rank[:, None] < rank[None, :]) * rng.standard_normal((p, p))
+        mat *= rng.random((p, p)) < density
+        for _ in range(back if p > 1 else 0):
+            i, j = sorted(rng.choice(p, size=2, replace=False), key=lambda v: rank[v])
+            mat[j, i] = [1.0, 1e-12, 5e-324][int(rng.integers(0, 3))]
+        if loops:
+            mat[np.diag_indices(p)] = rng.standard_normal(p)
+        entries = mat.astype(complex)
+        assert acyclic_suffix(entries) == reference_acyclic_suffix(entries)
+
+    def test_fixed_supports(self):
+        assert acyclic_suffix(np.zeros((0, 0))) == 0
+        assert acyclic_suffix(np.ones((1, 1))) == 1
+        assert acyclic_suffix(np.array([[0, 1], [1, 0]])) == 1
+        assert acyclic_suffix(volterra_linear(64).entries) == 64
+        # a cycle through points 0 and 2 only: the suffix {1, 2} is acyclic
+        assert acyclic_suffix(np.array([[0, 0, 1], [0, 0, 0], [1j, 0, 0]])) == 2
+
+
 class TestMomentMatrix:
     def test_additive_over_disjoint_sets(self):
         rng = np.random.default_rng(33)
@@ -218,6 +256,68 @@ class TestMomentIdentities:
         sets = [StandardSet.from_indices(kfr.space, idx) for idx in ([0], [2], [4, 0])]
         with pytest.raises(PreconditionError, match="pairwise disjoint"):
             moment_identities(kfr, sets)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_residuals_match_moment_matrix_oracle(self, seed):
+        # random zero-diagonal kernels, factored, and a random partition of
+        # most of their points: tr(M(E) M(F)) from the moment matrices
+        rng = np.random.default_rng(seed)
+        p = int(rng.integers(2, 14))
+        cells = int(rng.integers(0, p + 1))
+        mat = (rng.standard_normal((p, p)) + 1j * rng.standard_normal((p, p))) * (
+            rng.random((p, p)) < [0.2, 0.5, 1.0][seed % 3]
+        )
+        mat[np.diag_indices(p)] = 0.0
+        kfr = factor(kernel_operator(build_space(cells, range(2, p - cells + 2)), mat))
+        points = rng.permutation(p)[: int(rng.integers(1, p + 1))]
+        cuts = np.sort(rng.choice(np.arange(1, points.size + 1), size=2)) if points.size > 1 else []
+        sets = [StandardSet.from_indices(kfr.space, part) for part in np.split(points, cuts)]
+        report = moment_identities(kfr, sets)
+        moments = [moment_matrix(kfr, s) for s in sets]
+        squares = [abs(np.trace(m @ m)) for m in moments]
+        crosses = [
+            (i, j, abs(np.trace(moments[i] @ moments[j])))
+            for i in range(len(sets))
+            for j in range(i + 1, len(sets))
+        ]
+        # summed in another order: equal to rounding in the products of
+        # entries of magnitude at most scale
+        atol = 1e-12 * report.scale**2
+        np.testing.assert_allclose(report.square_residuals, squares, rtol=1e-9, atol=atol)
+        assert [(i, j) for i, j, _ in report.cross_residuals] == [(i, j) for i, j, _ in crosses]
+        np.testing.assert_allclose(
+            [r for _, _, r in report.cross_residuals],
+            [r for _, _, r in crosses],
+            rtol=1e-9,
+            atol=atol,
+        )
+        assert report.max_residual == max(report.square_residuals + tuple(
+            r for _, _, r in report.cross_residuals
+        ))
+
+    def test_rejects_planted_diagonal_like_the_oracle(self):
+        # the first set whose diagonal does not vanish is named, at its
+        # largest entry, in the words of the moment-matrix oracle
+        space = build_space(0, [2, 3, 4, 5])
+        from kerneltri import FiniteRankOperator
+
+        F = np.array([[1.0], [0.0], [1.0], [2.0]], dtype=complex)
+        G = np.array([[0.0], [1.0], [1.0], [1.0]], dtype=complex)  # diagonal 0, 0, 1, 2
+        kfr = FiniteRankOperator(space=space, F=F, G=G)
+        sets = [StandardSet.from_indices(space, idx) for idx in ([0, 1], [3, 2])]
+        with pytest.raises(PreconditionError) as expected:
+            moment_matrix(kfr, sets[1])
+        assert str(expected.value).startswith("kernel diagonal does not vanish on the set")
+        with pytest.raises(PreconditionError) as exc:
+            moment_identities(kfr, sets)
+        assert str(exc.value) == str(expected.value)
+        assert moment_identities(kfr, sets[:1]).passed
+
+    def test_rejects_set_over_another_space(self):
+        kfr = sharpness_example_factors(1)
+        other = StandardSet.from_indices(build_space(kfr.space.size), [0])
+        with pytest.raises(PreconditionError, match="different space"):
+            moment_identities(kfr, [other])
 
     def test_rejects_overflowing_factors_without_warnings(self):
         # finite factors whose product F @ G.T overflows to inf

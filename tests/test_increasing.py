@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     brute_increasing_oracle,
+    forbid_eigenvalues,
     near_tolerance_instance,
     random_hybrid_instance,
     random_nilpotent_instance,
@@ -19,11 +20,13 @@ from conftest import (
 
 from kerneltri import (
     PreconditionError,
+    PropertyReport,
     StandardSet,
     build_space,
     check_increasing_spectrum,
     compress,
     densify,
+    find_nondegenerate_cycle,
     kernel_operator,
     nested_chain,
     ones_kernel,
@@ -176,11 +179,31 @@ class TestLevelByLevelAgainstReference:
         assert report.verdict
         assert decision(report) == decision(reference_increasing_check(K))
 
+    @given(seeds, st.integers(min_value=1, max_value=7), st.sampled_from([1e-8, 0.0]))
+    @settings(max_examples=60, deadline=None)
+    def test_exact_acyclic_supports(self, seed, p, tol):
+        # upper triangular with complex entries in a random point order, so
+        # the whole support is acyclic; on half the draws one entry against
+        # that order, which leaves an acyclic suffix of fewer points
+        rng = np.random.default_rng(seed)
+        cells = int(rng.integers(0, p + 1))
+        mat = np.triu(rng.standard_normal((p, p)) + 1j * rng.standard_normal((p, p)))
+        mat *= rng.random((p, p)) < 0.6
+        if p > 1 and rng.random() < 0.5:
+            i, j = sorted(rng.choice(p, size=2, replace=False))
+            mat[j, i] = rng.standard_normal()
+        perm = rng.permutation(p)
+        K = kernel_operator(build_space(cells, range(2, p - cells + 2)), mat[np.ix_(perm, perm)])
+        report = check_increasing_spectrum(K, tol)
+        assert report == reference_increasing_check(K, tol)
+
     @given(seeds, st.integers(min_value=5, max_value=7), st.floats(min_value=0.0, max_value=1.0))
     @settings(max_examples=20, deadline=None)
     def test_margins_between_tol_over_p_and_tol(self, seed, p, u):
-        # p * w > tol defeats the covering proof, so the pairs are scanned
-        # exactly; each single margin stays below tol, so all pairs hold
+        # the entry against the triangular order closes a cycle, so the
+        # pairs above the acyclic suffix are scanned exactly; p * w > tol,
+        # so no bound summed over covering pairs could prove them, while
+        # each single margin stays below tol, so all pairs hold
         ratio = (1.0 + (p - 1) * (0.1 + 0.8 * u)) / p
         K = near_tolerance_instance(np.random.default_rng(seed), p, ratio)
         assert p * worst_covering_margin(np.asarray(K.entries)) > 1e-8 * K.scale
@@ -200,7 +223,8 @@ class TestLevelByLevelAgainstReference:
     def test_drift_along_a_chain_is_not_proven(self, p):
         # arrowhead: each point i > 0 moves the eigenvalue of point 0 by
         # 0.6 tol, so every covering margin is within tol, while E = {0}
-        # and F = {0, i, j} are 1.2 tol apart
+        # and F = {0, i, j} are 1.2 tol apart; the arcs to and from point 0
+        # form cycles, so the exact scan finds that pair
         mu = np.arange(1.0, p)
         kernel = np.diag(np.concatenate(([0.0], mu))).astype(complex)
         shift = 0.6e-8 * (p - 1)
@@ -237,8 +261,8 @@ class TestLevelByLevelAgainstReference:
         assert decision(report) == decision(reference_increasing_check(K))
 
     def test_violator_at_level_seven_of_64_points(self):
-        # triangular but for a 2-cycle on points 57 and 58, so the
-        # covering proof holds on levels 5 and 6 and fails at level 7
+        # triangular but for a 2-cycle on points 57 and 58, so the acyclic
+        # suffix holds the last 6 points and the scan starts at level 7
         rng = np.random.default_rng(64)
         kernel = np.triu(rng.standard_normal((64, 64))).astype(complex)
         kernel[57, 58], kernel[58, 57] = 1.5, -0.75
@@ -258,6 +282,53 @@ class TestLevelByLevelAgainstReference:
             warnings.simplefilter("error")
             assert check_increasing_spectrum(K).verdict
             assert not check_increasing_spectrum(atomic_operator(np.ones((6, 6)))).verdict
+
+
+def triangular_hybrid(seed: int, p: int):
+    """A hybrid-space operator, strictly upper triangular in a random point
+    order plus a nonzero diagonal on its atoms: an acyclic support."""
+    rng = np.random.default_rng(seed)
+    cells = p // 3
+    mat = np.triu(rng.standard_normal((p, p)) * (rng.random((p, p)) < 0.5), 1)
+    mat[np.arange(cells, p), np.arange(cells, p)] = 1.0 + rng.random(p - cells)
+    perm = rng.permutation(p)
+    return kernel_operator(build_space(cells, range(2, p - cells + 2)), mat[np.ix_(perm, perm)])
+
+
+class TestStructuralProof:
+    """A support that is acyclic at exact zeros decides the check without
+    one eigen-decomposition."""
+
+    def test_exhaustive_path(self, monkeypatch):
+        K = triangular_hybrid(12, 12)
+        forbid_eigenvalues(monkeypatch)
+        report = check_increasing_spectrum(K)
+        assert report == PropertyReport(True, 3**12, True, 1e-8)
+
+    def test_sampled_path(self, monkeypatch):
+        K = triangular_hybrid(14, 14)
+        expected = reference_sampled_check(K, samples=500, seed=3)
+        assert expected.pairs_checked == math.comb(K.space.num_cells + 1, 2) + 500
+        forbid_eigenvalues(monkeypatch)
+        assert check_increasing_spectrum(K, samples=500, seed=3) == expected
+
+    def test_cycle_below_the_structural_zero_is_scanned(self):
+        # a 12-atom shift with a 5e-11 corner: at zero_threshold the corner
+        # is a structural zero and the support digraph is acyclic, yet the
+        # corner closes a 12-cycle and the spectral radius is 0.139
+        kernel = np.eye(12, k=1)
+        kernel[11, 0] = 5e-11
+        K = atomic_operator(kernel)
+        assert find_nondegenerate_cycle(K) is None
+        report = check_increasing_spectrum(K)
+        assert decision(report) == (False, 265_722, ((11,), tuple(range(12)), 0j))
+
+    def test_cycle_within_tol_holds(self):
+        # a 2-cycle whose eigenvalues ±1e-9 lie within tol of the
+        # singletons' 0: scanned, and every pair holds
+        K = atomic_operator([[0, 1e-9], [1e-9, 0]])
+        assert find_nondegenerate_cycle(K) == (0, 1)
+        assert decision(check_increasing_spectrum(K)) == (True, 9, None)
 
 
 def sampled_instance(seed: int, kind: str):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    forbid_eigenvalues,
     mixed_component_digraph,
     random_hybrid_instance,
     random_nilpotent_instance,
@@ -157,6 +158,15 @@ class TestAssertNilpotentCompressions:
 
     def test_large_space_sampled_path(self):
         assert_nilpotent_compressions(volterra_linear(16))
+
+    def test_acyclic_zero_diagonal_needs_no_eigenvalues(self, monkeypatch):
+        # strictly upper triangular in a random order on 16 points: every
+        # compression is nilpotent by the support alone
+        rng = np.random.default_rng(16)
+        perm = rng.permutation(16)
+        K = atomic_operator(np.triu(rng.standard_normal((16, 16)), 1)[np.ix_(perm, perm)])
+        forbid_eigenvalues(monkeypatch)
+        assert_nilpotent_compressions(K)
 
     # nilpotent gadgets whose first failure lies in each stage of the
     # sampled order: none, the full set, a singleton, a drawn subset
