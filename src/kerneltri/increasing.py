@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cycles import acyclic_suffix
-from .errors import PreconditionError
-from .operators import Operator, compress
+from .errors import DimensionMismatchError, PreconditionError
+from .operators import Operator
 from .spaces import (
     DEFAULT_MAX_POINTS,
     StandardSet,
@@ -26,9 +26,10 @@ from .spaces import (
 )
 from .spectral import (
     DEFAULT_TOL,
+    MAX_DENSE_SIZE,
     block_ranges,
     block_size,
-    eigenvalues,
+    dense_eigvals,
     first_excluded,
     subset_spectra,
 )
@@ -74,15 +75,23 @@ def _sampled_check(K: Operator, tol: float, samples: int, seed: int) -> Property
         dtype=np.intp,
     )
     e_len, f_len = (prefixes[i] for i in np.triu_indices(prefixes.size, 1))
-    if acyclic_suffix(K.entries) == p:
-        return PropertyReport(True, e_len.size + samples, False, tol)
+    chained = e_len.size
+    # The chain sets are prefixes, so, as in radius_profile, the acyclic
+    # suffix of the reversed points is the largest prefix whose exact
+    # support is acyclic: a chain pair whose F lies inside it holds at
+    # distance 0, and every pair holds when it covers all points.
+    acyclic = acyclic_suffix(K.entries[::-1, ::-1])
+    if acyclic == p:
+        return PropertyReport(True, chained + samples, False, tol)
+    numbers = np.flatnonzero(f_len > acyclic)  # pair numbers of the chain pairs left
+    e_len, f_len = e_len[numbers], f_len[numbers]
     rng = np.random.default_rng(seed)
-    # the first block holds the chain pairs, or one sample when there are none
-    for lo, hi in block_ranges(e_len.size + samples, p, max(1, e_len.size)):
-        chain = slice(min(lo, e_len.size), min(hi, e_len.size))
+    # the first block holds those chain pairs, or one sample when there are none
+    for lo, hi in block_ranges(numbers.size + samples, p, max(1, numbers.size)):
+        chain = slice(min(lo, numbers.size), min(hi, numbers.size))
         e = points < e_len[chain, None]
         f = points < f_len[chain, None]
-        drawn = hi - max(lo, e_len.size)
+        drawn = hi - max(lo, numbers.size)
         if drawn > 0:
             # per sample F's bits, then the bits kept in E: one call for the
             # block yields the same bits as one call per sample
@@ -94,13 +103,15 @@ def _sampled_check(K: Operator, tol: float, samples: int, seed: int) -> Property
         hit = first_excluded(spectra[inverse[:n]], spectra[inverse[n:]], tol_eff)
         if hit is not None:
             row, col = divmod(hit, spectra.shape[1])
+            k = lo + row
+            number = int(numbers[k]) if k < numbers.size else chained + k - numbers.size
             witness = (
                 tuple(np.flatnonzero(e[row]).tolist()),
                 tuple(np.flatnonzero(f[row]).tolist()),
                 complex(spectra[inverse[row], col]),
             )
-            return PropertyReport(False, lo + row + 1, False, tol, witness)
-    return PropertyReport(True, e_len.size + samples, False, tol)
+            return PropertyReport(False, number + 1, False, tol, witness)
+    return PropertyReport(True, chained + samples, False, tol)
 
 
 def _pair_chunks(lo: int, hi: int, m: int):
@@ -198,11 +209,12 @@ def check_increasing_spectrum(
     Larger spaces fall back to the sampled mode, and the report carries
     exhaustive=False. Its pairs are those along the nested cell chain,
     then `samples` seeded random pairs E ⊆ F (per sample F's bits, then
-    the bits kept in E). All of them hold on an acyclic support;
-    otherwise they are decided in blocks (see
-    :func:`block_ranges`): the first holds the chain pairs (one sample
-    when there are none), each next one twice as many pairs, up to
-    `block_size(p)`. Each block
+    the bits kept in E). The chain pairs whose F lies inside the largest
+    prefix of the points with an acyclic exact support hold, and all
+    pairs hold when that prefix is every point; the others are decided
+    in blocks (see :func:`block_ranges`): the first holds those chain
+    pairs (one sample when there are none), each next one twice as many
+    pairs, up to `block_size(p)`. Each block
     takes one draw, one :func:`subset_spectra` call on its distinct
     subsets and one :func:`first_excluded` scan in pair order, so memory
     is bounded however large `samples` is. The witness is the first
@@ -215,8 +227,46 @@ def check_increasing_spectrum(
 
 
 def radius_profile(K: Operator, chain: list[StandardSet]) -> list[float]:
-    """Spectral radius of the compression along an increasing chain."""
+    """Spectral radius of the compression along an increasing chain.
+
+    The points of the last set, ordered by the first set that holds them,
+    make every set of the chain a prefix, so one :func:`acyclic_suffix` of
+    the reversed order finds the largest set whose exactly nonzero
+    off-diagonal entries form no cycle. That set and the smaller ones are
+    triangular up to a permutation, so each radius is the largest
+    |diagonal entry| of its points; only the larger sets are
+    eigen-decomposed, each as the compression to its points ascending.
+    """
     for a, b in zip(chain, chain[1:]):
         if not (a.issubset(b) and a.mask != b.mask):
             raise PreconditionError("chain is not strictly increasing")
-    return [eigenvalues(compress(K, s)).radius for s in chain]
+    if any(s.space != K.space for s in chain):
+        raise DimensionMismatchError("standard set over a different space")
+    sizes = [s.size for s in chain]
+    too_big = [n for n in sizes if n > MAX_DENSE_SIZE]
+    if too_big:
+        raise PreconditionError(
+            f"operator size {too_big[0]} exceeds dense limit {MAX_DENSE_SIZE}"
+        )
+    order = []  # the points of chain[c] are order[:sizes[c]]
+    held = 0
+    for s in chain:
+        new = s.mask & ~held
+        while new:
+            low = new & -new
+            order.append(low.bit_length() - 1)
+            new ^= low
+        held = s.mask
+    order = np.array(order, dtype=np.intp)
+    back = order[::-1]
+    acyclic = acyclic_suffix(K.entries[back[:, None], back])
+    # peak[n]: the largest |diagonal entry| of the first n points, 0 for none
+    peak = np.maximum.accumulate(np.concatenate(([0.0], np.abs(np.diagonal(K.entries)[order]))))
+    profile = []
+    for n in sizes:
+        if n <= acyclic:
+            profile.append(float(peak[n]))
+        else:
+            idx = np.sort(order[:n])
+            profile.append(float(np.abs(dense_eigvals(K.entries[idx[:, None], idx])).max()))
+    return profile

@@ -9,6 +9,7 @@ from typing import Iterator, Sequence
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+from .cycles import acyclic_suffix
 from .errors import PreconditionError
 from .operators import Operator
 
@@ -41,8 +42,22 @@ def _sorted_eigs(values: np.ndarray) -> tuple[complex, ...]:
     return tuple(complex(z) for z in values[order])
 
 
+def dense_eigvals(a: np.ndarray) -> np.ndarray:
+    """np.linalg.eigvals of the square array `a`, with LAPACK's
+    non-convergence reported as a PreconditionError."""
+    try:
+        return np.linalg.eigvals(a)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK non-convergence
+        raise PreconditionError(f"eigenvalue iteration did not converge: {exc}") from exc
+
+
 def eigenvalues(K: Operator, tol: float = DEFAULT_TOL) -> SpectrumReport:
     """Dense eigenvalue computation of the weighted action matrix.
+
+    When the exactly nonzero off-diagonal entries form no cycle
+    (:func:`acyclic_suffix` covers all points), K is triangular up to a
+    permutation and its diagonal is read as its exact spectrum; otherwise
+    LAPACK computes it.
 
     Quasinilpotent means every eigenvalue has modulus <= tol * scale,
     the honest finite-dimensional surrogate for spectral radius zero.
@@ -53,10 +68,10 @@ def eigenvalues(K: Operator, tol: float = DEFAULT_TOL) -> SpectrumReport:
     scale = K.scale
     if p == 0:
         return SpectrumReport((), 0.0, True, tol, scale)
-    try:
-        vals = np.linalg.eigvals(K.entries)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK non-convergence
-        raise PreconditionError(f"eigenvalue iteration did not converge: {exc}") from exc
+    if acyclic_suffix(K.entries) == p:
+        vals = np.diagonal(K.entries)
+    else:
+        vals = dense_eigvals(K.entries)
     radius = float(np.abs(vals).max())
     return SpectrumReport(
         eigenvalues=_sorted_eigs(vals),

@@ -174,6 +174,29 @@ def reference_sampled_check(K, tol: float = 1e-8, samples: int = 10_000, seed: i
     return PropertyReport(True, checked, False, tol)
 
 
+def reference_radius_profile(K, chain) -> list[float]:
+    """The radius profile as a loop of one eigvals call per chain set, on
+    the compression to its points: the reference for `radius_profile`,
+    which reads the radius of the sets with an acyclic support off the
+    diagonal and eigen-decomposes only the larger ones."""
+    return [
+        float(np.abs(np.linalg.eigvals(compress(K, s).entries)).max()) if s.size else 0.0
+        for s in chain
+    ]
+
+
+def found_sampled_instance(cells: int):
+    """`volterra_linear(cells)` on the cells plus two atoms carrying a
+    2-cycle: the nested cell chain never touches the cycle, so every chain
+    pair holds at distance 0, while pairs through both atoms violate."""
+    space = build_space(cells, [2, 3])
+    kernel = np.zeros((cells + 2, cells + 2), dtype=complex)
+    x = np.array(space.midpoints)
+    kernel[:cells, :cells] = np.maximum(x[:, None] - x[None, :], 0.0)
+    kernel[cells, cells + 1], kernel[cells + 1, cells] = 1.0, 2.0
+    return kernel_operator(space, kernel)
+
+
 def reference_peel_zero_columns(K) -> tuple[tuple[int, ...], ...]:
     """The zero-column peel as it ran on SVD factors: compress K to the
     remaining points, refactor the compression, and strip the columns of

@@ -11,7 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_nilpotent_instance, reference_complex_matrix
+from conftest import (
+    forbid_eigenvalues,
+    found_sampled_instance,
+    random_nilpotent_instance,
+    reference_complex_matrix,
+)
 
 from kerneltri import (
     canonical_dumps,
@@ -115,6 +120,46 @@ class TestCheckIncreasing:
         )
         assert code == 0
         assert not json.loads(text)["exhaustive"]
+
+
+class TestAcyclicSupportsNeedNoEigenvalues:
+    """Spectra and profiles of exactly acyclic supports read the diagonal,
+    and chain pairs off every cycle hold: no eigen-decomposition runs."""
+
+    def test_volterra_512(self, tmp_path, monkeypatch):
+        op = write_json(
+            tmp_path, "v512.json", {"kind": "named", "name": "volterra_linear", "cells": 512}
+        )
+        forbid_eigenvalues(monkeypatch)
+        code, text = run(tmp_path, "spectrum", "--in", op)
+        assert code == 0
+        data = json.loads(text)
+        assert data["quasinilpotent"] and data["radius"] == 0.0
+        assert data["eigenvalues"] == [[0.0, 0.0]] * 512
+        for steps in ("16", str(10**12)):
+            code, text = run(tmp_path, "radius-profile", "--in", op, "--steps", steps)
+            assert code == 0
+            data = json.loads(text)
+            assert data["profile"] == [0.0] * len(data["set_sizes"])
+        assert data["set_sizes"] == list(range(513))
+
+    def test_sampled_chain_pairs_off_the_cycle(self, tmp_path, monkeypatch):
+        K = found_sampled_instance(128)
+        op = write_json(
+            tmp_path,
+            "found.json",
+            {
+                "kind": "dense",
+                "space": {"cells": 128, "atoms": [2, 3]},
+                "kernel": K.kernel_values.real.tolist(),
+            },
+        )
+        forbid_eigenvalues(monkeypatch)
+        code, text = run(tmp_path, "check-increasing", "--in", op, "--samples", "0")
+        assert code == 0
+        assert json.loads(text) == {
+            "verdict": True, "pairs_checked": 8256, "exhaustive": False, "tol": 1e-8
+        }
 
 
 class TestCycles:

@@ -10,15 +10,18 @@ from hypothesis import strategies as st
 from conftest import (
     brute_increasing_oracle,
     forbid_eigenvalues,
+    found_sampled_instance,
     near_tolerance_instance,
     random_hybrid_instance,
     random_nilpotent_instance,
     reference_increasing_check,
+    reference_radius_profile,
     reference_sampled_check,
     worst_covering_margin,
 )
 
 from kerneltri import (
+    DimensionMismatchError,
     PreconditionError,
     PropertyReport,
     StandardSet,
@@ -30,6 +33,7 @@ from kerneltri import (
     kernel_operator,
     nested_chain,
     ones_kernel,
+    operator_from_dict,
     radius_profile,
     sharpness_example,
     volterra_linear,
@@ -355,6 +359,19 @@ def sampled_instance(seed: int, kind: str):
     return kernel_operator(build_space(cells, range(2, p - cells + 2)), mat)
 
 
+def volterra_back_arc(cells: int, k: int):
+    """`volterra_linear(cells)` plus the arc 0 -> k-1 against its order,
+    which closes the 2-cycle {0, k-1} (k >= 2), and two atoms carrying a
+    2-cycle and a diagonal: the first set of the nested cell chain that
+    holds a cycle is the one of the first k cells."""
+    space = build_space(cells, [2, 3])
+    kernel = np.zeros((cells + 2, cells + 2), dtype=complex)
+    kernel[:cells, :cells] = volterra_linear(cells).kernel_values
+    kernel[0, k - 1] = 0.5
+    kernel[cells:, cells:] = [[1.0, 2.0], [-1.0, 0.5j]]
+    return kernel_operator(space, kernel)
+
+
 class TestSampledCheck:
     """The block-wise sampled path against the per-pair loop it replaced."""
 
@@ -370,6 +387,33 @@ class TestSampledCheck:
                 assert report.verdict  # the chain holds no atom of the cycle
             elif samples >= 300 and kind == "dense":
                 assert not report.verdict
+
+    @pytest.mark.parametrize("cells", [13, 16, 40])
+    @pytest.mark.parametrize("samples", [0, 300])
+    def test_chain_pairs_off_the_cycle(self, cells, samples):
+        K = found_sampled_instance(cells)
+        report = check_increasing_spectrum(K, max_points=12, samples=samples, seed=cells)
+        assert report == reference_sampled_check(K, samples=samples, seed=cells)
+
+    @pytest.mark.parametrize("k", [2, 3, 7, 14])
+    @pytest.mark.parametrize("samples", [0, 200])
+    def test_cycle_first_in_chain_set_k(self, k, samples):
+        # the chain pairs whose F holds the first k cells or more are
+        # scanned, the others hold; the pair numbers count them all
+        K = volterra_back_arc(14, k)
+        report = check_increasing_spectrum(K, max_points=12, samples=samples, seed=k)
+        assert report == reference_sampled_check(K, samples=samples, seed=k)
+        if samples == 0:
+            assert not report.verdict
+            assert len(report.witness[1]) >= k
+
+    def test_found_reproduction_needs_no_eigenvalues(self, monkeypatch):
+        # 128 cells plus two atoms with a 2-cycle: none of the 8,256 chain
+        # pairs touches the cycle
+        K = found_sampled_instance(128)
+        forbid_eigenvalues(monkeypatch)
+        report = check_increasing_spectrum(K, samples=0)
+        assert report == PropertyReport(True, math.comb(129, 2), False, 1e-8)
 
     def test_late_witnesses_cross_block_boundaries(self):
         # every witness lies past the first block (the chain pairs, or one
@@ -448,6 +492,72 @@ class TestRadiusProfile:
         profile = radius_profile(K, nested_chain(K.space, steps))
         for s, r in enumerate(profile):
             assert r == pytest.approx(s / steps, abs=1.0 / num)
+
+    @pytest.mark.parametrize(
+        "n, steps", [(1, 1), (2, 16), (7, 3), (7, 10**12), (64, 16), (64, 10**12), (200, 16)]
+    )
+    def test_named_operators_match_reference(self, n, steps):
+        for K in (volterra_linear(n), ones_kernel(n)):
+            chain = nested_chain(K.space, steps)
+            assert radius_profile(K, chain) == reference_radius_profile(K, chain)
+
+    @pytest.mark.parametrize("k", [2, 3, 5, 12, 24])
+    def test_cycle_first_in_chain_set_k(self, k):
+        # the sets before the k-th read the diagonal, the others LAPACK
+        K = volterra_back_arc(24, k)
+        chain = nested_chain(K.space, 24)
+        expected = reference_radius_profile(K, chain)
+        assert radius_profile(K, chain) == expected
+        assert max(expected[:k]) == 0.0 and min(expected[k:]) > 0.0
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_seeded_dense_descriptors_on_random_chains(self, seed):
+        # forward arcs in a random point order, up to two arcs against it,
+        # complex entries and a diagonal on some points; the chain grows
+        # in another random order, so its sets are no prefixes
+        rng = np.random.default_rng(seed)
+        p = int(rng.integers(1, 30))
+        cells = int(rng.integers(0, p + 1))
+        rank = rng.permutation(p)
+        kernel = np.where(
+            (rank[:, None] < rank[None, :]) & (rng.random((p, p)) < 0.3),
+            rng.standard_normal((p, p)) + 1j * rng.standard_normal((p, p)),
+            0.0,
+        )
+        kernel[np.diag_indices(p)] = np.where(rng.random(p) < 0.5, rng.standard_normal(p), 0.0)
+        for _ in range(int(rng.integers(0, 3))):
+            i, j = rng.integers(0, p, size=2)
+            kernel[i, j] = 1.5
+        desc = {
+            "kind": "dense",
+            "space": {"cells": cells, "atoms": list(range(2, p - cells + 2))},
+            "kernel": [[[z.real, z.imag] for z in row.tolist()] for row in kernel],
+        }
+        K = operator_from_dict(desc)
+        growth = rng.permutation(p)
+        sizes = np.sort(rng.choice(p + 1, size=int(rng.integers(1, p + 2)), replace=False))
+        chain = [StandardSet.from_indices(K.space, growth[:n].tolist()) for n in sizes]
+        assert radius_profile(K, chain) == reference_radius_profile(K, chain)
+
+    def test_needs_no_eigenvalues_on_an_acyclic_support(self, monkeypatch):
+        K = volterra_linear(512)
+        chain = nested_chain(K.space, 10**12)
+        forbid_eigenvalues(monkeypatch)
+        assert radius_profile(K, chain) == [0.0] * 513
+
+    def test_empty_chain(self):
+        assert radius_profile(volterra_linear(4), []) == []
+
+    def test_rejects_a_chain_over_another_space(self):
+        with pytest.raises(DimensionMismatchError):
+            radius_profile(volterra_linear(4), nested_chain(build_space(5), 4))
+
+    def test_refuses_a_set_beyond_the_dense_limit(self):
+        space = build_space(600)
+        K = kernel_operator(space, np.zeros((600, 600), dtype=complex))
+        chain = [StandardSet(space, (1 << n) - 1) for n in (0, 100, 513, 600)]
+        with pytest.raises(PreconditionError, match="operator size 513 exceeds dense limit 512"):
+            radius_profile(K, chain)
 
     def test_rejects_non_increasing_chain(self):
         space = build_space(4)

@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import inclusion_witness
+from conftest import forbid_eigenvalues, inclusion_witness
 
 from kerneltri import (
     PreconditionError,
@@ -13,7 +17,7 @@ from kerneltri import (
     nonzero_eigen_match,
     sharpness_example,
 )
-from kerneltri.spectral import first_excluded
+from kerneltri.spectral import _sorted_eigs, first_excluded
 
 
 def atomic_operator(matrix):
@@ -61,6 +65,76 @@ class TestEigenvalues:
         got = np.array(sorted(rep.eigenvalues, key=lambda z: (z.real, z.imag)))
         want = np.array(sorted(np.diag(mat), key=lambda z: (z.real, z.imag)))
         np.testing.assert_allclose(got, want, atol=1e-8)
+
+
+def permuted_triangular(rng, p: int, scale: float):
+    """A hybrid-space operator, triangular in a random point order, with
+    complex off-diagonal entries and a diagonal drawn with repeats from a
+    few values, 0 among them, all times `scale`: an acyclic support."""
+    cells = int(rng.integers(0, p + 1))
+    off = rng.standard_normal((p, p)) + 1j * rng.standard_normal((p, p))
+    mat = np.triu(off * (rng.random((p, p)) < 0.5), 1)
+    mat += np.diag(rng.choice([0.0, 1.5, -1.5, -2.0 + 1.0j, 1.0j], size=p))
+    perm = rng.permutation(p)
+    space = build_space(cells, range(2, p - cells + 2))
+    return kernel_operator(space, mat[np.ix_(perm, perm)] * scale)
+
+
+def bits(values) -> bytes:
+    return np.array(values, dtype=complex).tobytes()
+
+
+class TestDiagonalSpectrum:
+    """On an acyclic exact support `eigenvalues` reads the diagonal."""
+
+    @given(
+        st.integers(0, 2**32 - 1), st.integers(1, 24), st.integers(-100, 100)
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_bitwise_equal_to_lapack(self, seed, p, exponent):
+        # within LAPACK's unscaled range its balancing isolates every
+        # diagonal entry of a permuted triangular matrix, so it returns
+        # the diagonal too: the same bytes, ties and repeats included
+        K = permuted_triangular(np.random.default_rng(seed), p, 10.0**exponent)
+        rep = eigenvalues(K)
+        lapack = np.linalg.eigvals(K.entries)
+        assert bits(rep.eigenvalues) == bits(_sorted_eigs(lapack))
+        assert rep.radius == float(np.abs(lapack).max())
+
+    def test_needs_no_eigen_decomposition(self, monkeypatch):
+        K = permuted_triangular(np.random.default_rng(3), 40, 1.0)
+        want = _sorted_eigs(np.linalg.eigvals(K.entries))
+        forbid_eigenvalues(monkeypatch)
+        assert bits(eigenvalues(K).eigenvalues) == bits(want)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-150, 1e200])
+    def test_extreme_scales_give_the_exact_diagonal(self, scale):
+        # beyond about [6.7e-139, 1.5e138] for the largest entry, zgeev
+        # rescales the matrix and its values can differ from the diagonal
+        # in the last digit; the report holds the diagonal itself
+        K = permuted_triangular(np.random.default_rng(11), 12, scale)
+        rep = eigenvalues(K)
+        assert bits(rep.eigenvalues) == bits(_sorted_eigs(np.diagonal(K.entries)))
+        assert rep.radius == float(np.abs(np.diagonal(K.entries)).max())
+
+    @pytest.mark.parametrize("diagonal", [(-0.0, 0.0), (0.0, -0.0)])
+    @pytest.mark.parametrize("arc", [(0, 1), (1, 0)])
+    def test_signed_zeros_keep_the_diagonal_order(self, diagonal, arc):
+        # the sort is stable and 0.0 ties -0.0, so the zeros come out in
+        # the order of the diagonal; LAPACK isolates the rows of a lower
+        # triangular matrix bottom up and returns them the other way round
+        kernel = np.diag(diagonal).astype(complex)
+        kernel[arc] = 1.0
+        rep = eigenvalues(atomic_operator(kernel))
+        signs = [math.copysign(1.0, z.real) for z in rep.eigenvalues]
+        assert signs == [math.copysign(1.0, d) for d in diagonal]
+
+    def test_cycle_is_eigen_decomposed(self):
+        # one arc against the order closes a cycle: LAPACK decides
+        K = atomic_operator([[1.0, 2.0, 0.0], [0.0, 1.0, 3.0], [0.5, 0.0, 1.0]])
+        rep = eigenvalues(K)
+        assert bits(rep.eigenvalues) == bits(_sorted_eigs(np.linalg.eigvals(K.entries)))
+        assert rep.radius > 1.0 + 1e-3
 
 
 def excluded(inner, outer, tol):
