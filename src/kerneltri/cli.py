@@ -88,7 +88,7 @@ def _cmd_cycles(K, data, args) -> tuple[dict, bool]:
     cycle = shortest_cycle(dg)
     report = {
         "threshold": dg.threshold,
-        "arcs": sum(len(s) for s in dg.successors),
+        "arcs": int(dg.arcs.sum()),
         "cycle": None if cycle is None else list(cycle),
     }
     return report, cycle is None

@@ -3,8 +3,8 @@ identities of finite-rank kernels."""
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csr_array
@@ -15,22 +15,30 @@ from .operators import FiniteRankOperator, Operator, ZERO_TOL, densify, magnitud
 from .spaces import StandardSet
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SupportDigraph:
-    """Arc i -> j iff |k(x_i, x_j)| > threshold."""
+    """Arc i -> j iff |k(x_i, x_j)| > threshold, i.e. iff arcs[i, j] (read-only)."""
 
-    size: int
     threshold: float
-    successors: tuple[tuple[int, ...], ...]
+    arcs: np.ndarray
+
+    @property
+    def size(self) -> int:
+        return self.arcs.shape[0]
+
+    @cached_property
+    def successors(self) -> tuple[tuple[int, ...], ...]:
+        """The heads of the arcs out of each point, ascending."""
+        return tuple(tuple(row.nonzero()[0].tolist()) for row in self.arcs)
 
 
 def support_digraph(K: Operator, threshold: float | None = None) -> SupportDigraph:
-    """Support digraph at `threshold`, by default K.zero_threshold."""
+    """Support digraph at `threshold`; by default K.zero_threshold, with arcs K.support."""
     if threshold is None:
-        threshold = K.zero_threshold
-    mask = np.abs(K.kernel_values) > threshold
-    succ = tuple(tuple(np.nonzero(row)[0].tolist()) for row in mask)
-    return SupportDigraph(size=K.size, threshold=threshold, successors=succ)
+        return SupportDigraph(K.zero_threshold, K.support)
+    arcs = np.abs(K.kernel_values) > threshold
+    arcs.flags.writeable = False
+    return SupportDigraph(threshold, arcs)
 
 
 def find_nondegenerate_cycle(
@@ -51,13 +59,12 @@ def shortest_cycle(dg: SupportDigraph) -> tuple[int, ...] | None:
     of 2 or more points, and none run when there is no such component.
     """
     p = dg.size
-    succ = [tuple(j for j in dg.successors[i] if j != i) for i in range(p)]
-    counts = [len(s) for s in succ]
-    tails = np.repeat(np.arange(p), counts)
-    heads = np.fromiter(itertools.chain.from_iterable(succ), dtype=np.intp, count=tails.size)
-    indptr = np.concatenate(([0], np.cumsum(counts)))
-    arcs = csr_array((np.ones(heads.size), heads, indptr), shape=(p, p))
-    _, comp = connected_components(arcs, connection="strong")
+    arcs = dg.arcs.copy()
+    np.fill_diagonal(arcs, False)  # a loop is no cycle
+    tails, heads = np.divmod(np.flatnonzero(arcs), p)
+    indptr = np.concatenate(([0], np.cumsum(arcs.sum(axis=1))))
+    graph = csr_array((np.ones(heads.size), heads, indptr), shape=(p, p))
+    _, comp = connected_components(graph, connection="strong")
     inside = comp[tails] == comp[heads]  # the arcs that lie on some cycle
     if not inside.any():
         return None
@@ -68,7 +75,7 @@ def shortest_cycle(dg: SupportDigraph) -> tuple[int, ...] | None:
     points = np.flatnonzero(np.bincount(comp)[comp] > 1)
     local = np.full(p, -1)
     local[points] = np.arange(points.size)
-    dist = shortest_path(arcs, unweighted=True, indices=points)
+    dist = shortest_path(graph, unweighted=True, indices=points)
 
     # each arc u -> v closes a cycle through the shortest path v -> u
     back = dist[local[heads], tails]
@@ -83,9 +90,8 @@ def shortest_cycle(dg: SupportDigraph) -> tuple[int, ...] | None:
     start = int(tails[back == closing].min())
     cycle = [start]
     for k in range(girth - 1, 0, -1):
-        cycle.append(
-            next(v for v in succ[cycle[-1]] if local[v] >= 0 and dist[local[v], start] == k)
-        )
+        nxt = np.flatnonzero(arcs[cycle[-1]] & (local >= 0))
+        cycle.append(int(nxt[dist[local[nxt], start] == k][0]))
     return tuple(cycle)
 
 

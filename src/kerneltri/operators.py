@@ -66,6 +66,14 @@ class Operator:
         large is a structural zero."""
         return ZERO_TOL * magnitude(self.kernel_values)
 
+    @cached_property
+    def support(self) -> np.ndarray:
+        """Read-only |kernel_values| > zero_threshold: the structural
+        nonzeros, the one place a kernel entry meets the threshold."""
+        support = np.abs(self.kernel_values) > self.zero_threshold
+        support.flags.writeable = False
+        return support
+
 
 def kernel_operator(space: MeasureSpace, kernel: np.ndarray) -> Operator:
     """Operator from a p×p matrix of raw kernel samples."""

@@ -33,10 +33,11 @@ from .operators import (
     magnitude,
     numerical_rank,
 )
-from .spaces import DEFAULT_MAX_POINTS, StandardSet, _subsets_by_size
+from .spaces import DEFAULT_MAX_POINTS, StandardSet
 from .spectral import (
     DEFAULT_TOL,
     block_ranges,
+    block_size,
     eigenvalues,
     match_multisets,
     subset_spectra,
@@ -170,16 +171,13 @@ def _is_complex(value) -> bool:
 def _certificate(
     kind: str, K: Operator, blocks, tol: float, rank: int | None = None, bound: int | None = None
 ) -> TriangularizationCertificate:
-    """Certificate for `blocks`, with each diagonal block classed against
-    K.zero_threshold and the below-block residual taken on the kernel."""
-    kernel, thr = K.kernel_values, K.zero_threshold
+    """Certificate for `blocks`, with each diagonal block classed by
+    K.support and the below-block residual taken on the kernel."""
+    kernel = K.kernel_values
     pos = np.empty(K.size, dtype=np.intp)  # pos[i]: the block holding point i
     pos[[i for block in blocks for i in block]] = [b for b, blk in enumerate(blocks) for _ in blk]
-    mag = np.abs(kernel)
-    # the blocks holding a row whose largest |k| inside its own block is
-    # above the threshold; every other diagonal block is zero
-    row_peak = np.where(pos[:, None] == pos[None, :], mag, 0.0).max(axis=1, initial=0.0)
-    nonzero = set(pos[row_peak > thr].tolist())
+    # the blocks that hold an entry of the support; every other one is zero
+    nonzero = set(pos[(K.support & (pos[:, None] == pos[None, :])).any(axis=1)].tolist())
     diagonal = []
     for b, block in enumerate(blocks):
         if b not in nonzero:
@@ -194,7 +192,7 @@ def _certificate(
         diagonal=tuple(diagonal),
         rank=rank,
         bound=bound,
-        residual=float(np.where(pos[:, None] > pos[None, :], mag, 0.0).max(initial=0.0)),
+        residual=float(np.where(pos[:, None] > pos[None, :], np.abs(kernel), 0.0).max(initial=0.0)),
         tol=tol,
         multiplicity_free=all(len(b) == 1 for b in blocks),
     )
@@ -284,20 +282,13 @@ def scc_triangularize(K: Operator) -> TriangularizationCertificate:
 
 # --- zero row/column projections and the nilpotent block form -------------
 
-def _zero_columns(kernel: np.ndarray, threshold: float) -> np.ndarray:
-    """Mask of the columns whose entries are all <= threshold."""
-    return np.abs(kernel).max(axis=0, initial=0.0) <= threshold
-
-
 def max_kernel_projection(kfr: FiniteRankOperator, side: str = "right") -> StandardSet:
     """Largest standard set E with K P_E = 0 (side="right": the points
     where all the g_i vanish, i.e. the zero columns of the kernel) or
     P_E K = 0 (side="left": zero rows)."""
     if side not in ("right", "left"):
         raise PreconditionError("side must be 'right' or 'left'")
-    K = densify(kfr)
-    kernel = K.kernel_values
-    zero = _zero_columns(kernel if side == "right" else kernel.T, K.zero_threshold)
+    zero = ~densify(kfr).support.any(axis=0 if side == "right" else 1)
     return StandardSet.from_indices(kfr.space, np.flatnonzero(zero).tolist())
 
 
@@ -307,44 +298,37 @@ def assert_nilpotent_compressions(K: Operator, tol: float = DEFAULT_TOL) -> None
     A zero diagonal on an acyclic exact support (see
     :func:`acyclic_suffix`) makes every compression strictly triangular up
     to a permutation, so nilpotent, and returns at once. Otherwise the
-    check is exhaustive over all subsets up to DEFAULT_MAX_POINTS points,
-    naming the failing subset of smallest bitmask; larger spaces are
-    sampled (full set, all singletons, 2048 seeded random subsets, decided
-    in blocks by :func:`subset_spectra`), naming the first failure in that
-    order.
+    check runs over the subsets in blocks decided by :func:`subset_spectra`
+    and names the first failing one: up to DEFAULT_MAX_POINTS points every
+    subset in bitmask order, so the failure of smallest bitmask; above it
+    the full set, all singletons and 2048 subsets drawn from seed 0.
     """
     p = K.size
     if not np.diagonal(K.entries).any() and acyclic_suffix(K.entries) == p:
         return
     cutoff = tol * K.scale
-
-    def fail(points: list[int], radius: float):
-        raise PreconditionError(
-            f"standard compression on points {points} is not nilpotent (radius {radius:.3e})"
+    if p <= DEFAULT_MAX_POINTS:  # every subset, in bitmask order (bit i = point i)
+        masks = np.arange(1, 1 << p)[:, None] >> np.arange(p) & 1
+        blocks = (masks[lo:hi] for lo, hi in block_ranges(len(masks), p, block_size(p)))
+    else:  # the first block holds the full set and the singletons
+        rng = np.random.default_rng(0)
+        fixed = np.concatenate([np.ones((1, p)), np.eye(p)])
+        blocks = (
+            np.concatenate(
+                [fixed[lo:hi], rng.integers(0, 2, size=(max(0, hi - max(lo, p + 1)), p))]
+            )
+            for lo, hi in block_ranges(p + 1 + 2048, p, p + 1)
         )
-
-    if p <= DEFAULT_MAX_POINTS:
-        failing = []  # (bitmask, points, radius) of every failing subset
-        for _, _, cols in _subsets_by_size(0, p):  # with m = p, column = point
-            vals = np.linalg.eigvals(K.entries[cols[:, :, None], cols[:, None, :]])
-            radius = np.abs(vals).max(axis=1)
-            bad = radius > cutoff
-            failing += zip((1 << cols[bad]).sum(axis=1).tolist(), cols[bad].tolist(), radius[bad])
-        if failing:
-            fail(*min(failing)[1:])
-        return
-    # the full set, the singletons, then 2048 subsets drawn from seed 0, in
-    # blocks; the first block holds the full set and the singletons
-    rng = np.random.default_rng(0)
-    fixed = np.concatenate([np.ones((1, p)), np.eye(p)])
-    for lo, hi in block_ranges(p + 1 + 2048, p, p + 1):
-        draws = rng.integers(0, 2, size=(max(0, hi - max(lo, p + 1)), p))
-        members = np.concatenate([fixed[lo:hi], draws]).astype(bool)
+    for rows in blocks:
+        members = rows.astype(bool)
         spectra, inverse = subset_spectra(K.entries, members)
         radius = np.fmax.reduce(np.abs(spectra), axis=1, initial=0.0)[inverse]
         bad = np.flatnonzero(radius > cutoff)
         if bad.size:
-            fail(np.flatnonzero(members[bad[0]]).tolist(), radius[bad[0]])
+            raise PreconditionError(
+                f"standard compression on points {np.flatnonzero(members[bad[0]]).tolist()} "
+                f"is not nilpotent (radius {radius[bad[0]]:.3e})"
+            )
 
 
 def nilpotent_block_form(
@@ -361,7 +345,7 @@ def nilpotent_block_form(
         K = densify(K)
     assert_nilpotent_compressions(K, tol)
     kernel = K.kernel_values
-    blocks = _peel_zero_columns(kernel, K.zero_threshold)
+    blocks = _peel_zero_columns(K.support, np.ones(K.size, dtype=bool))
     n = numerical_rank(K)
     m = len(blocks)
     if m > n + 1:
@@ -379,22 +363,25 @@ def nilpotent_block_form(
     return _certificate("nilpotent_rank", K, blocks, tol, rank=n, bound=n + 1)
 
 
-def _peel_zero_columns(kernel: np.ndarray, threshold: float) -> tuple[tuple[int, ...], ...]:
-    """Repeatedly strip the zero columns (:func:`_zero_columns` at
-    `threshold`) of the remaining compression of the raw kernel array; the
-    stripped index sets, in order, are the partition blocks."""
-    remaining = np.arange(kernel.shape[0])
+def _peel_zero_columns(support: np.ndarray, alive: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """Repeatedly strip the live points (alive[i]) that no live point has an
+    arc into (support[j, i]), i.e. the zero columns of the compression of
+    the support to the live points; the stripped index sets, in order, are
+    the partition blocks."""
+    alive = alive.copy()
+    arcs_in = support[alive].sum(axis=0)  # live points with an arc into each point
     blocks: list[tuple[int, ...]] = []
-    while remaining.size:
-        zero = _zero_columns(kernel[np.ix_(remaining, remaining)], threshold)
+    while alive.any():
+        zero = alive & (arcs_in == 0)
         if not zero.any():
             raise TheoremViolationError(
                 "no zero-column set in a compression asserted to have "
                 "nilpotent standard compressions",
-                remaining=tuple(remaining.tolist()),
+                remaining=tuple(np.flatnonzero(alive).tolist()),
             )
-        blocks.append(tuple(remaining[zero].tolist()))
-        remaining = remaining[~zero]
+        blocks.append(tuple(np.flatnonzero(zero).tolist()))
+        alive &= ~zero
+        arcs_in -= support[zero].sum(axis=0)
     return tuple(blocks)
 
 
@@ -439,33 +426,31 @@ def increasing_spectrum_block_form(
     """Block upper triangular form with m <= 2*rank+1 blocks in which
     every nonzero diagonal block is a peeled eigen-atom.
 
-    Each level peels the atom diagonal, takes the nilpotent block form of
-    the remainder, splits at the block holding the smallest-id eigen-atom
-    and recurses on the two flanks.
+    Each level takes the nilpotent block form of the remainder's support
+    with the peeled atom diagonal cleared, splits at the block holding the
+    smallest-id eigen-atom and recurses on the two flanks, each a mask of
+    the points.
     """
-    kernel = K.kernel_values
-    thr = K.zero_threshold
-    space = K.space
     n = numerical_rank(K)
-    peeled, _ = eigenatom_peel(K, tol)  # sorted by atom id
+    atoms = [a for a, _ in eigenatom_peel(K, tol)[0]]  # sorted by atom id
+    support = K.support.copy()
+    support[atoms, atoms] = False
 
-    def rec(indices: list[int]) -> list[tuple[int, ...]]:
-        if not indices:
+    def rec(alive: np.ndarray) -> list[tuple[int, ...]]:
+        if not alive.any():
             return []
-        g = kernel[np.ix_(indices, indices)]
-        atoms = [a for a, _ in peeled if a in indices]
-        local = [indices.index(a) for a in atoms]
-        g[local, local] = 0.0
-        g_blocks = [tuple(indices[i] for i in blk) for blk in _peel_zero_columns(g, thr)]
-        if not atoms:
-            return g_blocks
-        j = atoms[0]
+        g_blocks = _peel_zero_columns(support, alive)
+        j = next((a for a in atoms if alive[a]), None)
+        if j is None:
+            return list(g_blocks)
         split = next(p for p, blk in enumerate(g_blocks) if j in blk)
-        f1 = [i for blk in g_blocks[:split] for i in blk]
-        f2 = [i for blk in g_blocks[split:] for i in blk if i != j]
-        return rec(sorted(f1)) + [(j,)] + rec(sorted(f2))
+        f1 = np.zeros_like(alive)
+        f1[[i for blk in g_blocks[:split] for i in blk]] = True
+        f2 = alive & ~f1
+        f2[j] = False
+        return rec(f1) + [(j,)] + rec(f2)
 
-    blocks = tuple(rec(list(range(space.size))))
+    blocks = tuple(rec(np.ones(K.size, dtype=bool)))
     m = len(blocks)
     limit = 2 * n + 1
     if m > limit:
@@ -473,7 +458,7 @@ def increasing_spectrum_block_form(
             f"block count {m} exceeds bound {limit}", blocks=blocks, rank=n
         )
     cert = _certificate("increasing_spectrum", K, blocks, tol, rank=n, bound=limit)
-    if cert.residual > thr:
+    if cert.residual > K.zero_threshold:
         raise TheoremViolationError(
             "atom placement broke block triangularity", residual=cert.residual
         )
@@ -520,7 +505,8 @@ def verify_certificate(
     checks: dict[str, CheckResult] = {}
     kernel = K.kernel_values
     p = K.size
-    thr = tol * max(1.0, float(np.abs(kernel).max()) if kernel.size else 1.0)
+    scale = max(1.0, float(np.abs(kernel).max()) if kernel.size else 1.0)
+    thr = tol * scale
 
     flat = [i for b in cert.blocks for i in b]
     # 0.0 == 0 and True == 1 would pass the sort test, but cannot index
@@ -632,6 +618,31 @@ def verify_certificate(
     if not abs(cert.residual - worst) <= thr:
         wrong.append(f"residual {_as_json(cert.residual)} != {_as_json(worst)}")
     checks["recorded_counts"] = CheckResult(not wrong, "; ".join(wrong))
+
+    # the recorded diagonal against this verifier's own classes at the
+    # structural zero of README "Tolerances"; a scalar's lambda within thr
+    inside = (pos[:, None] == pos[None, :]) & (mag > ZERO_TOL * scale)
+    nonzero = set(pos[inside.any(axis=1)].tolist())  # the blocks holding such an entry
+    numbers = [d.block for d in cert.diagonal]
+    if numbers != list(range(m)):
+        wrong = [f"blocks {_as_json(numbers)} != 0..{m - 1}"]
+    else:
+        wrong = []
+        for d, block in zip(cert.diagonal, cert.blocks):
+            value = None
+            if d.block not in nonzero:
+                kind = "zero"
+            elif len(block) == 1 and K.space.is_atom(block[0]):
+                kind, value = "scalar", complex(kernel[block[0], block[0]])
+            else:
+                kind = "irreducible"
+            if d.kind != kind:
+                wrong.append(f"block {d.block} class {d.kind} != {kind}")
+            elif (d.value is None) != (value is None) or (
+                value is not None and not abs(d.value - value) <= thr
+            ):
+                wrong.append(f"block {d.block} lambda {_as_json(d.value)} != {_as_json(value)}")
+    checks["recorded_diagonal"] = CheckResult(not wrong, "; ".join(wrong))
 
     return VerificationReport(checks)
 

@@ -19,6 +19,7 @@ from kerneltri import (
     TheoremViolationError,
     build_space,
     compress,
+    eigenatom_peel,
     factor,
     kernel_operator,
     support_digraph,
@@ -201,7 +202,7 @@ def reference_peel_zero_columns(K) -> tuple[tuple[int, ...], ...]:
     """The zero-column peel as it ran on SVD factors: compress K to the
     remaining points, refactor the compression, and strip the columns of
     F @ G.T that are <= ZERO_TOL * max(1, max|entry|); the reference for
-    `_peel_zero_columns`, which reads the raw kernel array instead."""
+    `_peel_zero_columns`, which reads `Operator.support` instead."""
     remaining = list(range(K.size))
     blocks: list[tuple[int, ...]] = []
     while remaining:
@@ -220,6 +221,64 @@ def reference_peel_zero_columns(K) -> tuple[tuple[int, ...], ...]:
         blocks.append(tuple(picked))
         remaining = [i for i in remaining if i not in set(picked)]
     return tuple(blocks)
+
+
+def reference_increasing_blocks(K, tol: float = 1e-8) -> tuple[tuple[int, ...], ...]:
+    """The blocks of the increasing-spectrum block form as the index-based
+    recursion built them: each level takes the `np.ix_` compression of the
+    kernel to its points, zeroes the peeled atom diagonal, strips the zero
+    columns of that array at K.zero_threshold stage by stage and maps the
+    blocks back to points. Raises what the library raises, with the same
+    messages. The reference for `increasing_spectrum_block_form`, which
+    recurses on masks of one copy of K.support."""
+    kernel, thr = K.kernel_values, K.zero_threshold
+    peeled, _ = eigenatom_peel(K, tol)  # sorted by atom id
+
+    def peel(g: np.ndarray) -> list[tuple[int, ...]]:
+        remaining = np.arange(g.shape[0])
+        blocks = []
+        while remaining.size:
+            sub = g[np.ix_(remaining, remaining)]
+            zero = np.abs(sub).max(axis=0, initial=0.0) <= thr
+            if not zero.any():
+                raise TheoremViolationError(
+                    "no zero-column set in a compression asserted to have "
+                    "nilpotent standard compressions",
+                    remaining=tuple(remaining.tolist()),
+                )
+            blocks.append(tuple(remaining[zero].tolist()))
+            remaining = remaining[~zero]
+        return blocks
+
+    def rec(indices: list[int]) -> list[tuple[int, ...]]:
+        if not indices:
+            return []
+        g = kernel[np.ix_(indices, indices)]
+        atoms = [a for a, _ in peeled if a in indices]
+        local = [indices.index(a) for a in atoms]
+        g[local, local] = 0.0
+        g_blocks = [tuple(indices[i] for i in blk) for blk in peel(g)]
+        if not atoms:
+            return g_blocks
+        j = atoms[0]
+        split = next(b for b, blk in enumerate(g_blocks) if j in blk)
+        f1 = [i for blk in g_blocks[:split] for i in blk]
+        f2 = [i for blk in g_blocks[split:] for i in blk if i != j]
+        return rec(sorted(f1)) + [(j,)] + rec(sorted(f2))
+
+    blocks = tuple(rec(list(range(K.size))))
+    s = np.linalg.svd(kernel, compute_uv=False)
+    n = 0 if s.size == 0 or s[0] == 0.0 else int(np.sum(s > ZERO_TOL * s[0]))
+    if len(blocks) > 2 * n + 1:
+        raise TheoremViolationError(f"block count {len(blocks)} exceeds bound {2 * n + 1}")
+    pos = np.empty(K.size, dtype=int)
+    for b, block in enumerate(blocks):
+        pos[list(block)] = b
+    below = pos[:, None] > pos[None, :]
+    residual = float(np.abs(kernel)[below].max()) if below.any() else 0.0
+    if residual > thr:
+        raise TheoremViolationError("atom placement broke block triangularity")
+    return blocks
 
 
 def reference_nested_chain(space, steps: int) -> list[StandardSet]:

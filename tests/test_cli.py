@@ -387,7 +387,7 @@ class TestTriangularize:
 
     def test_verify_names_every_wrong_count(self, tmp_path):
         # the scc certificate of paper_example_1 with each recorded count
-        # edited; the classes are not rechecked
+        # edited; the diagonal is left as recorded
         op = write_json(tmp_path, "op.json", {"kind": "named", "name": "paper_example_1"})
         cert = json.loads(Path(_scc_certificate(tmp_path, op)).read_text())
         assert cert["bound"] == {"m": 3, "limit": None, "rank": None}
@@ -402,6 +402,119 @@ class TestTriangularize:
             "detail": "bound.m 99 != 3; bound.limit 1 != null; bound.rank 7 != null; "
             "multiplicity_free false != true",
         }
+
+    @pytest.mark.parametrize(
+        "tamper, detail",
+        [
+            (
+                lambda d: [{"block": e["block"], "class": "irreducible"} for e in d],
+                "block 0 class irreducible != zero; block 1 class irreducible != scalar; "
+                "block 2 class irreducible != zero",
+            ),
+            (lambda d: [d[1], d[0], d[2]], "blocks [1,0,2] != 0..2"),
+            (lambda d: d[:2], "blocks [0,1] != 0..2"),
+            (lambda d: d + [{"block": 3, "class": "zero"}], "blocks [0,1,2,3] != 0..2"),
+            (
+                lambda d: [{**d[0], "class": "irreducible"}] + d[1:],
+                "block 0 class irreducible != zero",
+            ),
+            (lambda d: [d[0], {**d[1], "class": "zero"}, d[2]], "block 1 class zero != scalar"),
+            (
+                lambda d: [d[0], {**d[1], "lambda": [2.0, 0.0]}, d[2]],
+                "block 1 lambda [2.0,0.0] != [1.0,0.0]",
+            ),
+            (
+                lambda d: [d[0], {"block": 1, "class": "scalar"}, d[2]],
+                "block 1 lambda null != [1.0,0.0]",
+            ),
+            (
+                lambda d: [{**d[0], "lambda": [0.0, 0.0]}] + d[1:],
+                "block 0 lambda [0.0,0.0] != null",
+            ),
+        ],
+        ids=[
+            "all-irreducible", "reordered", "dropped", "extra", "zero-class", "scalar-class",
+            "lambda", "lambda-missing", "lambda-on-zero",
+        ],
+    )
+    def test_verify_rechecks_the_recorded_diagonal(self, tmp_path, tamper, detail):
+        op = write_json(tmp_path, "op.json", {"kind": "named", "name": "paper_example_1"})
+        cert = json.loads(Path(_scc_certificate(tmp_path, op)).read_text())
+        assert cert["diagonal"] == [
+            {"block": 0, "class": "zero"},
+            {"block": 1, "class": "scalar", "lambda": [1.0, 0.0]},
+            {"block": 2, "class": "zero"},
+        ]
+        cert["diagonal"] = tamper(cert["diagonal"])
+        code, text = run(
+            tmp_path, "verify", "--in", op, "--cert", write_json(tmp_path, "edited.json", cert)
+        )
+        assert code == 1
+        report = json.loads(text)
+        assert not report["passed"]
+        assert report["checks"]["recorded_diagonal"] == {"passed": False, "detail": detail}
+        assert [name for name, c in report["checks"].items() if not c["passed"]] == [
+            "recorded_diagonal"
+        ]
+
+    @pytest.mark.parametrize(
+        "kind, tamper, detail",
+        [
+            (
+                "increasing",
+                lambda d: [d[0], {**d[1], "lambda": [1.0, 1e-3]}] + d[2:],
+                "block 1 lambda [1.0,0.001] != [1.0,0.0]",
+            ),
+            (
+                "increasing",
+                lambda d: [d[0], {"block": 1, "class": "zero"}] + d[2:],
+                "block 1 class zero != scalar",
+            ),
+            (
+                "nilpotent",
+                lambda d: [{**d[0], "class": "irreducible"}] + d[1:],
+                "block 0 class irreducible != zero",
+            ),
+        ],
+        ids=["increasing-lambda", "increasing-class", "nilpotent-class"],
+    )
+    def test_verify_rechecks_the_diagonal_of_every_kind(self, tmp_path, kind, tamper, detail):
+        desc = (
+            {"kind": "named", "name": "volterra_linear", "cells": 4}
+            if kind == "nilpotent"
+            else {"kind": "named", "name": "paper_example_2"}
+        )
+        op = write_json(tmp_path, "op.json", desc)
+        cert_file = tmp_path / "cert.json"
+        assert main(["triangularize", "--in", op, "--kind", kind, "--out", str(cert_file)]) == 0
+        cert = json.loads(cert_file.read_text())
+        cert["diagonal"] = tamper(cert["diagonal"])
+        cert_file.write_text(json.dumps(cert))
+        code, text = run(tmp_path, "verify", "--in", op, "--cert", str(cert_file))
+        assert code == 1
+        report = json.loads(text)
+        assert report["checks"]["recorded_diagonal"] == {"passed": False, "detail": detail}
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            # a lambda within tol · max(1, max|k|) of k(x, x)
+            lambda c: c["diagonal"][1].update({"lambda": [1.0 + 2**-30, -(2**-30)]}),
+            # the recorded tol is not rechecked: an scc certificate may
+            # record the spectral tol instead of the structural zero
+            lambda c: c.update(tol=1e-8),
+        ],
+        ids=["lambda-within-tol", "tol"],
+    )
+    def test_verify_accepts_a_diagonal_that_holds(self, tmp_path, edit):
+        op = write_json(tmp_path, "op.json", {"kind": "named", "name": "paper_example_1"})
+        cert = json.loads(Path(_scc_certificate(tmp_path, op)).read_text())
+        edit(cert)
+        code, text = run(
+            tmp_path, "verify", "--in", op, "--cert", write_json(tmp_path, "edited.json", cert)
+        )
+        assert code == 0
+        assert json.loads(text)["checks"]["recorded_diagonal"] == {"passed": True, "detail": ""}
 
     @pytest.mark.parametrize(
         "residual, tol, detail",

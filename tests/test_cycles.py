@@ -52,6 +52,26 @@ class TestSupportDigraph:
         dg = support_digraph(K, threshold=1e-3)
         assert dg.successors == ((), (0,))
 
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from([None, 0.0, 0.5, 2.0]))
+    @settings(max_examples=60, deadline=None)
+    def test_arcs_match_successors(self, seed, threshold):
+        rng = np.random.default_rng(seed)
+        p = int(rng.integers(1, 9))
+        kernel = rng.standard_normal((p, p)) * (rng.random((p, p)) < 0.4)
+        kernel *= 10.0 ** rng.integers(-12, 3, size=(p, p))  # some below the structural zero
+        K = atomic_operator(kernel)
+        dg = support_digraph(K, threshold)
+        cut = K.zero_threshold if threshold is None else threshold
+        assert dg.threshold == cut
+        assert dg.size == p
+        assert dg.arcs.tolist() == (np.abs(K.kernel_values) > cut).tolist()
+        assert not dg.arcs.flags.writeable
+        arcs = {(i, j) for i, succ in enumerate(dg.successors) for j in succ}
+        assert arcs == set(zip(*map(np.ndarray.tolist, np.nonzero(dg.arcs))))
+        assert all(list(succ) == sorted(succ) for succ in dg.successors)
+        if threshold is None:
+            assert dg.arcs is K.support
+
     def test_volterra_is_strictly_lower(self):
         dg = support_digraph(volterra_linear(8))
         for i, succ in enumerate(dg.successors):

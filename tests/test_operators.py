@@ -139,6 +139,15 @@ class TestStructuralZeroRule:
         assert K.scale == 20.0
         assert K.zero_threshold == ZERO_TOL * 40.0
 
+    def test_support_is_the_read_only_structural_nonzeros(self):
+        kernel = np.array([[0, 40, 3e-9], [5e-9, 1e-3, 0], [0, 0, 0]], dtype=complex)
+        K = kernel_operator(build_space(1, [2, 3]), kernel)
+        assert K.support.tolist() == [[False, True, False], [True, True, False], [False] * 3]
+        assert K.support is K.support  # computed once per operator
+        with pytest.raises(ValueError, match="read-only"):
+            K.support[0, 0] = True
+        assert not K.support[0, 0]
+
 
 class TestCompress:
     def test_full_set_is_identity(self):

@@ -12,6 +12,7 @@ from conftest import (
     random_nilpotent_instance,
     reference_certificate,
     reference_chain_invariant,
+    reference_increasing_blocks,
     reference_nilpotent_failure,
     reference_nilpotent_sampled_failure,
     reference_peel_zero_columns,
@@ -40,7 +41,7 @@ from kerneltri import (
     volterra_linear,
 )
 from kerneltri.operators import magnitude
-from kerneltri.triangular import _certificate, _peel_zero_columns, _zero_columns
+from kerneltri.triangular import BlockDiagnosis, _certificate, _peel_zero_columns
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -138,9 +139,9 @@ class TestMaxKernelProjection:
     def test_zero_columns_read_the_operator_threshold(self):
         kernel = np.array([[5e-11, 0.1], [0.0, 0.0]])
         K = atomic_operator(kernel)
-        assert _zero_columns(kernel, K.zero_threshold).tolist() == [True, False]
+        assert (~K.support.any(axis=0)).tolist() == [True, False]
         K = atomic_operator(kernel * 1e3)
-        assert _zero_columns(K.kernel_values, K.zero_threshold).tolist() == [False, False]
+        assert (~K.support.any(axis=0)).tolist() == [False, False]
 
 
 class TestAssertNilpotentCompressions:
@@ -283,7 +284,7 @@ def peel_outcome(peel, *args):
 
 
 class TestPeelAgainstReference:
-    """The peel on the raw kernel array strips the same blocks, and fails
+    """The peel on the operator's support strips the same blocks, and fails
     at the same points, as the peel on refactored compressions."""
 
     @given(seeds)
@@ -291,7 +292,7 @@ class TestPeelAgainstReference:
     def test_nilpotent_family(self, seed):
         kfr, _ = random_nilpotent_instance(np.random.default_rng(seed))
         K = densify(kfr)
-        blocks = _peel_zero_columns(K.kernel_values, K.zero_threshold)
+        blocks = _peel_zero_columns(K.support, np.ones(K.size, dtype=bool))
         assert blocks == reference_peel_zero_columns(K)
 
     @given(seeds)
@@ -304,7 +305,7 @@ class TestPeelAgainstReference:
         G_sub = kernel_operator(K.space.restrict(sub), G.kernel_values[np.ix_(sub, sub)])
         for op in (K, G, G_sub):
             expected = peel_outcome(reference_peel_zero_columns, op)
-            outcome = peel_outcome(_peel_zero_columns, op.kernel_values, op.zero_threshold)
+            outcome = peel_outcome(_peel_zero_columns, op.support, np.ones(op.size, dtype=bool))
             assert outcome == expected
 
     @given(seeds, st.integers(min_value=1, max_value=6))
@@ -316,10 +317,55 @@ class TestPeelAgainstReference:
         scale = complex(rng.standard_normal(), rng.standard_normal())
         K = atomic_operator(scale * np.asarray(K.kernel_values)[np.ix_(perm, perm)])
         _, G = eigenatom_peel(K)
-        blocks = _peel_zero_columns(G.kernel_values, G.zero_threshold)
+        blocks = _peel_zero_columns(G.support, np.ones(G.size, dtype=bool))
         assert blocks == reference_peel_zero_columns(G)
         expected = peel_outcome(reference_peel_zero_columns, K)
-        assert peel_outcome(_peel_zero_columns, K.kernel_values, K.zero_threshold) == expected
+        alive = np.ones(K.size, dtype=bool)
+        assert peel_outcome(_peel_zero_columns, K.support, alive) == expected
+
+
+def near_threshold_noise(rng, K):
+    """K with up to three of its zero kernel entries set to noise of 5e-11
+    to 1e-9 relative to max(1, max|k|), around the structural zero."""
+    kernel = np.array(K.kernel_values)
+    zeros = np.argwhere(kernel == 0)
+    picked = zeros[rng.permutation(len(zeros))[: rng.integers(1, 4)]]
+    size = 10 ** rng.uniform(np.log10(5e-11), -9, len(picked)) * magnitude(kernel)
+    kernel[picked[:, 0], picked[:, 1]] = size * rng.choice((-1.0, 1.0), len(picked))
+    return kernel_operator(K.space, kernel)
+
+
+def increasing_outcome(form, K):
+    """The blocks of an increasing-spectrum block form, or the type and
+    message of what it raised."""
+    try:
+        return form(K)
+    except (PreconditionError, TheoremViolationError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestIncreasingAgainstReference:
+    """The recursion on masks of one support copy builds the blocks, and
+    raises the errors, of the index-based recursion on kernel compressions."""
+
+    @given(seeds, st.sampled_from(["hybrid", "paper", "nilpotent"]), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_families_with_near_threshold_noise(self, seed, family, noise):
+        rng = np.random.default_rng(seed)
+        if family == "hybrid":
+            K, _ = random_hybrid_instance(rng)
+        elif family == "paper":
+            K = sharpness_example(int(rng.integers(1, 6)))
+            perm = rng.permutation(K.size)
+            scale = complex(rng.standard_normal(), rng.standard_normal())
+            K = atomic_operator(scale * np.asarray(K.kernel_values)[np.ix_(perm, perm)])
+        else:
+            K = densify(random_nilpotent_instance(rng)[0])
+        if noise:
+            K = near_threshold_noise(rng, K)
+        expected = increasing_outcome(reference_increasing_blocks, K)
+        outcome = increasing_outcome(lambda op: increasing_spectrum_block_form(op).blocks, K)
+        assert outcome == expected
 
 
 class TestNilpotentBlockForm:
@@ -581,7 +627,7 @@ class TestVerifyCertificate:
         cert = TriangularizationCertificate(
             kind="scc",
             blocks=(tuple(range(4)),),
-            diagonal=(),
+            diagonal=(BlockDiagnosis(0, "irreducible"),),
             rank=None,
             bound=None,
             residual=0.0,
