@@ -3,6 +3,7 @@ identities of finite-rank kernels."""
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -49,6 +50,30 @@ def find_nondegenerate_cycle(
     return shortest_cycle(support_digraph(K, threshold))
 
 
+#: Operators of more points than this label their strongly connected
+#: components with one csgraph call (see :func:`scc_blocks` and
+#: :func:`acyclic_suffix`); at or below it the Python loops are faster.
+#: Timed one call at a time, the paths cross at about 24 points for
+#: acyclic_suffix and 40 for scc_blocks on a triangular support.
+_CSGRAPH_CUTOFF = 40
+
+
+def _strong_components(arcs: np.ndarray) -> tuple[np.ndarray, np.ndarray, csr_array, np.ndarray]:
+    """Tails and heads of the arcs of the square boolean array `arcs`, in
+    row-major order, their sparse graph (built from `indptr`, which is
+    cheaper than from the pairs) and each point's strongly connected
+    component label."""
+    p = arcs.shape[0]
+    points = np.arange(p)
+    counts = arcs.sum(axis=1)
+    tails = np.repeat(points, counts)
+    heads = np.broadcast_to(points, arcs.shape)[arcs]
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    graph = csr_array((np.ones(heads.size), heads, indptr), shape=(p, p))
+    _, comp = connected_components(graph, connection="strong")
+    return tails, heads, graph, comp
+
+
 def shortest_cycle(dg: SupportDigraph) -> tuple[int, ...] | None:
     """Shortest vertex-distinct cycle (length >= 2) in the off-diagonal
     support digraph; ties broken lexicographically. None if the support
@@ -61,10 +86,7 @@ def shortest_cycle(dg: SupportDigraph) -> tuple[int, ...] | None:
     p = dg.size
     arcs = dg.arcs.copy()
     np.fill_diagonal(arcs, False)  # a loop is no cycle
-    tails, heads = np.divmod(np.flatnonzero(arcs), p)
-    indptr = np.concatenate(([0], np.cumsum(arcs.sum(axis=1))))
-    graph = csr_array((np.ones(heads.size), heads, indptr), shape=(p, p))
-    _, comp = connected_components(graph, connection="strong")
+    tails, heads, graph, comp = _strong_components(arcs)
     inside = comp[tails] == comp[heads]  # the arcs that lie on some cycle
     if not inside.any():
         return None
@@ -95,23 +117,163 @@ def shortest_cycle(dg: SupportDigraph) -> tuple[int, ...] | None:
     return tuple(cycle)
 
 
+def scc_blocks(dg: SupportDigraph) -> tuple[tuple[int, ...], ...]:
+    """The strongly connected components of the support digraph, each
+    ascending, in the topological order of the condensation that breaks
+    ties by the smallest point (Kahn's algorithm on a min-heap).
+
+    Up to _CSGRAPH_CUTOFF points Tarjan's algorithm and a set-based
+    condensation run in Python over `successors`. Above it one csgraph
+    call labels the components, each by its smallest point, and each
+    popped component takes its out-arcs, with multiplicity, off the
+    in-degrees in one NumPy update: the same blocks in the same order.
+    """
+    p = dg.size
+    if p <= _CSGRAPH_CUTOFF:
+        return _tarjan_kahn(dg.successors)
+    tails, heads, graph, comp = _strong_components(dg.arcs)
+    _, first = np.unique(comp, return_index=True)
+    label = first[comp]  # the smallest point of each point's component
+    members = np.argsort(label, kind="stable")  # by label, then point
+    starts = np.searchsorted(label[members], np.arange(p + 1)).tolist()
+    indptr = graph.indptr.tolist()
+    target = label[heads]
+    indeg = np.bincount(target[label[tails] != target], minlength=p)
+    heap = np.flatnonzero((label == np.arange(p)) & (indeg == 0)).tolist()
+    blocks = []
+    while heap:
+        c = heapq.heappop(heap)
+        if starts[c + 1] - starts[c] == 1:
+            blocks.append((c,))
+            out = target[indptr[c] : indptr[c + 1]]
+        else:
+            block = members[starts[c] : starts[c + 1]].tolist()
+            blocks.append(tuple(block))
+            out = np.concatenate([target[indptr[v] : indptr[v + 1]] for v in block])
+        # the arcs inside c take c's own count, popped already, below zero
+        np.subtract.at(indeg, out, 1)
+        for b in dict.fromkeys(out[indeg[out] == 0].tolist()):
+            heapq.heappush(heap, b)
+    return tuple(blocks)
+
+
+def _tarjan_kahn(successors) -> tuple[tuple[int, ...], ...]:
+    """:func:`scc_blocks` by Tarjan's algorithm and a Python condensation."""
+    sccs = _tarjan_sccs(successors)
+    comp_of = {}
+    for c, comp in enumerate(sccs):
+        for v in comp:
+            comp_of[v] = c
+    nc = len(sccs)
+    out_edges: list[set[int]] = [set() for _ in range(nc)]
+    indeg = [0] * nc
+    for u in range(len(successors)):
+        for v in successors[u]:
+            a, b = comp_of[u], comp_of[v]
+            if a != b and b not in out_edges[a]:
+                out_edges[a].add(b)
+                indeg[b] += 1
+    heap = [(min(sccs[c]), c) for c in range(nc) if indeg[c] == 0]
+    heapq.heapify(heap)
+    order = []
+    while heap:
+        _, c = heapq.heappop(heap)
+        order.append(c)
+        for b in out_edges[c]:
+            indeg[b] -= 1
+            if indeg[b] == 0:
+                heapq.heappush(heap, (min(sccs[b]), b))
+    return tuple(tuple(sccs[c]) for c in order)
+
+
+def _tarjan_sccs(successors) -> list[list[int]]:
+    p = len(successors)
+    index = [-1] * p
+    low = [0] * p
+    on_stack = [False] * p
+    stack: list[int] = []
+    sccs: list[list[int]] = []
+    counter = 0
+    for root in range(p):
+        if index[root] != -1:
+            continue
+        work = [(root, iter(successors[root]))]
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        while work:
+            v, it = work[-1]
+            advanced = False
+            for w in it:
+                if index[w] == -1:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, iter(successors[w])))
+                    advanced = True
+                    break
+                if on_stack[w]:
+                    low[v] = min(low[v], index[w])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                low[work[-1][0]] = min(low[work[-1][0]], low[v])
+            if low[v] == index[v]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    comp.append(w)
+                    if w == v:
+                        break
+                sccs.append(sorted(comp))
+    return sccs
+
+
 def acyclic_suffix(entries: np.ndarray) -> int:
     """Largest m such that the exactly nonzero off-diagonal entries of the
     square array `entries` among its last m points form no cycle.
+
+    That is p - 1 - v for the largest point v that is the smallest point
+    of some cycle. Every cycle lies inside one strongly connected
+    component, so above _CSGRAPH_CUTOFF points one csgraph call labels
+    the components: with none of 2 or more points the answer is p, and
+    otherwise the closure below runs only over the points of those
+    components, with the arcs inside a component.
+    """
+    p = entries.shape[0]
+    reach = entries != 0
+    np.fill_diagonal(reach, False)
+    if p <= _CSGRAPH_CUTOFF:
+        v = _top_cycle_point(reach)
+        return p if v is None else p - 1 - v
+    _, _, _, comp = _strong_components(reach)
+    points = np.flatnonzero(np.bincount(comp)[comp] > 1)
+    if not points.size:
+        return p
+    inner = comp[points]
+    v = _top_cycle_point(reach[np.ix_(points, points)] & (inner[:, None] == inner[None, :]))
+    return p - 1 - int(points[v])
+
+
+def _top_cycle_point(reach: np.ndarray) -> int | None:
+    """The largest v that is the smallest point of a cycle of the boolean
+    array `reach` (its diagonal clear), None when it has no cycle; `reach`
+    is overwritten.
 
     Warshall's closure takes the points as pivots from the last one down:
     once p-1 .. v+1 are taken, reach[i, j] says that some path i -> j
     runs through those points only, so point v closes a cycle with them
     exactly when reach[v, v] holds.
     """
-    p = entries.shape[0]
-    reach = entries != 0
-    np.fill_diagonal(reach, False)
-    for m, v in enumerate(range(p - 1, -1, -1)):
+    for v in range(reach.shape[0] - 1, -1, -1):
         if reach[v, v]:
-            return m
+            return v
         reach |= reach[:, v, None] & reach[v]
-    return p
+    return None
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,6 @@ Three certificate kinds:
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -42,7 +41,7 @@ from .spectral import (
     match_multisets,
     subset_spectra,
 )
-from .cycles import acyclic_suffix, support_digraph
+from .cycles import acyclic_suffix, scc_blocks, support_digraph
 from .jsonio import canonical_dumps, is_integer, is_number
 
 
@@ -200,84 +199,12 @@ def _certificate(
 
 # --- SCC / Frobenius form -------------------------------------------------
 
-def _tarjan_sccs(successors) -> list[list[int]]:
-    p = len(successors)
-    index = [-1] * p
-    low = [0] * p
-    on_stack = [False] * p
-    stack: list[int] = []
-    sccs: list[list[int]] = []
-    counter = 0
-    for root in range(p):
-        if index[root] != -1:
-            continue
-        work = [(root, iter(successors[root]))]
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack[root] = True
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if index[w] == -1:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, iter(successors[w])))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                low[work[-1][0]] = min(low[work[-1][0]], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                sccs.append(sorted(comp))
-    return sccs
-
-
 def scc_triangularize(K: Operator) -> TriangularizationCertificate:
     """Frobenius normal form: blocks are the strongly connected components
     of the support digraph, in a topological order of the condensation
     with ties broken by smallest contained point index."""
     dg = support_digraph(K)
-    sccs = _tarjan_sccs(dg.successors)
-    comp_of = {}
-    for c, comp in enumerate(sccs):
-        for v in comp:
-            comp_of[v] = c
-    nc = len(sccs)
-    out_edges: list[set[int]] = [set() for _ in range(nc)]
-    indeg = [0] * nc
-    for u in range(dg.size):
-        for v in dg.successors[u]:
-            a, b = comp_of[u], comp_of[v]
-            if a != b and b not in out_edges[a]:
-                out_edges[a].add(b)
-                indeg[b] += 1
-    heap = [(min(sccs[c]), c) for c in range(nc) if indeg[c] == 0]
-    heapq.heapify(heap)
-    order = []
-    while heap:
-        _, c = heapq.heappop(heap)
-        order.append(c)
-        for b in out_edges[c]:
-            indeg[b] -= 1
-            if indeg[b] == 0:
-                heapq.heappush(heap, (min(sccs[b]), b))
-    blocks = tuple(tuple(sccs[c]) for c in order)
-    return _certificate("scc", K, blocks, dg.threshold)
+    return _certificate("scc", K, scc_blocks(dg), dg.threshold)
 
 
 # --- zero row/column projections and the nilpotent block form -------------
@@ -397,6 +324,17 @@ def eigenatom_peel(
     G = K minus those diagonal entries. Raises when the atom-diagonal
     multiset fails to match the nonzero eigenvalue multiset of K.
     """
+    peeled = _eigen_atoms(K, tol)
+    g_kernel = K.kernel_values.copy()
+    for j, _ in peeled:
+        g_kernel[j, j] = 0.0
+    return peeled, kernel_operator(K.space, g_kernel)
+
+
+def _eigen_atoms(K: Operator, tol: float) -> list[tuple[int, complex]]:
+    """The (point index, k(j,j)) of the atoms whose kernel diagonal
+    exceeds tol * scale, by ascending atom id; raises unless their values
+    match the nonzero eigenvalue multiset of K."""
     kernel = K.kernel_values
     cutoff = tol * K.scale
     space = K.space
@@ -414,10 +352,7 @@ def eigenatom_peel(
             atom_diagonal=tuple(diag_vals),
             nonzero_eigenvalues=tuple(eigs),
         )
-    g_kernel = kernel.copy()
-    for j, _ in peeled:
-        g_kernel[j, j] = 0.0
-    return peeled, kernel_operator(space, g_kernel)
+    return peeled
 
 
 def increasing_spectrum_block_form(
@@ -432,7 +367,7 @@ def increasing_spectrum_block_form(
     the points.
     """
     n = numerical_rank(K)
-    atoms = [a for a, _ in eigenatom_peel(K, tol)[0]]  # sorted by atom id
+    atoms = [a for a, _ in _eigen_atoms(K, tol)]  # sorted by atom id
     support = K.support.copy()
     support[atoms, atoms] = False
 

@@ -501,6 +501,37 @@ def reference_acyclic_suffix(entries: np.ndarray) -> int:
     return 0
 
 
+def reference_scc_blocks(K) -> tuple[tuple[int, ...], ...]:
+    """The strongly connected components of the support digraph of K at
+    its zero threshold, each ascending, from a boolean reachability
+    closure (points i and j share a component when each reaches the
+    other), then Kahn's order of the condensation taking the component of
+    smallest point among the sources at each step: the reference for the
+    blocks of `scc_triangularize` on both of its paths."""
+    arcs = np.abs(K.kernel_values) > K.zero_threshold
+    p = arcs.shape[0]
+    reach = arcs | np.eye(p, dtype=bool)
+    while True:  # square until no longer path appears
+        wider = reach | ((reach.astype(int) @ reach.astype(int)) > 0)
+        if (wider == reach).all():
+            break
+        reach = wider
+    mutual = reach & reach.T
+    comps = sorted({tuple(np.flatnonzero(mutual[i]).tolist()) for i in range(p)})
+    remaining = list(comps)
+    order = []
+    while remaining:
+        sources = [
+            c
+            for c in remaining
+            if not any(arcs[u, v] for d in remaining if d != c for u in d for v in c)
+        ]
+        first = min(sources, key=min)
+        order.append(first)
+        remaining.remove(first)
+    return tuple(order)
+
+
 def reference_chain_invariant(K, blocks, tol: float = 1e-8) -> tuple[bool, str]:
     """(passed, detail) of the chain-invariance check as a loop over the
     prefixes F_b, each rescanning its rectangle K[outside, inside]: the

@@ -28,6 +28,7 @@ from kerneltri import (
     support_digraph,
     volterra_linear,
 )
+from kerneltri import cycles
 from kerneltri.cycles import acyclic_suffix
 
 
@@ -164,31 +165,54 @@ class TestShortestCycleAgainstReference:
             assert shortest_cycle(support_digraph(K, threshold)) == expected
 
 
+def suffix_entries(seed: int, p: int, density: float, back: int, loops: bool) -> np.ndarray:
+    """Forward arcs in a random point order, `back` arcs against it (of
+    any size, down to the smallest subnormal) and, when `loops`,
+    self-loops, which never close a cycle."""
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(p)
+    rank = np.empty(p, dtype=int)
+    rank[order] = np.arange(p)
+    mat = (rank[:, None] < rank[None, :]) * rng.standard_normal((p, p))
+    mat *= rng.random((p, p)) < density
+    for _ in range(back if p > 1 else 0):
+        i, j = sorted(rng.choice(p, size=2, replace=False), key=lambda v: rank[v])
+        mat[j, i] = [1.0, 1e-12, 5e-324][int(rng.integers(0, 3))]
+    if loops:
+        mat[np.diag_indices(p)] = rng.standard_normal(p)
+    return mat.astype(complex)
+
+
+suffix_draws = dict(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    density=st.floats(min_value=0.0, max_value=0.8),
+    back=st.integers(min_value=0, max_value=3),
+    loops=st.booleans(),
+)
+
+
 class TestAcyclicSuffix:
+    """Both paths of `acyclic_suffix` against `reference_acyclic_suffix`:
+    the closure over all points at or below `cycles._CSGRAPH_CUTOFF`
+    points, the one over the nontrivial strong components above it."""
+
     @given(
-        st.integers(min_value=0, max_value=2**32 - 1),
-        st.integers(min_value=0, max_value=12),
-        st.floats(min_value=0.0, max_value=0.8),
-        st.integers(min_value=0, max_value=3),
-        st.booleans(),
+        p=st.integers(min_value=0, max_value=12),
+        # the cutoff as it stands, then each path forced
+        cutoff=st.sampled_from([cycles._CSGRAPH_CUTOFF, 0, 10**9]),
+        **suffix_draws,
     )
-    @settings(max_examples=200, deadline=None)
-    def test_matches_per_level_peel(self, seed, p, density, back, loops):
-        # forward arcs in a random point order, `back` arcs against it (of
-        # any size, down to the smallest subnormal) and, on half the draws,
-        # self-loops, which never close a cycle
-        rng = np.random.default_rng(seed)
-        order = rng.permutation(p)
-        rank = np.empty(p, dtype=int)
-        rank[order] = np.arange(p)
-        mat = (rank[:, None] < rank[None, :]) * rng.standard_normal((p, p))
-        mat *= rng.random((p, p)) < density
-        for _ in range(back if p > 1 else 0):
-            i, j = sorted(rng.choice(p, size=2, replace=False), key=lambda v: rank[v])
-            mat[j, i] = [1.0, 1e-12, 5e-324][int(rng.integers(0, 3))]
-        if loops:
-            mat[np.diag_indices(p)] = rng.standard_normal(p)
-        entries = mat.astype(complex)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_level_peel(self, seed, p, cutoff, density, back, loops):
+        entries = suffix_entries(seed, p, density, back, loops)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cycles, "_CSGRAPH_CUTOFF", cutoff)
+            assert acyclic_suffix(entries) == reference_acyclic_suffix(entries)
+
+    @given(p=st.integers(min_value=13, max_value=80), **suffix_draws)
+    @settings(max_examples=100, deadline=None)
+    def test_across_the_cutoff(self, seed, p, density, back, loops):
+        entries = suffix_entries(seed, p, density, back, loops)
         assert acyclic_suffix(entries) == reference_acyclic_suffix(entries)
 
     def test_fixed_supports(self):
@@ -198,6 +222,15 @@ class TestAcyclicSuffix:
         assert acyclic_suffix(volterra_linear(64).entries) == 64
         # a cycle through points 0 and 2 only: the suffix {1, 2} is acyclic
         assert acyclic_suffix(np.array([[0, 0, 1], [0, 0, 0], [1j, 0, 0]])) == 2
+
+    @pytest.mark.parametrize("pair, expected", [((0, 1), 511), ((510, 511), 1)])
+    def test_volterra_512_with_one_two_cycle(self, pair, expected):
+        # Volterra's arcs all run from a point to a smaller one, so the one
+        # exact 2-cycle is the only cycle, and the suffix stops just above
+        # its smaller point
+        entries = volterra_linear(512).entries.copy()
+        entries[pair, pair[::-1]] = 1.0
+        assert acyclic_suffix(entries) == expected
 
 
 class TestMomentMatrix:

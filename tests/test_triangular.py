@@ -16,6 +16,7 @@ from conftest import (
     reference_nilpotent_failure,
     reference_nilpotent_sampled_failure,
     reference_peel_zero_columns,
+    reference_scc_blocks,
 )
 
 from kerneltri import (
@@ -40,7 +41,8 @@ from kerneltri import (
     verify_certificate,
     volterra_linear,
 )
-from kerneltri.operators import magnitude
+from kerneltri import cycles
+from kerneltri.operators import ZERO_TOL, magnitude
 from kerneltri.triangular import BlockDiagnosis, _certificate, _peel_zero_columns
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -117,6 +119,45 @@ class TestSccTriangularize:
         mat = rng.standard_normal((5, 5)) * (rng.random((5, 5)) < 0.4)
         K = atomic_operator(mat)
         assert verify_certificate(K, scc_triangularize(K)).passed
+
+
+def scc_kernel(rng: np.random.Generator, p: int) -> np.ndarray:
+    """`mixed_component_digraph` (self-loops, several nontrivial
+    components, sources tied for the next block) with up to p entries
+    set a thousandth above or below the zero threshold, on or off the
+    diagonal; each may add, drop or merge a component."""
+    mat = mixed_component_digraph(rng, p)
+    thr = ZERO_TOL * magnitude(mat)
+    # below 1 in modulus, so no entry that sets magnitude(mat) is replaced
+    small = np.flatnonzero(np.abs(mat) < 1)
+    near = rng.choice(small, size=int(rng.integers(0, min(p, small.size) + 1)), replace=False)
+    mat.flat[near] = thr * rng.choice([1 - 1e-3, 1 + 1e-3], size=near.size)
+    assert magnitude(mat) * ZERO_TOL == thr
+    return mat
+
+
+class TestSccBlocksAgainstReference:
+    """Both paths of `cycles.scc_blocks` against `reference_scc_blocks`:
+    the Python one at or below `cycles._CSGRAPH_CUTOFF` points, the csgraph
+    one above it."""
+
+    @staticmethod
+    def assert_matches(mat):
+        K = atomic_operator(mat)
+        expected = reference_certificate("scc", K, reference_scc_blocks(K), K.zero_threshold)
+        assert scc_triangularize(K).to_dict() == expected.to_dict()
+
+    @given(seeds, st.integers(min_value=1, max_value=12), st.sampled_from([0, 10**9]))
+    @settings(max_examples=200, deadline=None)
+    def test_forced_path(self, seed, p, cutoff):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cycles, "_CSGRAPH_CUTOFF", cutoff)
+            self.assert_matches(scc_kernel(np.random.default_rng(seed), p))
+
+    @given(seeds, st.integers(min_value=cycles._CSGRAPH_CUTOFF + 1, max_value=96))
+    @settings(max_examples=40, deadline=None)
+    def test_array_path(self, seed, p):
+        self.assert_matches(scc_kernel(np.random.default_rng(seed), p))
 
 
 class TestMaxKernelProjection:
