@@ -100,7 +100,7 @@ def _sampled_check(K: Operator, tol: float, samples: int, seed: int) -> Property
             f = np.concatenate([f, bits[:, 0]])
         n = hi - lo
         spectra, inverse = subset_spectra(K.entries, np.concatenate([e, f]))
-        hit = first_excluded(spectra[inverse[:n]], spectra[inverse[n:]], tol_eff)
+        hit = first_excluded(spectra.take(inverse[:n], 0), spectra.take(inverse[n:], 0), tol_eff)
         if hit is not None:
             row, col = divmod(hit, spectra.shape[1])
             k = lo + row
@@ -152,9 +152,9 @@ def _exhaustive_check(K: Operator, tol: float) -> PropertyReport:
         nonlocal spec
         grown = np.full((1 << m, m), np.nan, dtype=complex)
         grown[: 1 << low, :low] = spec
-        for s, lmasks, cols in _subsets_by_size(low, m):
-            idx = cols + (p - m)
-            grown[lmasks, :s] = np.linalg.eigvals(entries[idx[:, :, None], idx[:, None, :]])
+        block = entries[p - m :, p - m :].ravel()  # T_m, row-major
+        for s, lmasks, gather in _subsets_by_size(low, m):
+            grown[lmasks, :s] = np.linalg.eigvals(block.take(gather))
         spec = grown
 
     # the pairs up to level `suffix` hold, so the scan starts one level later
@@ -163,7 +163,7 @@ def _exhaustive_check(K: Operator, tol: float) -> PropertyReport:
         add_level(low, m)
         low = m
         for number, e, f in _pair_chunks(3 ** (m - 1), 3**m, m):
-            hit = first_excluded(spec[e], spec[f], tol_eff)
+            hit = first_excluded(spec.take(e, 0), spec.take(f, 0), tol_eff)
             if hit is not None:
                 row, col = divmod(hit, m)
                 e_lmask, f_lmask = int(e[row]), int(f[row])

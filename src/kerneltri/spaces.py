@@ -213,16 +213,17 @@ def level_pair_table(digits: int) -> tuple[np.ndarray, np.ndarray]:
 @functools.cache
 def _subsets_by_size(low: int, m: int) -> list[tuple[int, np.ndarray, np.ndarray]]:
     """The nonempty subsets of T_m with level masks in [2^low, 2^m),
-    grouped by size s as (s, level masks, columns), where row r of
-    columns lists the points of the r-th subset ascending as
-    point = p - m + column."""
+    grouped by size s as (s, level masks, gather): gather[r] (s × s) holds
+    the flat indices, into the m × m block of T_m, of the compression to
+    the r-th subset, its points ascending."""
     lmasks = np.arange(max(1, 1 << low), 1 << m)
     bits = (lmasks[:, None] >> np.arange(m)) & 1
     sizes = bits.sum(axis=1)
-    return [
-        (s, lmasks[sizes == s], np.nonzero(bits[sizes == s, ::-1])[1].reshape(-1, s))
-        for s in range(1, m + 1)
-    ]
+    groups = []
+    for s in range(1, m + 1):
+        cols = np.nonzero(bits[sizes == s, ::-1])[1].reshape(-1, s)
+        groups.append((s, lmasks[sizes == s], cols[:, :, None] * m + cols[:, None, :]))
+    return groups
 
 
 def level_mask_indices(lmask: int, p: int) -> tuple[int, ...]:

@@ -3,6 +3,7 @@ matching."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
@@ -85,14 +86,23 @@ def eigenvalues(K: Operator, tol: float = DEFAULT_TOL) -> SpectrumReport:
 def first_excluded(inner: np.ndarray, outer: np.ndarray, tol: float) -> int | None:
     """Flat index into `inner` of its first value, in row-major order,
     that lies farther than tol from every value of the matching row of
-    `outer` (inner (..., a), outer (..., b)); None when there is none.
-    NaN entries are padding: a padded inner value is never excluded, and
-    a row of `outer` without values excludes every value of `inner`."""
+    `outer` (inner (..., a), outer (..., b), the same leading shape);
+    None when there is none. NaN entries are padding: only the values of
+    `inner` that exist are measured, so a padded one is never excluded,
+    and a row of `outer` without values excludes every value of `inner`."""
+    if inner.ndim != 2:  # one row per index of the leading shape
+        n = math.prod(inner.shape[:-1])
+        inner, outer = inner.reshape(n, inner.shape[-1]), outer.reshape(n, outer.shape[-1])
+    valid = inner == inner
+    rows, cols = valid.nonzero()  # the values, in row-major order
     dist = np.fmin.reduce(
-        np.abs(inner[..., :, None] - outer[..., None, :]), axis=-1, initial=np.inf
+        np.abs(inner[valid][:, None] - outer.take(rows, 0)), axis=1, initial=np.inf
     )
-    bad = np.flatnonzero((dist > tol) & ~np.isnan(inner))
-    return int(bad[0]) if bad.size else None
+    bad = (dist > tol).nonzero()[0]
+    if not bad.size:
+        return None
+    k = bad[0]
+    return int(rows[k]) * inner.shape[1] + int(cols[k])
 
 
 #: entries per vectorized block: a block of n subsets or pairs on p points

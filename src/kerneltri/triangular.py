@@ -191,7 +191,7 @@ def _certificate(
         diagonal=tuple(diagonal),
         rank=rank,
         bound=bound,
-        residual=float(np.where(pos[:, None] > pos[None, :], np.abs(kernel), 0.0).max(initial=0.0)),
+        residual=float(np.abs(kernel[pos[:, None] > pos[None, :]]).max(initial=0.0)),
         tol=tol,
         multiplicity_free=all(len(b) == 1 for b in blocks),
     )

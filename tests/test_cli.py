@@ -389,7 +389,7 @@ class TestTriangularize:
         # the scc certificate of paper_example_1 with each recorded count
         # edited; the diagonal is left as recorded
         op = write_json(tmp_path, "op.json", {"kind": "named", "name": "paper_example_1"})
-        cert = json.loads(Path(_scc_certificate(tmp_path, op)).read_text())
+        cert = json.loads(Path(_certificate(tmp_path, op)).read_text())
         assert cert["bound"] == {"m": 3, "limit": None, "rank": None}
         assert cert["multiplicity_free"] is True
         cert.update(bound={"m": 99, "limit": 1, "rank": 7}, multiplicity_free=False)
@@ -439,7 +439,7 @@ class TestTriangularize:
     )
     def test_verify_rechecks_the_recorded_diagonal(self, tmp_path, tamper, detail):
         op = write_json(tmp_path, "op.json", {"kind": "named", "name": "paper_example_1"})
-        cert = json.loads(Path(_scc_certificate(tmp_path, op)).read_text())
+        cert = json.loads(Path(_certificate(tmp_path, op)).read_text())
         assert cert["diagonal"] == [
             {"block": 0, "class": "zero"},
             {"block": 1, "class": "scalar", "lambda": [1.0, 0.0]},
@@ -508,7 +508,7 @@ class TestTriangularize:
     )
     def test_verify_accepts_a_diagonal_that_holds(self, tmp_path, edit):
         op = write_json(tmp_path, "op.json", {"kind": "named", "name": "paper_example_1"})
-        cert = json.loads(Path(_scc_certificate(tmp_path, op)).read_text())
+        cert = json.loads(Path(_certificate(tmp_path, op)).read_text())
         edit(cert)
         code, text = run(
             tmp_path, "verify", "--in", op, "--cert", write_json(tmp_path, "edited.json", cert)
@@ -529,7 +529,7 @@ class TestTriangularize:
     )
     def test_verify_rechecks_the_recorded_residual(self, tmp_path, residual, tol, detail):
         op = write_json(tmp_path, "op.json", {"kind": "named", "name": "paper_example_1"})
-        cert = json.loads(Path(_scc_certificate(tmp_path, op)).read_text())
+        cert = json.loads(Path(_certificate(tmp_path, op)).read_text())
         assert cert["residual"] == 0.0
         cert["residual"] = residual
         code, text = run(
@@ -784,7 +784,7 @@ class TestErrorsAndDeterminism:
     def test_unwritable_out_exits_two(self, tmp_path, capsys, argv):
         desc = {"kind": "named", "name": "volterra_linear", "cells": 4, "sets": [[0], [1, 2]]}
         op = write_json(tmp_path, "op.json", desc)
-        extra = ["--cert", _scc_certificate(tmp_path, op)] if argv == ("verify",) else []
+        extra = ["--cert", _certificate(tmp_path, op)] if argv == ("verify",) else []
         out = tmp_path / "missing" / "x.json"
         code = main([argv[0], "--in", op, *argv[1:], *extra, "--out", str(out)])
         assert code == 2
@@ -960,6 +960,15 @@ _DESCRIPTORS = [
         "sets": [[0, 1], [2]],
     },
 ]
+# each descriptor with a kind that certifies it: paper_example_1 has a
+# nonzero diagonal, so it has no nilpotent certificate
+_CERTIFIED = [
+    (_DESCRIPTORS[0], "scc"),
+    (_DESCRIPTORS[0], "increasing"),
+    (_DESCRIPTORS[1], "scc"),
+    (_DESCRIPTORS[1], "nilpotent"),
+    (_DESCRIPTORS[1], "increasing"),
+]
 _COMMANDS = [
     ["spectrum"],
     ["check-increasing"],
@@ -983,26 +992,28 @@ class TestFuzzedInputs:
         with tempfile.TemporaryDirectory() as tmp:
             tmp = Path(tmp)
             op = write_json(tmp, "op.json", data.draw(_mutated(desc)))
-            extra = ["--cert", _scc_certificate(tmp)] if command == ["verify"] else []
+            extra = ["--cert", _certificate(tmp)] if command == ["verify"] else []
             code, _ = run(tmp, command[0], "--in", op, *command[1:], *extra)
         assert code in (0, 1, 2)
 
-    @given(st.data(), st.sampled_from(_DESCRIPTORS[:2]))
-    @settings(max_examples=200, deadline=None)
-    def test_mutated_certificates(self, data, desc):
+    @given(st.data(), st.sampled_from(_CERTIFIED))
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_certificates(self, data, certified):
+        desc, kind = certified
         with tempfile.TemporaryDirectory() as tmp:
             tmp = Path(tmp)
             op = write_json(tmp, "op.json", desc)
-            good = json.loads(Path(_scc_certificate(tmp, op)).read_text())
+            good = json.loads(Path(_certificate(tmp, op, kind)).read_text())
             cert = write_json(tmp, "bad.json", data.draw(_mutated(good)))
             code, _ = run(tmp, "verify", "--in", op, "--cert", cert)
         assert code in (0, 1, 2)
 
 
-def _scc_certificate(tmp: Path, op: str | None = None) -> str:
-    """Path of the scc certificate of `op` (by default paper_example_1)."""
+def _certificate(tmp: Path, op: str | None = None, kind: str = "scc") -> str:
+    """Path of the certificate of `op` (by default paper_example_1) made by
+    `triangularize --kind kind`."""
     if op is None:
         op = write_json(tmp, "example.json", {"kind": "named", "name": "paper_example_1"})
     out = tmp / "cert.json"
-    assert main(["triangularize", "--in", op, "--kind", "scc", "--out", str(out)]) == 0
+    assert main(["triangularize", "--in", op, "--kind", kind, "--out", str(out)]) == 0
     return str(out)

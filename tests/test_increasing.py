@@ -257,6 +257,26 @@ class TestLevelByLevelAgainstReference:
         assert (e, f) == ((1,), (0, 1))
         assert z == 0
 
+    def test_witness_inside_a_chunk_and_a_spectrum(self):
+        # 9 points, diagonal but for a 2-cycle on points 4 and 7 (it moves
+        # their eigenvalues by 0.6 tol, with tol * K.scale = 1e-7 here) and
+        # a 3-cycle 0 -> 4 -> 7 -> 0 that moves the one near kernel[7, 7]
+        # by about 1.3 tol more: E = {7} against F = {0, 4, 7} holds at
+        # about 0.7 tol, and E = {4, 7} fails there on its second
+        # eigenvalue; level 9 starts at pair 3^8, so its 729-pair chunks
+        # are aligned and the witness is row 168 of one
+        kernel = np.diag([0.0, 3, 5, 7, 10, 2, 4, 0.1, 6]).astype(complex)
+        kernel[0, 4] = kernel[4, 7] = 1.0
+        kernel[7, 4] = 0.6e-7 * 9.9
+        kernel[7, 0] = -1.3e-7
+        K = kernel_operator(build_space(0, range(2, 11)), kernel)
+        report = check_increasing_spectrum(K)
+        assert decision(report) == decision(reference_increasing_check(K))
+        e, f, z = report.witness
+        assert (e, f) == ((4, 7), (0, 4, 7))
+        assert (report.pairs_checked - 1) % 729 == 168
+        assert np.flatnonzero(np.linalg.eigvals(K.entries[np.ix_(e, e)]) == z).tolist() == [1]
+
     def test_early_violator_among_64_points(self):
         # found at level 2; the check must not touch the 2^64 subsets
         K = ones_kernel(64)

@@ -173,6 +173,48 @@ class TestSpectrumInclusion:
         assert excluded(outer, inner, 1e-8) == 0.0  # 0 is missing
 
 
+def plain_first_excluded(inner, outer, tol):
+    """first_excluded as a loop over the values of `inner` in row-major
+    order, each measured against the values of its row of `outer`."""
+    for flat, index in enumerate(np.ndindex(inner.shape)):
+        z = inner[index]
+        values = [y for y in outer[index[:-1]] if not np.isnan(y)]
+        if not np.isnan(z) and all(abs(z - y) > tol for y in values):
+            return flat
+    return None
+
+
+# exact binary values, so each distance between two of them is exact; the
+# value just above 1.5 lies one ulp farther than 0.5 from 1.0
+_SCAN_VALUES = [0.0, -0.0, 0.5, -0.5, 1.0, 1.5, np.nextafter(1.5, 2.0), 2.0, 1j, -1j]
+_SCAN_VALUES += [complex(-0.0, 0.5), complex(0.5, -0.0), complex(-0.0, -0.0)]
+
+
+@st.composite
+def _inclusion_tables(draw):
+    """(inner, outer): tables of one leading shape with 0-3 dimensions,
+    NaN-padded after a per-row count of values (as the level tables and
+    subset_spectra pad them) or NaN anywhere."""
+    lead = tuple(draw(st.lists(st.integers(0, 3), max_size=2)))
+    prefix = draw(st.booleans())
+
+    def table(width):
+        shape = lead + (width,)
+        values = draw(st.lists(st.sampled_from(_SCAN_VALUES), min_size=math.prod(shape),
+                               max_size=math.prod(shape)))
+        t = np.array(values, dtype=complex).reshape(shape)
+        if prefix:
+            counts = np.array(draw(st.lists(st.integers(0, width), min_size=math.prod(lead),
+                                            max_size=math.prod(lead)))).reshape(lead)
+            t[np.arange(width) >= counts[..., None]] = np.nan
+        else:
+            pad = draw(st.lists(st.booleans(), min_size=t.size, max_size=t.size))
+            t[np.array(pad, dtype=bool).reshape(shape)] = np.nan
+        return t
+
+    return table(draw(st.integers(0, 4))), table(draw(st.integers(0, 4)))
+
+
 class TestFirstExcluded:
     @pytest.mark.parametrize("seed", range(20))
     def test_padded_batches_match_a_plain_loop(self, seed):
@@ -182,14 +224,19 @@ class TestFirstExcluded:
         outer = np.round(rng.standard_normal((rows, b)) + 1j * rng.standard_normal((rows, b)))
         inner[rng.random((rows, a)) < 0.3] = np.nan
         outer[rng.random((rows, b)) < 0.3] = np.nan
-        expected = None
-        for r in range(rows):
-            values = [y for y in outer[r] if not np.isnan(y)]
-            for c in range(a):
-                z = inner[r, c]
-                if expected is None and not np.isnan(z) and all(abs(z - y) > 0.5 for y in values):
-                    expected = r * a + c
-        assert first_excluded(inner, outer, 0.5) == expected
+        assert first_excluded(inner, outer, 0.5) == plain_first_excluded(inner, outer, 0.5)
+
+    @given(_inclusion_tables(), st.sampled_from([0.0, 0.5, 1.0]))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_a_plain_loop(self, tables, tol):
+        inner, outer = tables
+        assert first_excluded(inner, outer, tol) == plain_first_excluded(inner, outer, tol)
+
+    def test_distance_tol_is_included(self):
+        above = np.nextafter(1.5, 2.0)
+        assert first_excluded(np.array([1.5, above]), np.array([1.0]), 0.5) == 1
+        assert first_excluded(np.array([[1.5], [above]]), np.array([[1.0], [1.0]]), 0.5) == 1
+        assert first_excluded(np.array([0.0, -0.0]), np.array([-0.0]), 0.0) is None
 
     def test_empty_outer_excludes_every_value(self):
         assert first_excluded(np.array([2.0, 3.0]), np.empty(0), 1.0) == 0
