@@ -13,7 +13,7 @@ import math
 import sys
 
 from .errors import KernelTriError, TheoremViolationError
-from .increasing import DEFAULT_SAMPLES, check_increasing_spectrum, radius_profile
+from .increasing import check_increasing_spectrum, radius_profile
 from .jsonio import canonical_dumps, is_integer, operator_from_dict
 from .cycles import moment_identities, shortest_cycle, support_digraph
 from .operators import Operator, factor
@@ -77,9 +77,7 @@ def _cmd_spectrum(K, data, args) -> tuple[dict, bool]:
 
 
 def _cmd_check_increasing(K, data, args) -> tuple[dict, bool]:
-    report = check_increasing_spectrum(
-        K, tol=args.tol, max_points=args.max_points, samples=args.samples, seed=args.seed
-    )
+    report = check_increasing_spectrum(K, tol=args.tol, max_points=args.max_points)
     return report.to_dict(), report.verdict
 
 
@@ -190,8 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--max-points", type=_bounded_int(0, MAX_POINTS_LIMIT), default=DEFAULT_MAX_POINTS
     )
-    p.add_argument("--samples", type=_bounded_int(0), default=DEFAULT_SAMPLES)
-    p.add_argument("--seed", type=_bounded_int(0), default=0)
     p.set_defaults(fn=_cmd_check_increasing)
 
     p = sub.add_parser("cycles", help="support digraph and non-degenerate cycle search")

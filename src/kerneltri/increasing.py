@@ -2,8 +2,9 @@
 
 The property quantifies over all ordered pairs E ⊆ F of standard sets.
 For p points that is 3^p pairs; up to `max_points` the check is exhaustive,
-beyond that a clearly-labeled sampled mode is used (all pairs along the
-nested cell chain plus seeded random pairs).
+beyond that it is decided from the exactly nonzero entries: an acyclic
+support holds, and on a cyclic one a shortest cycle C gives the witness
+({v}, C), confirmed by the eigenvalues of the compression to C.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cycles import acyclic_suffix
+from .cycles import SupportDigraph, acyclic_suffix, shortest_cycle
 from .errors import DimensionMismatchError, PreconditionError
 from .operators import Operator
 from .spaces import (
@@ -21,20 +22,15 @@ from .spaces import (
     _subsets_by_size,
     level_mask_indices,
     level_pair_table,
-    nested_chain,
     pair_masks,
 )
 from .spectral import (
     DEFAULT_TOL,
     MAX_DENSE_SIZE,
-    block_ranges,
     block_size,
     dense_eigvals,
     first_excluded,
-    subset_spectra,
 )
-
-DEFAULT_SAMPLES = 10_000
 
 
 @dataclass(frozen=True)
@@ -61,57 +57,25 @@ class PropertyReport:
         return d
 
 
-def _sampled_check(K: Operator, tol: float, samples: int, seed: int) -> PropertyReport:
-    """The sampled path of :func:`check_increasing_spectrum`."""
+def _structural_check(K: Operator, tol: float) -> PropertyReport:
+    """The structural path of :func:`check_increasing_spectrum`."""
     p = K.size
+    if acyclic_suffix(K.entries) == p:
+        return PropertyReport(True, 3**p, False, tol)
+    cycle = np.sort(shortest_cycle(SupportDigraph(0.0, K.entries != 0)))
+    diagonal = K.entries[cycle, cycle]
+    spectrum = dense_eigvals(K.entries[cycle[:, None], cycle])
     tol_eff = tol * K.scale
-    points = np.arange(p)
-    # cells come first, so each set of the nested cell chain is a prefix;
-    # its pairs come first, in the order of itertools.combinations
-    prefixes = np.array(
-        [s.mask.bit_length() for s in nested_chain(K.space, K.space.num_cells)]
-        if K.space.num_cells > 0
-        else [],
-        dtype=np.intp,
-    )
-    e_len, f_len = (prefixes[i] for i in np.triu_indices(prefixes.size, 1))
-    chained = e_len.size
-    # The chain sets are prefixes, so, as in radius_profile, the acyclic
-    # suffix of the reversed points is the largest prefix whose exact
-    # support is acyclic: a chain pair whose F lies inside it holds at
-    # distance 0, and every pair holds when it covers all points.
-    acyclic = acyclic_suffix(K.entries[::-1, ::-1])
-    if acyclic == p:
-        return PropertyReport(True, chained + samples, False, tol)
-    numbers = np.flatnonzero(f_len > acyclic)  # pair numbers of the chain pairs left
-    e_len, f_len = e_len[numbers], f_len[numbers]
-    rng = np.random.default_rng(seed)
-    # the first block holds those chain pairs, or one sample when there are none
-    for lo, hi in block_ranges(numbers.size + samples, p, max(1, numbers.size)):
-        chain = slice(min(lo, numbers.size), min(hi, numbers.size))
-        e = points < e_len[chain, None]
-        f = points < f_len[chain, None]
-        drawn = hi - max(lo, numbers.size)
-        if drawn > 0:
-            # per sample F's bits, then the bits kept in E: one call for the
-            # block yields the same bits as one call per sample
-            bits = rng.integers(0, 2, size=(drawn, 2, p)).astype(bool)
-            e = np.concatenate([e, bits[:, 0] & bits[:, 1]])
-            f = np.concatenate([f, bits[:, 0]])
-        n = hi - lo
-        spectra, inverse = subset_spectra(K.entries, np.concatenate([e, f]))
-        hit = first_excluded(spectra.take(inverse[:n], 0), spectra.take(inverse[n:], 0), tol_eff)
-        if hit is not None:
-            row, col = divmod(hit, spectra.shape[1])
-            k = lo + row
-            number = int(numbers[k]) if k < numbers.size else chained + k - numbers.size
-            witness = (
-                tuple(np.flatnonzero(e[row]).tolist()),
-                tuple(np.flatnonzero(f[row]).tolist()),
-                complex(spectra[inverse[row], col]),
-            )
-            return PropertyReport(False, number + 1, False, tol, witness)
-    return PropertyReport(True, chained + samples, False, tol)
+    hit = first_excluded(diagonal[None], spectrum[None], tol_eff)
+    if hit is None:
+        margin = np.abs(diagonal[:, None] - spectrum).min(axis=1).max()
+        raise PreconditionError(
+            f"the shortest cycle {cycle.tolist()} of the exact support has largest margin "
+            f"{margin:.3e}, at or below tol * scale = {tol_eff:.3e}: the operator lies in "
+            f"the tolerance band; max_points >= {p} decides it exhaustively"
+        )
+    witness = ((int(cycle[hit]),), tuple(cycle.tolist()), complex(diagonal[hit]))
+    return PropertyReport(False, hit + 1, False, tol, witness)
 
 
 def _pair_chunks(lo: int, hi: int, m: int):
@@ -180,8 +144,7 @@ def check_increasing_spectrum(
     K: Operator,
     tol: float = DEFAULT_TOL,
     max_points: int = DEFAULT_MAX_POINTS,
-    samples: int = DEFAULT_SAMPLES,
-    seed: int = 0,
+    samples: object = None,
 ) -> PropertyReport:
     """Decide σ(P_E K P_E) ⊆ σ(P_F K P_F) for all pairs E ⊆ F, each
     eigenvalue of the inner compression within tol * K.scale of one of
@@ -206,24 +169,28 @@ def check_increasing_spectrum(
     minimal one), and `pairs_checked` counts the pairs decided: up to and
     including the witness, or all 3^p on a pass.
 
-    Larger spaces fall back to the sampled mode, and the report carries
-    exhaustive=False. Its pairs are those along the nested cell chain,
-    then `samples` seeded random pairs E ⊆ F (per sample F's bits, then
-    the bits kept in E). The chain pairs whose F lies inside the largest
-    prefix of the points with an acyclic exact support hold, and all
-    pairs hold when that prefix is every point; the others are decided
-    in blocks (see :func:`block_ranges`): the first holds those chain
-    pairs (one sample when there are none), each next one twice as many
-    pairs, up to `block_size(p)`. Each block
-    takes one draw, one :func:`subset_spectra` call on its distinct
-    subsets and one :func:`first_excluded` scan in pair order, so memory
-    is bounded however large `samples` is. The witness is the first
-    violating pair in that order, and `pairs_checked` counts the pairs up
-    to and including it, or all of them on a pass.
+    Larger spaces are decided structurally, and the report carries
+    exhaustive=False. An acyclic exact support holds, with all 3^p pairs.
+    Otherwise C is the :func:`shortest_cycle` of the exact support (the
+    arcs K.entries != 0). It has no chord, so the compression to C has
+    the characteristic polynomial ∏(λ - a_ii) ± (cycle product), and in
+    exact arithmetic ({v}, C) violates for every v in C. That compression
+    is eigen-decomposed once, and one :func:`first_excluded` call decides
+    the pairs ({v}, C) for v in C ascending: the first a_vv farther than
+    tol * K.scale from σ(P_C K P_C) is the witness ((v,), C, a_vv), and
+    `pairs_checked` is the rank of v in C plus one. When no a_vv clears
+    that distance the operator lies in the tolerance band, where neither
+    verdict is proven, and a PreconditionError names C, its largest
+    margin and tol * K.scale; max_points >= K.size decides it
+    exhaustively.
+
+    `samples` is accepted and ignored: it sized the seeded sampled mode
+    that the structural rule replaced, and callers written for that mode
+    (perfbench/workloads.py) still pass it.
     """
     if K.size <= max_points:
         return _exhaustive_check(K, tol)
-    return _sampled_check(K, tol, samples, seed)
+    return _structural_check(K, tol)
 
 
 def radius_profile(K: Operator, chain: list[StandardSet]) -> list[float]:

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -108,31 +108,13 @@ def first_excluded(inner: np.ndarray, outer: np.ndarray, tol: float) -> int | No
 #: entries per vectorized block: a block of n subsets or pairs on p points
 #: has n·p² <= BLOCK_ENTRIES, so its gathered compressions and its complex
 #: distance table take about 1 MiB however many are decided (2^15 to 2^17
-#: ran alike on the exhaustive scan at 9 to 11 points; 2^15 made the
-#: sampled checks 10-20% slower at 13 to 64 points)
+#: ran alike on the exhaustive scan at 9 to 11 points)
 BLOCK_ENTRIES = 1 << 16
 
 
 def block_size(p: int) -> int:
     """Most subsets or pairs on p points in one block (at least one)."""
     return max(1, BLOCK_ENTRIES // max(1, p * p))
-
-
-def block_ranges(total: int, p: int, first: int) -> Iterator[tuple[int, int]]:
-    """Consecutive ranges [lo, hi) that cover 0 .. total-1 for items
-    (subsets or pairs) on p points: the first range holds `first` items,
-    each next one twice as many, none more than block_size(p) and every
-    range at least one. Callers put the items fixed ahead of their seeded
-    draws (or one draw, when there are none) in the first range, so a
-    decision met there costs about what a one-at-a-time loop pays, and a
-    long run takes few blocks."""
-    cap = block_size(p)
-    size = max(1, min(cap, first))
-    lo = 0
-    while lo < total:
-        hi = min(total, lo + size)
-        yield lo, hi
-        lo, size = hi, min(cap, 2 * size)
 
 
 def subset_spectra(entries: np.ndarray, members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -35,13 +35,13 @@ from .operators import (
 from .spaces import DEFAULT_MAX_POINTS, StandardSet
 from .spectral import (
     DEFAULT_TOL,
-    block_ranges,
     block_size,
+    dense_eigvals,
     eigenvalues,
     match_multisets,
     subset_spectra,
 )
-from .cycles import acyclic_suffix, scc_blocks, support_digraph
+from .cycles import SupportDigraph, acyclic_suffix, scc_blocks, shortest_cycle, support_digraph
 from .jsonio import canonical_dumps, is_integer, is_number
 
 
@@ -224,38 +224,53 @@ def assert_nilpotent_compressions(K: Operator, tol: float = DEFAULT_TOL) -> None
 
     A zero diagonal on an acyclic exact support (see
     :func:`acyclic_suffix`) makes every compression strictly triangular up
-    to a permutation, so nilpotent, and returns at once. Otherwise the
-    check runs over the subsets in blocks decided by :func:`subset_spectra`
-    and names the first failing one: up to DEFAULT_MAX_POINTS points every
-    subset in bitmask order, so the failure of smallest bitmask; above it
-    the full set, all singletons and 2048 subsets drawn from seed 0.
+    to a permutation, so nilpotent. Up to DEFAULT_MAX_POINTS points such
+    an operator returns at once, and the check otherwise runs over every
+    subset in bitmask order, in blocks decided by :func:`subset_spectra`,
+    and names the failure of smallest bitmask. Above it the structure
+    decides: a diagonal entry above tol * K.scale names its singleton (the
+    smallest point), an acyclic exact support returns, and otherwise the error
+    names the :func:`shortest_cycle` C of the exact support with the
+    radius of the compression to C (with a zero diagonal its eigenvalues
+    are the |C|-th roots of the cycle product). A radius at or below
+    tol * K.scale is the tolerance band, and the error says so instead.
     """
     p = K.size
+    cutoff = tol * K.scale
+    if p > DEFAULT_MAX_POINTS:
+        diagonal = np.abs(np.diagonal(K.entries))
+        above = np.flatnonzero(diagonal > cutoff)
+        if above.size:
+            raise _not_nilpotent(above[:1].tolist(), diagonal[above[0]])
+        if acyclic_suffix(K.entries) == p:
+            return
+        cycle = np.sort(shortest_cycle(SupportDigraph(0.0, K.entries != 0))).tolist()
+        radius = np.abs(dense_eigvals(K.entries[np.ix_(cycle, cycle)])).max()
+        if radius > cutoff:
+            raise _not_nilpotent(cycle, radius)
+        raise PreconditionError(
+            f"the shortest cycle {cycle} of the exact support has radius {radius:.3e}, "
+            f"at or below tol * scale = {cutoff:.3e}: the operator lies in the tolerance "
+            "band, where the nilpotence of every compression is not decided"
+        )
     if not np.diagonal(K.entries).any() and acyclic_suffix(K.entries) == p:
         return
-    cutoff = tol * K.scale
-    if p <= DEFAULT_MAX_POINTS:  # every subset, in bitmask order (bit i = point i)
-        masks = np.arange(1, 1 << p)[:, None] >> np.arange(p) & 1
-        blocks = (masks[lo:hi] for lo, hi in block_ranges(len(masks), p, block_size(p)))
-    else:  # the first block holds the full set and the singletons
-        rng = np.random.default_rng(0)
-        fixed = np.concatenate([np.ones((1, p)), np.eye(p)])
-        blocks = (
-            np.concatenate(
-                [fixed[lo:hi], rng.integers(0, 2, size=(max(0, hi - max(lo, p + 1)), p))]
-            )
-            for lo, hi in block_ranges(p + 1 + 2048, p, p + 1)
-        )
-    for rows in blocks:
-        members = rows.astype(bool)
+    # every subset, in bitmask order (bit i = point i)
+    masks = np.arange(1, 1 << p)[:, None] >> np.arange(p) & 1
+    step = block_size(p)
+    for lo in range(0, len(masks), step):
+        members = masks[lo : lo + step].astype(bool)
         spectra, inverse = subset_spectra(K.entries, members)
         radius = np.fmax.reduce(np.abs(spectra), axis=1, initial=0.0)[inverse]
         bad = np.flatnonzero(radius > cutoff)
         if bad.size:
-            raise PreconditionError(
-                f"standard compression on points {np.flatnonzero(members[bad[0]]).tolist()} "
-                f"is not nilpotent (radius {radius[bad[0]]:.3e})"
-            )
+            raise _not_nilpotent(np.flatnonzero(members[bad[0]]).tolist(), radius[bad[0]])
+
+
+def _not_nilpotent(points: list[int], radius: float) -> PreconditionError:
+    return PreconditionError(
+        f"standard compression on points {points} is not nilpotent (radius {radius:.3e})"
+    )
 
 
 def nilpotent_block_form(

@@ -25,7 +25,7 @@ from kerneltri import (
     support_digraph,
 )
 from kerneltri.operators import ZERO_TOL
-from kerneltri.spaces import mask_indices, nested_chain, standard_pair_masks
+from kerneltri.spaces import mask_indices, standard_pair_masks
 from kerneltri.spectral import first_excluded
 from kerneltri.triangular import BlockDiagnosis, TriangularizationCertificate
 
@@ -71,6 +71,35 @@ def forbid_eigenvalues(monkeypatch) -> None:
         raise AssertionError("eigen-decomposed a compression")
 
     monkeypatch.setattr(np.linalg, "eigvals", refuse)
+
+
+def count_decompositions(monkeypatch) -> list[tuple[int, int]]:
+    """Wrap np.linalg.eigvals; the returned list gets, per call, the
+    size of its matrices and how many it decomposed."""
+    eigvals = np.linalg.eigvals
+    counts: list[tuple[int, int]] = []
+
+    def counting(a):
+        a = np.asarray(a)
+        counts.append((a.shape[-1], int(np.prod(a.shape[:-2]))))
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counting)
+    return counts
+
+
+def figure_eight(p: int):
+    """Two cycles of k = (p + 1) / 2 atoms that share point 0, with cycle
+    products +1 and -1: they cancel in the characteristic polynomial λ^p
+    of the full compression, which is so nilpotent, and only a pair whose
+    F holds one cycle and not the other violates the increasing-spectrum
+    property."""
+    k = (p + 1) // 2
+    kernel = np.zeros((p, p), dtype=complex)
+    for cycle, product in ((list(range(k)), 1.0), ([0, *range(k, p)], -1.0)):
+        kernel[cycle, cycle[1:] + cycle[:1]] = 1.0
+        kernel[cycle[-1], 0] = product
+    return kernel_operator(build_space(0, range(2, p + 2)), kernel)
 
 
 def kernel_operator_from_function(space, fn):
@@ -131,48 +160,37 @@ def reference_increasing_check(K, tol: float = 1e-8) -> PropertyReport:
     return PropertyReport(True, checked, True, tol)
 
 
-def reference_sample_masks(space, samples: int, seed: int):
-    """The sampled pairs as masks, one pair at a time: all pairs along the
-    nested cell chain, then `samples` seeded pairs E ⊆ F drawn with two
-    `integers` calls each (F's bits, then the bits kept in E)."""
-    if space.num_cells > 0:
-        chain = nested_chain(space, space.num_cells)
-        yield from itertools.combinations([s.mask for s in chain], 2)
-    rng = np.random.default_rng(seed)
-    for _ in range(samples):
-        f_bits = rng.integers(0, 2, size=space.size)
-        e_bits = f_bits * rng.integers(0, 2, size=space.size)
-        yield (
-            sum(1 << i for i in np.flatnonzero(e_bits).tolist()),
-            sum(1 << i for i in np.flatnonzero(f_bits).tolist()),
-        )
-
-
-def reference_sampled_check(K, tol: float = 1e-8, samples: int = 10_000, seed: int = 0):
-    """The sampled check as a plain per-pair loop, one eigvals call per
-    new subset: the reference for the block-wise sampled path of
-    `check_increasing_spectrum`."""
-    p = K.size
+def witness_violates(K, witness, tol: float = 1e-8) -> bool:
+    """Whether the witness (E, F, z) of a `false` report violates the
+    property, by eigenvalues of its own: z lies within tol * scale of
+    σ(E) and farther than that from every value of σ(F), each spectrum
+    one eigvals call on the compression to its points."""
+    e, f, z = witness
+    if not set(e) <= set(f):
+        return False
     tol_eff = tol * K.scale
+    inner = np.linalg.eigvals(K.entries[np.ix_(e, e)])
+    outer = np.linalg.eigvals(K.entries[np.ix_(f, f)])
+    return bool(np.abs(inner - z).min() <= tol_eff < np.abs(outer - z).min())
 
-    @functools.cache
-    def spectrum(mask: int) -> np.ndarray:
-        idx = mask_indices(mask, p)
-        return np.linalg.eigvals(K.entries.take(idx, 0).take(idx, 1))
 
-    checked = 0
-    for e_mask, f_mask in reference_sample_masks(K.space, samples, seed):
-        checked += 1
-        witness = inclusion_witness(spectrum(e_mask), spectrum(f_mask), tol_eff)
-        if witness is not None:
-            return PropertyReport(
-                False,
-                checked,
-                False,
-                tol,
-                (mask_indices(e_mask, p), mask_indices(f_mask, p), witness),
-            )
-    return PropertyReport(True, checked, False, tol)
+def reference_structural_check(K, tol: float = 1e-8) -> PropertyReport | None:
+    """The check above max_points as plain loops: `true` over 3^p pairs
+    when `reference_acyclic_suffix` covers every point, else the first
+    point v of `reference_shortest_cycle` at threshold 0 (ascending) whose
+    diagonal entry lies farther than tol * scale from every eigenvalue of
+    the compression to the cycle C, reported as the witness ({v}, C); None
+    when no point of C is that far (the tolerance band)."""
+    p = K.size
+    if reference_acyclic_suffix(K.entries) == p:
+        return PropertyReport(True, 3**p, False, tol)
+    cycle = tuple(sorted(reference_shortest_cycle(K, 0.0)))
+    spectrum = np.linalg.eigvals(K.entries[np.ix_(cycle, cycle)])
+    for rank, v in enumerate(cycle):
+        z = complex(K.entries[v, v])
+        if np.abs(spectrum - z).min() > tol * K.scale:
+            return PropertyReport(False, rank + 1, False, tol, ((v,), cycle, z))
+    return None
 
 
 def reference_radius_profile(K, chain) -> list[float]:
@@ -186,10 +204,11 @@ def reference_radius_profile(K, chain) -> list[float]:
     ]
 
 
-def found_sampled_instance(cells: int):
-    """`volterra_linear(cells)` on the cells plus two atoms carrying a
-    2-cycle: the nested cell chain never touches the cycle, so every chain
-    pair holds at distance 0, while pairs through both atoms violate."""
+def volterra_and_two_cycle(cells: int):
+    """`volterra_linear(cells)` on the cells plus two atoms carrying the
+    2-cycle [[0, 1], [2, 0]]: the nested cell chain never touches the
+    cycle, so every chain pair holds at distance 0, while ({v}, both
+    atoms) violates by √2 for either atom v."""
     space = build_space(cells, [2, 3])
     kernel = np.zeros((cells + 2, cells + 2), dtype=complex)
     x = np.array(space.midpoints)
@@ -307,22 +326,26 @@ def reference_nilpotent_failure(K, tol: float = 1e-8) -> str | None:
     return None
 
 
-def reference_nilpotent_sampled_failure(K, tol: float = 1e-8) -> str | None:
-    """The sampled nilpotence check as a plain loop: the full set, each
-    singleton, then 2048 subsets drawn one `integers` call each from seed
-    0, one eigvals call per subset; the message of the first failing
-    subset, or None when every one of them is nilpotent."""
-    p = K.size
-    rng = np.random.default_rng(0)
-    subsets = [list(range(p))] + [[i] for i in range(p)]
-    subsets += [np.nonzero(rng.integers(0, 2, size=p))[0].tolist() for _ in range(2048)]
-    for idx in subsets:
-        if not idx:
-            continue
-        radius = np.abs(np.linalg.eigvals(K.entries[np.ix_(idx, idx)])).max()
-        if radius > tol * K.scale:
-            return f"standard compression on points {idx} is not nilpotent (radius {radius:.3e})"
-    return None
+def reference_nilpotent_structural_failure(K, tol: float = 1e-8) -> str | None:
+    """The nilpotence check above 12 points as plain loops: the first point
+    whose diagonal entry exceeds tol * scale, else, on a cyclic exact
+    support, the `reference_shortest_cycle` at threshold 0 with the radius
+    of its compression (one eigvals call); the message of that failure
+    (a radius at or below tol * scale reads "band"), or None when the
+    diagonal is within tol * scale and the exact support is acyclic."""
+    cutoff = tol * K.scale
+    for i in range(K.size):
+        if abs(K.entries[i, i]) > cutoff:
+            radius = abs(K.entries[i, i])
+            return f"standard compression on points {[i]} is not nilpotent (radius {radius:.3e})"
+    cycle = reference_shortest_cycle(K, 0.0)
+    if cycle is None:
+        return None
+    idx = sorted(cycle)
+    radius = np.abs(np.linalg.eigvals(K.entries[np.ix_(idx, idx)])).max()
+    if radius <= cutoff:
+        return "band"
+    return f"standard compression on points {idx} is not nilpotent (radius {radius:.3e})"
 
 
 def all_ordered_partitions(items: tuple[int, ...]):

@@ -12,10 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    count_decompositions,
     forbid_eigenvalues,
-    found_sampled_instance,
     random_nilpotent_instance,
     reference_complex_matrix,
+    volterra_and_two_cycle,
 )
 
 from kerneltri import (
@@ -109,22 +110,66 @@ class TestCheckIncreasing:
         assert not data["verdict"]
         assert "witness" in data
 
-    def test_sampled_mode_flags(self, tmp_path):
+    def test_structural_mode_above_max_points(self, tmp_path):
         op = write_json(
             tmp_path,
             "vol.json",
             {"kind": "named", "name": "volterra_linear", "cells": 16},
         )
-        code, text = run(
-            tmp_path, "check-increasing", "--in", op, "--samples", "100", "--seed", "3"
-        )
+        code, text = run(tmp_path, "check-increasing", "--in", op)
         assert code == 0
         assert not json.loads(text)["exhaustive"]
 
+    def test_found_reproduction_fails_on_its_two_cycle(self, tmp_path, monkeypatch):
+        # 128 Volterra cells plus two atoms carrying [[0, 1], [2, 0]]: one
+        # eigen-decomposition, of the 2x2 compression to the cycle
+        K = volterra_and_two_cycle(128)
+        op = write_json(
+            tmp_path,
+            "found.json",
+            {
+                "kind": "dense",
+                "space": {"cells": 128, "atoms": [2, 3]},
+                "kernel": K.kernel_values.real.tolist(),
+            },
+        )
+        counts = count_decompositions(monkeypatch)
+        code, text = run(tmp_path, "check-increasing", "--in", op)
+        assert code == 1
+        assert counts == [(2, 1)]
+        assert json.loads(text) == {
+            "verdict": False,
+            "pairs_checked": 1,
+            "exhaustive": False,
+            "tol": 1e-8,
+            "witness": {"E": [128], "F": [128, 129], "eigenvalue": [0.0, 0.0]},
+        }
+
+    def test_tolerance_band_exits_two(self, tmp_path, capsys):
+        # README Tolerances, example A on 13 atoms: the structural rule
+        # proves neither verdict, and --max-points 13 decides it
+        kernel = np.zeros((13, 13))
+        kernel[0, 1] = kernel[1, 0] = 1e-9
+        op = write_json(
+            tmp_path,
+            "band.json",
+            {"kind": "dense", "space": {"atoms": list(range(2, 15))}, "kernel": kernel.tolist()},
+        )
+        capsys.readouterr()
+        code, text = run(tmp_path, "check-increasing", "--in", op)
+        assert code == 2 and text == ""
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: the shortest cycle [0, 1] ")
+        code, text = run(tmp_path, "check-increasing", "--in", op, "--max-points", "13")
+        assert code == 0
+        assert json.loads(text) == {
+            "verdict": True, "pairs_checked": 3**13, "exhaustive": True, "tol": 1e-8
+        }
+
 
 class TestAcyclicSupportsNeedNoEigenvalues:
-    """Spectra and profiles of exactly acyclic supports read the diagonal,
-    and chain pairs off every cycle hold: no eigen-decomposition runs."""
+    """Spectra and profiles of exactly acyclic supports read the diagonal:
+    no eigen-decomposition runs."""
 
     def test_volterra_512(self, tmp_path, monkeypatch):
         op = write_json(
@@ -142,23 +187,10 @@ class TestAcyclicSupportsNeedNoEigenvalues:
             data = json.loads(text)
             assert data["profile"] == [0.0] * len(data["set_sizes"])
         assert data["set_sizes"] == list(range(513))
-
-    def test_sampled_chain_pairs_off_the_cycle(self, tmp_path, monkeypatch):
-        K = found_sampled_instance(128)
-        op = write_json(
-            tmp_path,
-            "found.json",
-            {
-                "kind": "dense",
-                "space": {"cells": 128, "atoms": [2, 3]},
-                "kernel": K.kernel_values.real.tolist(),
-            },
-        )
-        forbid_eigenvalues(monkeypatch)
-        code, text = run(tmp_path, "check-increasing", "--in", op, "--samples", "0")
+        code, text = run(tmp_path, "check-increasing", "--in", op)
         assert code == 0
         assert json.loads(text) == {
-            "verdict": True, "pairs_checked": 8256, "exhaustive": False, "tol": 1e-8
+            "verdict": True, "pairs_checked": 3**512, "exhaustive": False, "tol": 1e-8
         }
 
 
@@ -826,8 +858,6 @@ class TestNumericFlags:
             ("check-increasing", "--tol", "nan"),
             ("check-increasing", "--tol", "inf"),
             ("verify", "--tol", "nan", "--cert", "cert.json"),
-            ("check-increasing", "--samples", "-5"),
-            ("check-increasing", "--seed", "-1"),
             ("check-increasing", "--max-points", "-1"),
             ("check-increasing", "--max-points", str(MAX_POINTS_LIMIT + 1)),
             ("cycles", "--threshold", "-1"),
@@ -844,11 +874,21 @@ class TestNumericFlags:
         assert exc.value.code == 2
         assert "absent.json" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--samples", "--seed"])
+    def test_sampled_mode_flags_are_gone(self, tmp_path, capsys, flag):
+        # the check above --max-points is structural and draws nothing
+        op = write_json(tmp_path, "op.json", {"kind": "named", "name": "volterra_linear", "cells": 16})
+        with pytest.raises(SystemExit) as exc:
+            main(["check-increasing", "--in", op, flag, "3", "--out", str(tmp_path / "out.json")])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
+        assert not (tmp_path / "out.json").exists()
+
     def test_zero_is_accepted(self, tmp_path):
         op = write_json(tmp_path, "op.json", {"kind": "named", "name": "volterra_linear", "cells": 4})
         assert run(tmp_path, "cycles", "--in", op, "--threshold", "0")[0] == 0
         code, text = run(
-            tmp_path, "check-increasing", "--in", op, "--tol", "0", "--max-points", "2", "--samples", "0"
+            tmp_path, "check-increasing", "--in", op, "--tol", "0", "--max-points", "2"
         )
         assert code == 0
         assert not json.loads(text)["exhaustive"]

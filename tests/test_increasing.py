@@ -1,5 +1,3 @@
-import math
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,14 +7,18 @@ from hypothesis import strategies as st
 
 from conftest import (
     brute_increasing_oracle,
+    count_decompositions,
+    figure_eight,
     forbid_eigenvalues,
-    found_sampled_instance,
     near_tolerance_instance,
     random_hybrid_instance,
     random_nilpotent_instance,
     reference_increasing_check,
     reference_radius_profile,
-    reference_sampled_check,
+    reference_shortest_cycle,
+    reference_structural_check,
+    volterra_and_two_cycle,
+    witness_violates,
     worst_covering_margin,
 )
 
@@ -38,7 +40,6 @@ from kerneltri import (
     sharpness_example,
     volterra_linear,
 )
-from kerneltri.spectral import BLOCK_ENTRIES, block_ranges, block_size
 
 
 def atomic_operator(matrix):
@@ -100,28 +101,11 @@ class TestCheckIncreasingSpectrum:
             sub = compress(K, StandardSet.from_indices(K.space, idx))
             assert check_increasing_spectrum(sub).verdict
 
-    def test_sampled_mode_labels_report(self):
+    def test_structural_mode_labels_report(self):
         K = volterra_linear(16)
-        report = check_increasing_spectrum(K, max_points=12, samples=200, seed=1)
+        report = check_increasing_spectrum(K, max_points=12)
         assert not report.exhaustive
         assert report.verdict  # strictly lower triangular: all spectra are {0}
-
-    def test_sampled_mode_beyond_63_points(self):
-        # masks of more than 63 points must not wrap as int64; witness
-        # recorded from the list-of-pairs implementation
-        K = atomic_operator(np.ones((70, 70)))
-        report = check_increasing_spectrum(K, samples=20, seed=0)
-        assert not report.verdict and not report.exhaustive
-        assert report.pairs_checked == 1
-        e, f, z = report.witness
-        assert e == (
-            10, 11, 14, 15, 16, 18, 21, 25, 29, 35, 45, 46, 50, 54, 57, 58, 60, 61, 62, 64, 68,
-        )
-        assert f == (
-            0, 1, 2, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 21, 22, 25, 26, 28, 29, 30,
-            33, 35, 45, 46, 47, 49, 50, 53, 54, 55, 57, 58, 59, 60, 61, 62, 64, 66, 67, 68, 69,
-        )
-        assert z == pytest.approx(21.0)
 
     def test_positive_quasinilpotent_compressions(self):
         # positive K with radius ~ 0: every compression stays quasinilpotent
@@ -329,12 +313,11 @@ class TestStructuralProof:
         report = check_increasing_spectrum(K)
         assert report == PropertyReport(True, 3**12, True, 1e-8)
 
-    def test_sampled_path(self, monkeypatch):
+    def test_structural_path(self, monkeypatch):
         K = triangular_hybrid(14, 14)
-        expected = reference_sampled_check(K, samples=500, seed=3)
-        assert expected.pairs_checked == math.comb(K.space.num_cells + 1, 2) + 500
         forbid_eigenvalues(monkeypatch)
-        assert check_increasing_spectrum(K, samples=500, seed=3) == expected
+        report = check_increasing_spectrum(K)
+        assert report == PropertyReport(True, 3**14, False, 1e-8)
 
     def test_cycle_below_the_structural_zero_is_scanned(self):
         # a 12-atom shift with a 5e-11 corner: at zero_threshold the corner
@@ -355,12 +338,48 @@ class TestStructuralProof:
         assert decision(check_increasing_spectrum(K)) == (True, 9, None)
 
 
-def sampled_instance(seed: int, kind: str):
-    """An operator on 13 to 18 points with at least one cell, so the nested
-    chain contributes pairs: "hold" is upper triangular (every compression
-    keeps its diagonal as spectrum), "dense" violates within a few pairs
-    and "cycle" isolates a cycle through 5 to 7 atoms, so only pairs whose
-    F holds the whole cycle can violate and the witness comes late."""
+def volterra_back_arc(cells: int, k: int):
+    """`volterra_linear(cells)` plus the arc 0 -> k-1 against its order,
+    which closes the 2-cycle {0, k-1} (k >= 2), and two atoms carrying a
+    2-cycle and a diagonal: the first set of the nested cell chain that
+    holds a cycle is the one of the first k cells."""
+    space = build_space(cells, [2, 3])
+    kernel = np.zeros((cells + 2, cells + 2), dtype=complex)
+    kernel[:cells, :cells] = volterra_linear(cells).kernel_values
+    kernel[0, k - 1] = 0.5
+    kernel[cells:, cells:] = [[1.0, 2.0], [-1.0, 0.5j]]
+    return kernel_operator(space, kernel)
+
+
+def cyclic_shift(p: int):
+    """a[i, i+1] = 1 and a[p-1, 0] = 1 on p atoms, zero diagonal: one
+    p-cycle, whose compression has the p-th roots of unity as spectrum."""
+    kernel = np.eye(p, k=1)
+    kernel[p - 1, 0] = 1.0
+    return atomic_operator(kernel)
+
+
+def seeded_13_points(seed: int, kind: str):
+    """A 13-point operator: "acyclic" is `triangular_hybrid`, "dense" is
+    standard normal and "hybrid" is `triangular_hybrid` with a cycle of
+    arcs 1 planted through 3 to 6 random points."""
+    rng = np.random.default_rng(seed)
+    if kind == "dense":
+        return atomic_operator(rng.standard_normal((13, 13)))
+    K = triangular_hybrid(seed, 13)
+    if kind == "acyclic":
+        return K
+    kernel = np.array(K.kernel_values)
+    points = rng.choice(13, size=int(rng.integers(3, 7)), replace=False)
+    kernel[points, np.roll(points, -1)] = 1.0
+    return kernel_operator(K.space, kernel)
+
+
+def chain_and_cycle_instance(seed: int, kind: str):
+    """An operator on 13 to 18 points with at least one cell: "hold" is
+    upper triangular with a diagonal (an acyclic support), "dense" is
+    standard normal and "cycle" isolates a cycle through 5 to 7 atoms,
+    each keeping its diagonal entry, beside an upper triangular rest."""
     rng = np.random.default_rng(seed)
     p = int(rng.integers(13, 19))
     cells = int(rng.integers(1, p // 2 + 1))
@@ -379,116 +398,156 @@ def sampled_instance(seed: int, kind: str):
     return kernel_operator(build_space(cells, range(2, p - cells + 2)), mat)
 
 
-def volterra_back_arc(cells: int, k: int):
-    """`volterra_linear(cells)` plus the arc 0 -> k-1 against its order,
-    which closes the 2-cycle {0, k-1} (k >= 2), and two atoms carrying a
-    2-cycle and a diagonal: the first set of the nested cell chain that
-    holds a cycle is the one of the first k cells."""
-    space = build_space(cells, [2, 3])
-    kernel = np.zeros((cells + 2, cells + 2), dtype=complex)
-    kernel[:cells, :cells] = volterra_linear(cells).kernel_values
-    kernel[0, k - 1] = 0.5
-    kernel[cells:, cells:] = [[1.0, 2.0], [-1.0, 0.5j]]
-    return kernel_operator(space, kernel)
-
-
-class TestSampledCheck:
-    """The block-wise sampled path against the per-pair loop it replaced."""
-
-    @pytest.mark.parametrize("seed", [0, 7])
-    @pytest.mark.parametrize("samples", [0, 1, 300, 1000])
-    @pytest.mark.parametrize("kind", ["hold", "dense", "cycle"])
-    def test_matches_per_pair_loop(self, kind, samples, seed):
-        for instance in range(3):
-            K = sampled_instance(100 * seed + instance, kind)
-            report = check_increasing_spectrum(K, max_points=12, samples=samples, seed=seed)
-            assert report == reference_sampled_check(K, samples=samples, seed=seed)
-            if kind == "hold" or samples == 0 and kind == "cycle":
-                assert report.verdict  # the chain holds no atom of the cycle
-            elif samples >= 300 and kind == "dense":
-                assert not report.verdict
-
-    @pytest.mark.parametrize("cells", [13, 16, 40])
-    @pytest.mark.parametrize("samples", [0, 300])
-    def test_chain_pairs_off_the_cycle(self, cells, samples):
-        K = found_sampled_instance(cells)
-        report = check_increasing_spectrum(K, max_points=12, samples=samples, seed=cells)
-        assert report == reference_sampled_check(K, samples=samples, seed=cells)
-
-    @pytest.mark.parametrize("k", [2, 3, 7, 14])
-    @pytest.mark.parametrize("samples", [0, 200])
-    def test_cycle_first_in_chain_set_k(self, k, samples):
-        # the chain pairs whose F holds the first k cells or more are
-        # scanned, the others hold; the pair numbers count them all
-        K = volterra_back_arc(14, k)
-        report = check_increasing_spectrum(K, max_points=12, samples=samples, seed=k)
-        assert report == reference_sampled_check(K, samples=samples, seed=k)
-        if samples == 0:
-            assert not report.verdict
-            assert len(report.witness[1]) >= k
-
-    def test_found_reproduction_needs_no_eigenvalues(self, monkeypatch):
-        # 128 cells plus two atoms with a 2-cycle: none of the 8,256 chain
-        # pairs touches the cycle
-        K = found_sampled_instance(128)
-        forbid_eigenvalues(monkeypatch)
-        report = check_increasing_spectrum(K, samples=0)
-        assert report == PropertyReport(True, math.comb(129, 2), False, 1e-8)
-
-    def test_late_witnesses_cross_block_boundaries(self):
-        # every witness lies past the first block (the chain pairs, or one
-        # sample when there are none), and some lie in a block of full size
-        full_blocks = []
-        for seed in range(8):
-            K = sampled_instance(seed, "cycle")
-            report = check_increasing_spectrum(K, max_points=12, samples=1000, seed=seed)
-            assert not report.verdict
-            assert report == reference_sampled_check(K, samples=1000, seed=seed)
-            chain = math.comb(K.space.num_cells + 1, 2)
-            ranges = list(block_ranges(chain + 1000, K.size, max(1, chain)))
-            block = next(i for i, (lo, hi) in enumerate(ranges) if report.pairs_checked <= hi)
-            assert block > 0
-            full_blocks.append(ranges[block][1] - ranges[block][0] == block_size(K.size))
-        assert any(full_blocks)
+class TestStructuralCheck:
+    """Above max_points an acyclic exact support holds, and on a cyclic one
+    the shortest cycle C gives the witness ({v}, C), confirmed by one
+    eigen-decomposition of the compression to C."""
 
     @pytest.mark.parametrize(
-        "shape",
-        # the sampled check's pairs (F's bits, then E's), drawn in blocks
-        [(300, 2, p) for p in (1, 2, 7, 8, 13, 31, 32, 33, 62, 63, 64, 65, 79)]
-        # the subsets of the sampled nilpotence check, drawn in blocks
-        + [(2048, p) for p in (13, 16, 64, 65)],
+        "make, p",
+        [(cyclic_shift, 16), (cyclic_shift, 20), (cyclic_shift, 24),
+         (figure_eight, 19), (figure_eight, 27), (figure_eight, 39)],
     )
-    def test_block_draw_equals_per_sample_draws(self, shape):
-        n, row, p = shape[0], shape[1:], shape[-1]
-        if len(row) == 2:
-            ranges = list(block_ranges(n, p, 1))
-        else:  # each block draws what is left after the p + 1 fixed subsets
-            ranges = [
-                (max(lo, p + 1) - p - 1, hi - p - 1)
-                for lo, hi in block_ranges(p + 1 + n, p, p + 1)
-                if hi > p + 1
-            ]
-        for seed in (0, 1, 12345):
-            blocks = np.random.default_rng(seed)
-            drawn = np.concatenate(
-                [blocks.integers(0, 2, size=(hi - lo, *row)) for lo, hi in ranges]
-            )
-            single = np.random.default_rng(seed)
-            expected = [single.integers(0, 2, size=p) for _ in range(drawn.size // p)]
-            np.testing.assert_array_equal(drawn, np.reshape(expected, shape))
+    def test_cyclic_supports_fail(self, make, p):
+        # a violating pair must hold a whole cycle in F, which a seeded
+        # draw of F almost never does
+        K = make(p)
+        cycle = tuple(range(p if make is cyclic_shift else (p + 1) // 2))
+        report = check_increasing_spectrum(K)
+        assert decision(report) == (False, 1, ((0,), cycle, 0j))
+        assert not report.exhaustive
+        assert witness_violates(K, report.witness)
+        # σ(P_C K P_C) are the |C|-th roots of ±1: the margin is 1
+        margin = np.abs(np.linalg.eigvals(K.entries[np.ix_(cycle, cycle)])).min()
+        assert margin == pytest.approx(1.0)
 
-    def test_memory_does_not_grow_with_samples(self):
-        K = sampled_instance(3, "hold")
-        peaks = {}
-        for samples in (1_000, 100_000):
-            tracemalloc.start()
-            try:
-                assert check_increasing_spectrum(K, max_points=12, samples=samples).verdict
-                peaks[samples] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-        assert peaks[100_000] < 1.5 * peaks[1_000]
-        assert peaks[100_000] < 16 * BLOCK_ENTRIES * 4  # a few complex block tables
+    def test_beyond_63_points(self):
+        K = atomic_operator(np.ones((70, 70)))
+        report = check_increasing_spectrum(K)
+        assert decision(report) == (False, 1, ((0,), (0, 1), 1 + 0j))
+        assert witness_violates(K, report.witness)
+
+    def test_witness_past_the_first_point_of_the_cycle(self):
+        # the 3-cycle 0 -> 1 -> 2 -> 0 of product 1e-6 with diagonal 10, 0
+        # and 1e-3: the eigenvalue near 10 moves by about 1e-8, within
+        # tol * scale = 1e-7, and the one near 0 by about 1e-4
+        kernel = np.zeros((13, 13))
+        kernel[[0, 1, 2], [0, 1, 2]] = 10.0, 0.0, 1e-3
+        kernel[[0, 1, 2], [1, 2, 0]] = 1.0, 1.0, 1e-6
+        K = atomic_operator(kernel)
+        report = check_increasing_spectrum(K)
+        assert decision(report) == (False, 2, ((1,), (0, 1, 2), 0j))
+        assert witness_violates(K, report.witness)
+        assert not witness_violates(K, ((0,), (0, 1, 2), 10 + 0j))
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("kind", ["acyclic", "dense", "hybrid"])
+    def test_agrees_with_the_exhaustive_check(self, kind, seed):
+        K = seeded_13_points(seed, kind)
+        report = check_increasing_spectrum(K)
+        assert not report.exhaustive
+        assert report.verdict == (kind == "acyclic")
+        assert check_increasing_spectrum(K, max_points=13).verdict == report.verdict
+        if not report.verdict:
+            e, f, _ = report.witness
+            assert f == tuple(sorted(reference_shortest_cycle(K, 0.0)))
+            assert witness_violates(K, report.witness)
+
+    def test_band_example_a_raises(self):
+        # README Tolerances: the 2-cycle [[0, 1e-9], [1e-9, 0]] moves the
+        # diagonal by 1e-9, within tol * scale = 1e-8, so the shortest
+        # cycle proves neither verdict; the exhaustive check says `true`
+        kernel = np.zeros((13, 13))
+        kernel[0, 1] = kernel[1, 0] = 1e-9
+        K = atomic_operator(kernel)
+        with pytest.raises(
+            PreconditionError,
+            match=r"shortest cycle \[0, 1\] .* margin 1\.000e-09, at or below tol \* scale "
+            r"= 1\.000e-08: .* tolerance band; max_points >= 13 decides it exhaustively",
+        ):
+            check_increasing_spectrum(K)
+        assert decision(check_increasing_spectrum(K, max_points=13)) == (True, 3**13, None)
+
+    def test_band_example_b_fails(self):
+        # README Tolerances: the 12-atom shift with a 5e-11 corner, which is
+        # a structural zero but an exact arc, so the 12-cycle is C
+        kernel = np.zeros((13, 13))
+        kernel[:12, :12] = np.eye(12, k=1)
+        kernel[11, 0] = 5e-11
+        K = atomic_operator(kernel)
+        report = check_increasing_spectrum(K)
+        assert decision(report) == (False, 1, ((0,), tuple(range(12)), 0j))
+        assert witness_violates(K, report.witness)
+        margin = np.abs(np.linalg.eigvals(K.entries[:12, :12])).min()
+        assert margin == pytest.approx(5e-11 ** (1 / 12))
+        assert round(margin, 3) == 0.139
+
+    def test_found_reproduction_decomposes_one_2x2_compression(self, monkeypatch):
+        # 128 Volterra cells plus two atoms carrying [[0, 1], [2, 0]]:
+        # ({128}, {128, 129}) violates by √2
+        K = volterra_and_two_cycle(128)
+        counts = count_decompositions(monkeypatch)
+        report = check_increasing_spectrum(K)
+        assert counts == [(2, 1)]
+        assert report == PropertyReport(False, 1, False, 1e-8, ((128,), (128, 129), 0j))
+        monkeypatch.undo()
+        assert witness_violates(K, report.witness)
+        assert np.abs(np.linalg.eigvals(K.entries[128:, 128:])).min() == pytest.approx(2**0.5)
+
+    def test_samples_is_ignored(self):
+        for K in (cyclic_shift(16), triangular_hybrid(14, 14)):
+            assert check_increasing_spectrum(K, samples=1000) == check_increasing_spectrum(K)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("kind", ["hold", "dense", "cycle"])
+    def test_matches_the_reference_loops(self, kind, seed):
+        K = chain_and_cycle_instance(seed, kind)
+        report = check_increasing_spectrum(K, max_points=12)
+        assert report == reference_structural_check(K)
+        assert report.verdict == (kind == "hold")
+        if kind == "cycle":
+            assert len(report.witness[1]) in (5, 6, 7)  # the isolated cycle
+        if not report.verdict:
+            assert witness_violates(K, report.witness)
+
+    @pytest.mark.parametrize("cells", [13, 16, 40, 64])
+    def test_two_cycle_beside_the_cells(self, cells, monkeypatch):
+        # the cells are acyclic: only the 2x2 compression to the atoms is
+        # decomposed, and ({cells}, both atoms) violates by √2
+        K = volterra_and_two_cycle(cells)
+        counts = count_decompositions(monkeypatch)
+        report = check_increasing_spectrum(K, max_points=12)
+        assert counts == [(2, 1)]
+        monkeypatch.undo()
+        assert report == reference_structural_check(K)
+        assert report == PropertyReport(False, 1, False, 1e-8, ((cells,), (cells, cells + 1), 0j))
+
+    @pytest.mark.parametrize("k", [2, 3, 7, 14])
+    def test_back_arc_closes_a_two_cycle(self, k):
+        # the back arc 0 -> k-1 and the atoms each close a 2-cycle; the
+        # shortest cycle search takes the one through the smallest point
+        K = volterra_back_arc(14, k)
+        report = check_increasing_spectrum(K, max_points=12)
+        assert report == reference_structural_check(K)
+        assert not report.verdict
+        assert report.witness[1] == (0, k - 1)
+        assert witness_violates(K, report.witness)
+
+    def test_acyclic_beyond_63_points(self, monkeypatch):
+        K = volterra_linear(70)
+        forbid_eigenvalues(monkeypatch)
+        assert check_increasing_spectrum(K) == PropertyReport(True, 3**70, False, 1e-8)
+
+    @pytest.mark.parametrize("tol", [1e-10, 1e-12])
+    def test_tol_below_the_band_example_a_fails(self, tol):
+        # README Tolerances, example A: the margin 1e-9 of the 2-cycle
+        # exceeds tol * scale once tol is below 1e-9
+        kernel = np.zeros((13, 13))
+        kernel[0, 1] = kernel[1, 0] = 1e-9
+        K = atomic_operator(kernel)
+        report = check_increasing_spectrum(K, tol=tol)
+        assert report == reference_structural_check(K, tol)
+        assert report == PropertyReport(False, 1, False, tol, ((0,), (0, 1), 0j))
 
 
 class TestRadiusProfile:

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    count_decompositions,
+    figure_eight,
     forbid_eigenvalues,
     mixed_component_digraph,
     random_hybrid_instance,
@@ -14,7 +16,7 @@ from conftest import (
     reference_chain_invariant,
     reference_increasing_blocks,
     reference_nilpotent_failure,
-    reference_nilpotent_sampled_failure,
+    reference_nilpotent_structural_failure,
     reference_peel_zero_columns,
     reference_scc_blocks,
 )
@@ -198,7 +200,7 @@ class TestAssertNilpotentCompressions:
         with pytest.raises(PreconditionError):
             assert_nilpotent_compressions(atomic_operator([[0, 1], [1, 0]]))
 
-    def test_large_space_sampled_path(self):
+    def test_large_acyclic_space_passes(self):
         assert_nilpotent_compressions(volterra_linear(16))
 
     def test_acyclic_zero_diagonal_needs_no_eigenvalues(self, monkeypatch):
@@ -210,22 +212,20 @@ class TestAssertNilpotentCompressions:
         forbid_eigenvalues(monkeypatch)
         assert_nilpotent_compressions(K)
 
-    # nilpotent gadgets whose first failure lies in each stage of the
-    # sampled order: none, the full set, a singleton, a drawn subset
+    # gadgets for each outcome above 12 points: nilpotent, a cycle, a
+    # diagonal entry, two 2-cycles through one point, and a 2-cycle whose
+    # radius 1e-9 lies in the tolerance band
     GADGETS = {
         "none": [[0.0]],
-        "full": [[0.0, 1.0], [1e-5, 0.0]],
+        "cycle": [[0.0, 1.0], [1e-5, 0.0]],
         "singleton": [[1.0, 1.0], [-1.0, -1.0]],
-        "drawn": [[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, -1.0, 0.0]],
+        "two_cycles": [[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, -1.0, 0.0]],
+        "band": [[0.0, 1e-9], [1e-9, 0.0]],
     }
-    # the nilpotent 3x3 gadget has a Jordan block of size 3, so its computed
-    # eigenvalues are off by about eps^(1/3); tol = 1e-4 sits far above that
-    # and far below the radius 1 of its failing pairs
-    TOL = 1e-4
 
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("gadget", GADGETS)
-    def test_sampled_path_matches_per_subset_loop(self, gadget, seed):
+    def test_structural_path_matches_reference(self, gadget, seed):
         # 13 to 16 points: the gadget beside a strictly upper triangular
         # block, with no arc between them, in a random order
         rng = np.random.default_rng(seed)
@@ -239,51 +239,72 @@ class TestAssertNilpotentCompressions:
         )
         perm = rng.permutation(p)
         K = atomic_operator(mat[np.ix_(perm, perm)])
-        expected = reference_nilpotent_sampled_failure(K, self.TOL)
+        expected = reference_nilpotent_structural_failure(K)
         if gadget == "none":
             assert expected is None
-            assert_nilpotent_compressions(K, self.TOL)
+            assert_nilpotent_compressions(K)
             return
         with pytest.raises(PreconditionError) as exc:
-            assert_nilpotent_compressions(K, self.TOL)
+            assert_nilpotent_compressions(K)
+        if gadget == "band":
+            assert expected == "band"
+            assert str(exc.value).startswith("the shortest cycle ")
+            assert "at or below tol * scale" in str(exc.value)
+            assert "tolerance band" in str(exc.value)
+            return
         assert str(exc.value) == expected
         named = len(expected.split("[")[1].split(","))
-        assert {"full": named == p, "singleton": named == 1}.get(gadget, 1 < named < p)
-
-    @staticmethod
-    def count_decompositions(monkeypatch) -> list[tuple[int, int]]:
-        """Wrap np.linalg.eigvals; the returned list gets, per call, the
-        size of its matrices and how many it decomposed."""
-        eigvals = np.linalg.eigvals
-        counts: list[tuple[int, int]] = []
-
-        def counting(a):
-            a = np.asarray(a)
-            counts.append((a.shape[-1], int(np.prod(a.shape[:-2]))))
-            return eigvals(a)
-
-        monkeypatch.setattr(np.linalg, "eigvals", counting)
-        return counts
+        assert named == (1 if gadget == "singleton" else 2)
 
     @pytest.mark.parametrize("p", [13, 64])
-    def test_failing_full_set_is_decomposed_once(self, monkeypatch, p):
-        # sampled path: the full set fails first and is named from its
-        # batched spectrum, not decomposed again
+    def test_diagonal_entry_needs_no_eigenvalues(self, monkeypatch, p):
+        # the diagonal 1/p names the singleton of the smallest point
         K = ones_kernel(p)
-        expected = reference_nilpotent_sampled_failure(K)
-        counts = self.count_decompositions(monkeypatch)
+        expected = reference_nilpotent_structural_failure(K)
+        counts = count_decompositions(monkeypatch)
+        with pytest.raises(PreconditionError) as exc:
+            assert_nilpotent_compressions(K)
+        assert str(exc.value) == expected == (
+            f"standard compression on points [0] is not nilpotent (radius {1 / p:.3e})"
+        )
+        assert counts == []
+
+    def test_figure_eight_names_a_cycle(self, monkeypatch):
+        # two 10-point cycles through point 0, of products +1 and -1: the
+        # full compression is nilpotent (its radius is roundoff, about
+        # eps^(1/19)), and the compression to either cycle has radius 1
+        k = 10
+        K = figure_eight(19)
+        expected = reference_nilpotent_structural_failure(K)
+        counts = count_decompositions(monkeypatch)
+        with pytest.raises(PreconditionError) as exc:
+            assert_nilpotent_compressions(K)
+        assert str(exc.value) == expected == (
+            f"standard compression on points {list(range(k))} is not nilpotent (radius 1.000e+00)"
+        )
+        assert counts == [(k, 1)]
+
+    @pytest.mark.parametrize("p", [13, 24])
+    def test_cyclic_shift_names_its_cycle(self, monkeypatch, p):
+        # one p-cycle of unit arcs and a zero diagonal: the compression to
+        # all p points has the p-th roots of unity as spectrum, radius 1
+        kernel = np.eye(p, k=1)
+        kernel[p - 1, 0] = 1.0
+        K = atomic_operator(kernel)
+        expected = reference_nilpotent_structural_failure(K)
+        counts = count_decompositions(monkeypatch)
         with pytest.raises(PreconditionError) as exc:
             assert_nilpotent_compressions(K)
         assert str(exc.value) == expected == (
             f"standard compression on points {list(range(p))} is not nilpotent (radius 1.000e+00)"
         )
-        assert sum(n for size, n in counts if size == p) == 1
+        assert counts == [(p, 1)]
 
     def test_exhaustive_failure_is_decomposed_once(self, monkeypatch):
         # each of the 2^5 - 1 subsets once, the named failure {0} included
         K = ones_kernel(5)
         expected = reference_nilpotent_failure(K)
-        counts = self.count_decompositions(monkeypatch)
+        counts = count_decompositions(monkeypatch)
         with pytest.raises(PreconditionError) as exc:
             assert_nilpotent_compressions(K)
         assert str(exc.value) == expected
