@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cycles import SupportDigraph, acyclic_suffix, shortest_cycle
+from .cycles import acyclic_suffix
 from .errors import DimensionMismatchError, PreconditionError
 from .operators import Operator
 from .spaces import (
@@ -27,8 +27,8 @@ from .spaces import (
 from .spectral import (
     DEFAULT_TOL,
     MAX_DENSE_SIZE,
-    block_size,
     dense_eigvals,
+    exact_cycle_spectrum,
     first_excluded,
 )
 
@@ -62,9 +62,8 @@ def _structural_check(K: Operator, tol: float) -> PropertyReport:
     p = K.size
     if acyclic_suffix(K.entries) == p:
         return PropertyReport(True, 3**p, False, tol)
-    cycle = np.sort(shortest_cycle(SupportDigraph(0.0, K.entries != 0)))
+    cycle, spectrum = exact_cycle_spectrum(K)
     diagonal = K.entries[cycle, cycle]
-    spectrum = dense_eigvals(K.entries[cycle[:, None], cycle])
     tol_eff = tol * K.scale
     hit = first_excluded(diagonal[None], spectrum[None], tol_eff)
     if hit is None:
@@ -76,6 +75,18 @@ def _structural_check(K: Operator, tol: float) -> PropertyReport:
         )
     witness = ((int(cycle[hit]),), tuple(cycle.tolist()), complex(diagonal[hit]))
     return PropertyReport(False, hit + 1, False, tol, witness)
+
+
+#: entries per pair block: a block of n pairs on p points has n·p² <=
+#: BLOCK_ENTRIES, so its gathered spectra and its complex distance table
+#: take about 1 MiB however many are decided (2^15 to 2^17 ran alike on
+#: the exhaustive scan at 9 to 11 points)
+BLOCK_ENTRIES = 1 << 16
+
+
+def block_size(p: int) -> int:
+    """Most pairs on p points in one block (at least one)."""
+    return max(1, BLOCK_ENTRIES // max(1, p * p))
 
 
 def _pair_chunks(lo: int, hi: int, m: int):
@@ -118,7 +129,7 @@ def _exhaustive_check(K: Operator, tol: float) -> PropertyReport:
         grown[: 1 << low, :low] = spec
         block = entries[p - m :, p - m :].ravel()  # T_m, row-major
         for s, lmasks, gather in _subsets_by_size(low, m):
-            grown[lmasks, :s] = np.linalg.eigvals(block.take(gather))
+            grown[lmasks, :s] = dense_eigvals(block.take(gather))
         spec = grown
 
     # the pairs up to level `suffix` hold, so the scan starts one level later

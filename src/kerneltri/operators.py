@@ -7,6 +7,7 @@ kernel identities and spectra are each read off the natural representation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -32,23 +33,32 @@ class Operator:
     space: MeasureSpace
     kernel_values: np.ndarray
     entries: np.ndarray = field(init=False, repr=False, compare=False)
+    #: ZERO_TOL * magnitude(kernel_values): a kernel entry at most this
+    #: large is a structural zero
+    zero_threshold: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         p = self.space.size
         kernel = self.kernel_values
         if kernel.shape != (p, p):
             raise DimensionMismatchError(f"kernel shape {kernel.shape} does not match {p} points")
-        with np.errstate(over="ignore", invalid="ignore"):  # reported by the scan below
-            entries = kernel * self.space.weights
-        # weights are positive, so a non-finite kernel value gives a
-        # non-finite entry: one scan decides both
-        if not np.isfinite(entries).all():
-            if not np.isfinite(kernel).all():
-                raise PreconditionError("non-finite kernel values")
-            raise PreconditionError("non-finite operator entries")
+        weights = self.space.weights
+        with np.errstate(over="ignore", invalid="ignore"):  # reported by the scans below
+            # NaN, an infinite part and a modulus beyond the float range all
+            # make the largest modulus non-finite
+            peak = float(np.abs(kernel).max(initial=0.0))
+            entries = kernel * weights
+            if not math.isfinite(peak):
+                raise _non_finite(kernel, "kernel values")
+            # |k w| <= peak * max(w) up to rounding: only a bound near the
+            # float limit (or a NaN weight) needs the entries' own scan
+            if not math.isfinite(2 * peak * weights.max(initial=0.0)):
+                if not math.isfinite(np.abs(entries).max()):
+                    raise _non_finite(entries, "operator entries")
         kernel.flags.writeable = False
         entries.flags.writeable = False
         object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "zero_threshold", ZERO_TOL * max(1.0, peak))
 
     @property
     def size(self) -> int:
@@ -61,18 +71,19 @@ class Operator:
         return magnitude(self.entries)
 
     @cached_property
-    def zero_threshold(self) -> float:
-        """ZERO_TOL * magnitude(kernel_values): a kernel entry at most this
-        large is a structural zero."""
-        return ZERO_TOL * magnitude(self.kernel_values)
-
-    @cached_property
     def support(self) -> np.ndarray:
         """Read-only |kernel_values| > zero_threshold: the structural
         nonzeros, the one place a kernel entry meets the threshold."""
         support = np.abs(self.kernel_values) > self.zero_threshold
         support.flags.writeable = False
         return support
+
+
+def _non_finite(a: np.ndarray, name: str) -> PreconditionError:
+    """The refusal of `a`, whose largest modulus is not finite."""
+    if np.isfinite(a).all():
+        return PreconditionError(f"{name} whose modulus overflows")
+    return PreconditionError(f"non-finite {name}")
 
 
 def kernel_operator(space: MeasureSpace, kernel: np.ndarray) -> Operator:

@@ -10,7 +10,7 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .cycles import acyclic_suffix
+from .cycles import SupportDigraph, acyclic_suffix, shortest_cycle
 from .errors import PreconditionError
 from .operators import Operator
 
@@ -50,6 +50,14 @@ def dense_eigvals(a: np.ndarray) -> np.ndarray:
         return np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK non-convergence
         raise PreconditionError(f"eigenvalue iteration did not converge: {exc}") from exc
+
+
+def exact_cycle_spectrum(K: Operator) -> tuple[np.ndarray, np.ndarray]:
+    """The :func:`shortest_cycle` C of the exact support of K (the arcs
+    K.entries != 0), its points ascending, and the eigenvalues of the
+    compression to C; the exact support must have a cycle."""
+    cycle = np.sort(shortest_cycle(SupportDigraph(0.0, K.entries != 0)))
+    return cycle, dense_eigvals(K.entries[cycle[:, None], cycle])
 
 
 def eigenvalues(K: Operator, tol: float = DEFAULT_TOL) -> SpectrumReport:
@@ -103,43 +111,6 @@ def first_excluded(inner: np.ndarray, outer: np.ndarray, tol: float) -> int | No
         return None
     k = bad[0]
     return int(rows[k]) * inner.shape[1] + int(cols[k])
-
-
-#: entries per vectorized block: a block of n subsets or pairs on p points
-#: has n·p² <= BLOCK_ENTRIES, so its gathered compressions and its complex
-#: distance table take about 1 MiB however many are decided (2^15 to 2^17
-#: ran alike on the exhaustive scan at 9 to 11 points)
-BLOCK_ENTRIES = 1 << 16
-
-
-def block_size(p: int) -> int:
-    """Most subsets or pairs on p points in one block (at least one)."""
-    return max(1, BLOCK_ENTRIES // max(1, p * p))
-
-
-def subset_spectra(entries: np.ndarray, members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Spectra of the compressions of the square matrix `entries` to the
-    subsets whose rows in `members` (n × p, nonzero = in the subset) mark
-    their points: returns (spectra, inverse), where row inverse[r] of
-    spectra holds the eigenvalues of subset r, NaN-padded to the largest
-    subset size (an empty subset gives a row of NaN). Equal rows share one
-    eigen-decomposition, and each subset size takes one stacked eigvals
-    call."""
-    n, p = members.shape
-    if p == 0:  # every subset is empty: no bytes to key the rows by
-        return np.empty((1, 0), dtype=complex), np.zeros(n, dtype=np.intp)
-    packed = np.packbits(members.astype(bool), axis=1)
-    # one opaque key per row sorts several times faster than unique(axis=0)
-    keys = packed.view(np.dtype((np.void, packed.shape[1]))).reshape(n)
-    rows, inverse = np.unique(keys, return_inverse=True)
-    bits = np.unpackbits(rows.view(np.uint8).reshape(rows.size, -1), axis=1, count=p).view(bool)
-    sizes = bits.sum(axis=1)
-    spectra = np.full((rows.shape[0], int(sizes.max(initial=0))), np.nan, dtype=complex)
-    for s in np.unique(sizes[sizes > 0]).tolist():
-        sel = np.flatnonzero(sizes == s)
-        cols = np.nonzero(bits[sel])[1].reshape(-1, s)
-        spectra[sel, :s] = np.linalg.eigvals(entries[cols[:, :, None], cols[:, None, :]])
-    return spectra, inverse.reshape(-1)
 
 
 @dataclass(frozen=True)

@@ -32,16 +32,15 @@ from .operators import (
     magnitude,
     numerical_rank,
 )
-from .spaces import DEFAULT_MAX_POINTS, StandardSet
+from .spaces import DEFAULT_MAX_POINTS, StandardSet, _subsets_by_size, mask_indices
 from .spectral import (
     DEFAULT_TOL,
-    block_size,
     dense_eigvals,
     eigenvalues,
+    exact_cycle_spectrum,
     match_multisets,
-    subset_spectra,
 )
-from .cycles import SupportDigraph, acyclic_suffix, scc_blocks, shortest_cycle, support_digraph
+from .cycles import acyclic_suffix, scc_blocks, support_digraph
 from .jsonio import canonical_dumps, is_integer, is_number
 
 
@@ -226,8 +225,9 @@ def assert_nilpotent_compressions(K: Operator, tol: float = DEFAULT_TOL) -> None
     :func:`acyclic_suffix`) makes every compression strictly triangular up
     to a permutation, so nilpotent. Up to DEFAULT_MAX_POINTS points such
     an operator returns at once, and the check otherwise runs over every
-    subset in bitmask order, in blocks decided by :func:`subset_spectra`,
-    and names the failure of smallest bitmask. Above it the structure
+    subset, size by size, and names the failure of smallest bitmask: each
+    size takes one stacked eigvals call over its subsets below the
+    smallest failing bitmask found so far. Above it the structure
     decides: a diagonal entry above tol * K.scale names its singleton (the
     smallest point), an acyclic exact support returns, and otherwise the error
     names the :func:`shortest_cycle` C of the exact support with the
@@ -244,8 +244,8 @@ def assert_nilpotent_compressions(K: Operator, tol: float = DEFAULT_TOL) -> None
             raise _not_nilpotent(above[:1].tolist(), diagonal[above[0]])
         if acyclic_suffix(K.entries) == p:
             return
-        cycle = np.sort(shortest_cycle(SupportDigraph(0.0, K.entries != 0))).tolist()
-        radius = np.abs(dense_eigvals(K.entries[np.ix_(cycle, cycle)])).max()
+        cycle, spectrum = exact_cycle_spectrum(K)
+        cycle, radius = cycle.tolist(), np.abs(spectrum).max()
         if radius > cutoff:
             raise _not_nilpotent(cycle, radius)
         raise PreconditionError(
@@ -255,16 +255,21 @@ def assert_nilpotent_compressions(K: Operator, tol: float = DEFAULT_TOL) -> None
         )
     if not np.diagonal(K.entries).any() and acyclic_suffix(K.entries) == p:
         return
-    # every subset, in bitmask order (bit i = point i)
-    masks = np.arange(1, 1 << p)[:, None] >> np.arange(p) & 1
-    step = block_size(p)
-    for lo in range(0, len(masks), step):
-        members = masks[lo : lo + step].astype(bool)
-        spectra, inverse = subset_spectra(K.entries, members)
-        radius = np.fmax.reduce(np.abs(spectra), axis=1, initial=0.0)[inverse]
-        bad = np.flatnonzero(radius > cutoff)
-        if bad.size:
-            raise _not_nilpotent(np.flatnonzero(members[bad[0]]).tolist(), radius[bad[0]])
+    # over the points reversed, a level mask is the subset's bitmask (bit i
+    # = point i), and gather[:, ::-1, ::-1] takes its points ascending
+    block = K.entries[::-1, ::-1].ravel()
+    first = None  # (bitmask, radius) of the smallest failure so far
+    for _, masks, gather in _subsets_by_size(0, p):
+        if first is not None:
+            below = masks < first[0]
+            masks, gather = masks[below], gather[below]
+        if masks.size:
+            radius = np.abs(dense_eigvals(block.take(gather[:, ::-1, ::-1]))).max(axis=1)
+            bad = np.flatnonzero(radius > cutoff)
+            if bad.size:
+                first = int(masks[bad[0]]), radius[bad[0]]
+    if first is not None:
+        raise _not_nilpotent(list(mask_indices(first[0], p)), first[1])
 
 
 def _not_nilpotent(points: list[int], radius: float) -> PreconditionError:

@@ -440,22 +440,40 @@ def worst_covering_margin(matrix: np.ndarray) -> float:
     return worst
 
 
+def worst_margin(matrix: np.ndarray) -> float:
+    """Largest distance from an eigenvalue of E to the spectrum of F, over
+    all pairs E ⊆ F with E nonempty, each compression taken with its
+    points ascending: the increasing-spectrum check holds at tol exactly
+    when this is at most tol * scale."""
+    p = matrix.shape[0]
+    spec = np.full((1 << p, p), np.nan, dtype=complex)
+    for mask in range(1, 1 << p):
+        idx = list(mask_indices(mask, p))
+        spec[mask, : len(idx)] = np.linalg.eigvals(matrix[np.ix_(idx, idx)])
+    e, f = np.array([(e, f) for f in range(1 << p) for e in range(1, f + 1) if e & ~f == 0]).T
+    dist = np.fmin.reduce(np.abs(spec[e][:, :, None] - spec[f][:, None, :]), axis=2)
+    return float(np.nanmax(dist))
+
+
 def near_tolerance_instance(rng: np.random.Generator, p: int, ratio: float, tol: float = 1e-8):
     """Atomic operator, upper triangular in a random point order with a
     well-separated diagonal, plus one entry against that order, sized so
-    the worst covering margin is about ratio * tol * scale (to first
-    order in the entry). Every subset spectrum is then the matching
-    diagonal values moved by at most about that margin."""
+    the worst margin over all pairs (:func:`worst_margin`) is ratio * tol *
+    scale: the entry is rescaled twice by the target over the measured
+    margin, which is linear in the entry up to terms far below roundoff.
+    Every subset spectrum is then the matching diagonal values moved by
+    at most about that margin."""
     mat = np.triu(rng.standard_normal((p, p)) + 1j * rng.standard_normal((p, p)), 1)
     mat += np.diag(np.arange(1, p + 1) * np.exp(2j * np.pi * rng.random()))
     i, j = sorted(rng.choice(p, size=2, replace=False))
-    probe = 1e-6
-    mat[j, i] = probe
-    target = ratio * tol * max(1.0, float(np.abs(mat).max()))
-    mat[j, i] = probe * target / worst_covering_margin(mat)
     perm = rng.permutation(p)
-    return kernel_operator(build_space(0, range(2, p + 2)), mat[np.ix_(perm, perm)])
-
+    back = np.argsort(perm)[[j, i]]  # where entry (j, i) lands once permuted
+    mat = mat[np.ix_(perm, perm)]
+    target = ratio * tol * max(1.0, float(np.abs(mat).max()))
+    mat[back[0], back[1]] = 1e-6
+    for _ in range(2):
+        mat[back[0], back[1]] *= target / worst_margin(mat)
+    return kernel_operator(build_space(0, range(2, p + 2)), mat)
 
 
 def reference_shortest_cycle(K, threshold=None) -> tuple[int, ...] | None:

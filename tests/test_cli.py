@@ -792,6 +792,47 @@ class TestErrorsAndDeterminism:
         assert text == ""
         assert capsys.readouterr().err == "error: non-finite kernel values\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["spectrum"],
+            ["check-increasing"],
+            ["cycles"],
+            ["moments"],
+            ["triangularize", "--kind", "scc"],
+            ["triangularize", "--kind", "nilpotent"],
+            ["triangularize", "--kind", "increasing"],
+            ["verify"],
+            ["radius-profile"],
+        ],
+        ids=" ".join,
+    )
+    @pytest.mark.parametrize("cells", [0, 1], ids=["atom", "cell"])
+    def test_overflowing_modulus_exits_two_on_every_subcommand(self, tmp_path, capsys, argv, cells):
+        # [1.7e308, 1.7e308] has finite parts and a modulus of 2.4e308, on
+        # point 0: an atom, or a cell of weight 1
+        space = {"cells": cells, "atoms": list(range(2, 4 - cells))}
+        kernel = [[[1.7e308, 1.7e308], 1], [1, 0]]
+        desc = {"operator": {"kind": "dense", "space": space, "kernel": kernel}, "sets": [[0], [1]]}
+        op = write_json(tmp_path, "op.json", desc)
+        if argv == ["verify"]:
+            cert = {
+                "kind": "scc",
+                "blocks": [[0, 1]],
+                "diagonal": [{"block": 0, "class": "irreducible"}],
+                "bound": {"m": 1, "limit": None, "rank": None},
+                "residual": 0.0,
+                "tol": 1e-8,
+                "multiplicity_free": False,
+            }
+            argv = argv + ["--cert", write_json(tmp_path, "cert.json", cert)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, text = run(tmp_path, *argv, "--in", op)
+        assert code == 2
+        assert text == ""
+        assert capsys.readouterr().err == "error: kernel values whose modulus overflows\n"
+
     def test_rectangular_kernel_exits_two(self, tmp_path, capsys):
         desc = {"kind": "dense", "space": {"atoms": [2, 3]}, "kernel": [[1, 2, 3], [4, 5, 6]]}
         op = write_json(tmp_path, "op.json", desc)

@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -20,6 +20,7 @@ from conftest import (
     volterra_and_two_cycle,
     witness_violates,
     worst_covering_margin,
+    worst_margin,
 )
 
 from kerneltri import (
@@ -186,6 +187,7 @@ class TestLevelByLevelAgainstReference:
         assert report == reference_increasing_check(K, tol)
 
     @given(seeds, st.integers(min_value=5, max_value=7), st.floats(min_value=0.0, max_value=1.0))
+    @example(seed=228, p=7, u=1.0)  # a pair margin of 1.06 tol under first-order sizing
     @settings(max_examples=20, deadline=None)
     def test_margins_between_tol_over_p_and_tol(self, seed, p, u):
         # the entry against the triangular order closes a cycle, so the
@@ -195,6 +197,7 @@ class TestLevelByLevelAgainstReference:
         ratio = (1.0 + (p - 1) * (0.1 + 0.8 * u)) / p
         K = near_tolerance_instance(np.random.default_rng(seed), p, ratio)
         assert p * worst_covering_margin(np.asarray(K.entries)) > 1e-8 * K.scale
+        assert worst_margin(np.asarray(K.entries)) < 1e-8 * K.scale
         report = check_increasing_spectrum(K)
         assert report.verdict
         assert decision(report) == decision(reference_increasing_check(K))

@@ -117,6 +117,32 @@ class TestOperatorConstruction:
             with pytest.raises(PreconditionError, match="non-finite operator entries"):
                 kernel_operator(space, kernel)
 
+    @pytest.mark.parametrize("cells", [0, 1], ids=["atom", "cell"])
+    def test_overflowing_kernel_modulus_is_refused_without_warnings(self, cells):
+        # finite parts whose modulus, about 2.4e308, exceeds the float range
+        space = build_space(cells, range(2, 4 - cells))
+        kernel = np.array([[complex(1.7e308, 1.7e308), 1], [1, 0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PreconditionError, match="^kernel values whose modulus overflows$"):
+                kernel_operator(space, kernel)
+
+    def test_overflowing_entry_modulus_is_refused_without_warnings(self):
+        # a kernel of modulus 1.56e308 times a cell weight of 1.5: finite
+        # parts of 1.65e308, a modulus of 2.3e308
+        space = MeasureSpace((0.5,), (1.5,), (2,))
+        kernel = np.array([[complex(1.1e308, 1.1e308), 0], [0, 1]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PreconditionError, match="^operator entries whose modulus overflows$"):
+                kernel_operator(space, kernel)
+
+    def test_largest_finite_modulus_is_accepted(self):
+        space = MeasureSpace((0.5,), (1.0,), (2,))
+        K = kernel_operator(space, np.array([[complex(1.2e308, 1.2e308), 0], [0, 1]]))
+        assert K.zero_threshold == ZERO_TOL * abs(complex(1.2e308, 1.2e308))
+        assert K.scale == abs(complex(1.2e308, 1.2e308))
+
     def test_overflowing_factors_are_refused_by_every_reader(self):
         space = build_space(0, [2, 3])
         kfr = FiniteRankOperator(space=space, F=np.array([[1e200], [1.0]]), G=np.array([[1e200], [0.0]]))

@@ -193,8 +193,8 @@ _SCAN_VALUES += [complex(-0.0, 0.5), complex(0.5, -0.0), complex(-0.0, -0.0)]
 @st.composite
 def _inclusion_tables(draw):
     """(inner, outer): tables of one leading shape with 0-3 dimensions,
-    NaN-padded after a per-row count of values (as the level tables and
-    subset_spectra pad them) or NaN anywhere."""
+    NaN-padded after a per-row count of values (as the level tables pad
+    them) or NaN anywhere."""
     lead = tuple(draw(st.lists(st.integers(0, 3), max_size=2)))
     prefix = draw(st.booleans())
 

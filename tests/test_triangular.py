@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -301,14 +302,29 @@ class TestAssertNilpotentCompressions:
         assert counts == [(p, 1)]
 
     def test_exhaustive_failure_is_decomposed_once(self, monkeypatch):
-        # each of the 2^5 - 1 subsets once, the named failure {0} included
+        # the five singletons take one call and {0} (bitmask 1) fails there:
+        # no larger subset has a smaller bitmask, so none is decomposed
         K = ones_kernel(5)
         expected = reference_nilpotent_failure(K)
         counts = count_decompositions(monkeypatch)
         with pytest.raises(PreconditionError) as exc:
             assert_nilpotent_compressions(K)
         assert str(exc.value) == expected
-        assert sum(n for _, n in counts) == 2**5 - 1
+        assert counts == [(1, 5)]
+
+    def test_passing_scan_decomposes_each_subset_once(self, monkeypatch):
+        # strictly upper triangular plus a 1e-30 arc from point 1 back to
+        # point 0: the exact support has a 2-cycle, so the scan runs, and
+        # every compression has radius at most 1e-15; one call per size
+        p = 6
+        mat = np.triu(np.ones((p, p)), 1)
+        mat[1, 0] = 1e-30
+        K = atomic_operator(mat)
+        assert reference_nilpotent_failure(K) is None
+        counts = count_decompositions(monkeypatch)
+        assert_nilpotent_compressions(K)
+        assert counts == [(s, math.comb(p, s)) for s in range(1, p + 1)]
+        assert sum(n for _, n in counts) == 2**p - 1
 
     def test_error_names_smallest_failing_mask(self):
         # {0, 1} (mask 3) carries a 2-cycle and {2} (mask 4) a diagonal entry;
@@ -318,17 +334,20 @@ class TestAssertNilpotentCompressions:
         with pytest.raises(PreconditionError, match=r"points \[0, 1\] is not nilpotent"):
             assert_nilpotent_compressions(atomic_operator(mat))
 
-    @given(seeds, st.integers(min_value=1, max_value=8))
+    @given(seeds, st.integers(min_value=1, max_value=12))
     @settings(max_examples=60, deadline=None)
     def test_matches_plain_mask_loop(self, seed, p):
-        # strictly upper triangular in a random order, with a planted 2-cycle,
-        # diagonal entry or near-cutoff entry on most draws
+        # strictly upper triangular in a random order on cells and atoms,
+        # with a planted 2-cycle, diagonal entry or near-cutoff entry on most
+        # draws
         rng = np.random.default_rng(seed)
         mat = np.triu(rng.standard_normal((p, p)) * (rng.random((p, p)) < 0.6), 1)
         i, j = rng.integers(0, p, size=2)
-        mat[j, i] += [0.0, 1.0, 1e-9, 1e-17][int(rng.integers(0, 4))] * rng.standard_normal()
+        mat[j, i] += [0.0, 1.0, 1e-9, 1e-17, 1e-30][int(rng.integers(0, 5))] * rng.standard_normal()
         perm = rng.permutation(p)
-        K = atomic_operator(mat[np.ix_(perm, perm)])
+        cells = int(rng.integers(0, p + 1))
+        space = build_space(cells, range(2, p - cells + 2))
+        K = kernel_operator(space, mat[np.ix_(perm, perm)].astype(complex))
         try:
             assert_nilpotent_compressions(K)
             message = None
