@@ -14,7 +14,6 @@ from .operators import (
     Operator,
     compress,
     densify,
-    factor,
     kernel_operator,
     modulus,
     numerical_rank,
@@ -45,7 +44,6 @@ from .cycles import (
 from .triangular import (
     TriangularizationCertificate,
     assert_nilpotent_compressions,
-    eigenatom_peel,
     increasing_spectrum_block_form,
     max_kernel_projection,
     nilpotent_block_form,

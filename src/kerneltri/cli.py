@@ -16,7 +16,7 @@ from .errors import KernelTriError, TheoremViolationError
 from .increasing import check_increasing_spectrum, radius_profile
 from .jsonio import canonical_dumps, is_integer, operator_from_dict
 from .cycles import moment_identities, shortest_cycle, support_digraph
-from .operators import Operator, factor
+from .operators import Operator
 from .spaces import DEFAULT_MAX_POINTS, StandardSet, nested_chain
 from .spectral import DEFAULT_TOL, eigenvalues
 from .triangular import (
@@ -102,9 +102,8 @@ def _cmd_moments(K, data, args) -> tuple[dict, bool]:
     # disjoint nonempty sets number at most one per point
     if not all(data["sets"]):
         raise InputError("\"sets\" must not hold an empty index list")
-    kfr = factor(K)
     sets = [StandardSet.from_indices(K.space, idx) for idx in data["sets"]]
-    report = moment_identities(kfr, sets, tol=args.tol)
+    report = moment_identities(K, sets, tol=args.tol)
     return report.to_dict(), report.passed
 
 

@@ -299,25 +299,26 @@ class MomentResidualReport:
 
 
 def moment_identities(
-    kfr: FiniteRankOperator, sets: list[StandardSet], tol: float = 1e-9
+    K: Operator | FiniteRankOperator, sets: list[StandardSet], tol: float = 1e-9
 ) -> MomentResidualReport:
     """Residuals |tr(M(E)^2)| per set and |tr(M(E) M(F))| per pair, where
-    M(E) = sum_{x in E} G(x) F(x)^t w(x); for operators with nilpotent
-    standard compressions all must vanish. The densified kernel diagonal
-    must vanish on every set.
+    M(E) = sum_{x in E} G(x) F(x)^t w(x) for any factors k = F G^t; for
+    operators with nilpotent standard compressions all must vanish. The
+    kernel diagonal must vanish on every set. A finite-rank K is
+    densified first.
 
     tr(M(E) M(F)) = sum_{x in E, y in F} a[x,y] a[y,x] over the weighted
     entries a, so every residual is read off the one product
     S^t (a ⊙ a^t) S, where column c of S is the 0/1 membership of set c.
     """
+    K = densify(K)
     union = 0
     for s in sets:
         if union & s.mask:
             raise PreconditionError("sets must be pairwise disjoint")
         union |= s.mask
-    if any(s.space != kfr.space for s in sets):
+    if any(s.space != K.space for s in sets):
         raise PreconditionError("standard set over a different space")
-    K = densify(kfr)
     scale = magnitude(K.kernel_values)
     members = np.zeros((K.size, len(sets)), dtype=bool)
     for c, s in enumerate(sets):

@@ -127,30 +127,20 @@ class FiniteRankOperator:
         return densify(self).kernel_values
 
 
-def densify(kfr: FiniteRankOperator) -> Operator:
-    """Dense operator with kernel_values[i][j] = sum_t F[i,t] G[j,t]."""
+def densify(K: Operator | FiniteRankOperator) -> Operator:
+    """K itself when it is dense; otherwise the dense operator with
+    kernel_values[i][j] = sum_t F[i,t] G[j,t]."""
+    if isinstance(K, Operator):
+        return K
     with np.errstate(over="ignore", invalid="ignore"):  # Operator reports the overflow
-        kernel = kfr.F @ kfr.G.T
-    return Operator(kfr.space, np.asarray(kernel, dtype=complex))
-
-
-def _svd_rank(s: np.ndarray) -> int:
-    """Count of the singular values s (descending) > ZERO_TOL * s[0]."""
-    return 0 if s.size == 0 or s[0] == 0.0 else int(np.sum(s > ZERO_TOL * s[0]))
+        kernel = K.F @ K.G.T
+    return Operator(K.space, np.asarray(kernel, dtype=complex))
 
 
 def numerical_rank(K: Operator) -> int:
     """Rank of the raw kernel matrix: singular values > ZERO_TOL * sigma_max."""
-    return _svd_rank(np.linalg.svd(K.kernel_values, compute_uv=False))
-
-
-def factor(K: Operator) -> FiniteRankOperator:
-    """Extract SVD-based factors (F, G) with kernel = F @ G.T."""
-    u, s, vh = np.linalg.svd(K.kernel_values)
-    n = _svd_rank(s)
-    F = u[:, :n] * s[:n]
-    G = vh[:n, :].T.copy()
-    return FiniteRankOperator(space=K.space, F=F, G=G)
+    s = np.linalg.svd(K.kernel_values, compute_uv=False)
+    return 0 if s.size == 0 or s[0] == 0.0 else int(np.sum(s > ZERO_TOL * s[0]))
 
 
 def compress(K: Operator, E: StandardSet) -> Operator:

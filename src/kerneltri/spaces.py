@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import math
 import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -32,8 +33,12 @@ class MeasureSpace:
     def __post_init__(self):
         if len(self.midpoints) != len(self.cell_weights):
             raise SpaceError("midpoints and cell weights differ in length")
-        if any(w <= 0 for w in self.cell_weights):
-            raise SpaceError("cell weights must be positive")
+        weights = self.cell_weights
+        # with no NaN among the weights, min is their least one
+        if not all(map(math.isfinite, weights)) or min(weights, default=1.0) <= 0:
+            raise SpaceError("cell weights must be finite and positive")
+        if not all(map(math.isfinite, self.midpoints)):
+            raise SpaceError("cell midpoints must be finite")
         if any(a >= b for a, b in zip(self.midpoints, self.midpoints[1:])):
             raise SpaceError("cell midpoints must be strictly increasing")
         if len(set(self.atom_ids)) != len(self.atom_ids):
@@ -141,31 +146,13 @@ class StandardSet:
     def size(self) -> int:
         return self.mask.bit_count()
 
-    def is_empty(self) -> bool:
-        return self.mask == 0
-
     def issubset(self, other: "StandardSet") -> bool:
-        self._check_space(other)
+        if self.space != other.space:
+            raise SpaceError("standard sets over different spaces")
         return self.mask & ~other.mask == 0
-
-    def union(self, other: "StandardSet") -> "StandardSet":
-        self._check_space(other)
-        return StandardSet(self.space, self.mask | other.mask)
-
-    def intersection(self, other: "StandardSet") -> "StandardSet":
-        self._check_space(other)
-        return StandardSet(self.space, self.mask & other.mask)
 
     def complement(self) -> "StandardSet":
         return StandardSet(self.space, self.mask ^ ((1 << self.space.size) - 1))
-
-    def isdisjoint(self, other: "StandardSet") -> bool:
-        self._check_space(other)
-        return self.mask & other.mask == 0
-
-    def _check_space(self, other: "StandardSet"):
-        if self.space != other.space:
-            raise SpaceError("standard sets over different spaces")
 
 
 def pair_masks(n: int, bits: Sequence[int]) -> tuple[int, int]:

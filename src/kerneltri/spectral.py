@@ -3,8 +3,7 @@ matching."""
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -92,15 +91,12 @@ def eigenvalues(K: Operator, tol: float = DEFAULT_TOL) -> SpectrumReport:
 
 
 def first_excluded(inner: np.ndarray, outer: np.ndarray, tol: float) -> int | None:
-    """Flat index into `inner` of its first value, in row-major order,
-    that lies farther than tol from every value of the matching row of
-    `outer` (inner (..., a), outer (..., b), the same leading shape);
-    None when there is none. NaN entries are padding: only the values of
-    `inner` that exist are measured, so a padded one is never excluded,
-    and a row of `outer` without values excludes every value of `inner`."""
-    if inner.ndim != 2:  # one row per index of the leading shape
-        n = math.prod(inner.shape[:-1])
-        inner, outer = inner.reshape(n, inner.shape[-1]), outer.reshape(n, outer.shape[-1])
+    """Flat index into the table `inner` of its first value, in row-major
+    order, that lies farther than tol from every value of the matching
+    row of the table `outer` (inner (n, a), outer (n, b)); None when there
+    is none. NaN entries are padding: only the values of `inner` that
+    exist are measured, so a padded one is never excluded, and a row of
+    `outer` without values excludes every value of `inner`."""
     valid = inner == inner
     rows, cols = valid.nonzero()  # the values, in row-major order
     dist = np.fmin.reduce(
@@ -113,45 +109,25 @@ def first_excluded(inner: np.ndarray, outer: np.ndarray, tol: float) -> int | No
     return int(rows[k]) * inner.shape[1] + int(cols[k])
 
 
-@dataclass(frozen=True)
-class MatchResult:
-    matched: bool
-    unmatched_left: tuple[complex, ...] = field(default=())
-    unmatched_right: tuple[complex, ...] = field(default=())
-
-    def __bool__(self) -> bool:
-        return self.matched
-
-
-def match_multisets(
-    a: Sequence[complex], b: Sequence[complex], cutoff: float
-) -> MatchResult:
+def match_multisets(a: Sequence[complex], b: Sequence[complex], cutoff: float) -> bool:
     """Multiset comparison of two lists of complex values.
 
     The values are paired by an optimal assignment on |a_i - b_j|; the
     match holds iff both lists have equal length and every paired
-    distance is <= cutoff. On failure the result carries the unpaired or
-    badly paired values of each side.
+    distance is <= cutoff.
     """
     a = np.array(a)
     b = np.array(b)
     if a.size != b.size:
-        return MatchResult(False, tuple(map(complex, a)), tuple(map(complex, b)))
+        return False
     if a.size == 0:
-        return MatchResult(True)
+        return True
     dist = np.abs(a[:, None] - b[None, :])
     rows, cols = linear_sum_assignment(dist)
-    bad = dist[rows, cols] > cutoff
-    if not bad.any():
-        return MatchResult(True)
-    return MatchResult(
-        False,
-        tuple(complex(z) for z in a[rows[bad]]),
-        tuple(complex(z) for z in b[cols[bad]]),
-    )
+    return not (dist[rows, cols] > cutoff).any()
 
 
-def nonzero_eigen_match(K1: Operator, K2: Operator, tol: float = DEFAULT_TOL) -> MatchResult:
+def nonzero_eigen_match(K1: Operator, K2: Operator, tol: float = DEFAULT_TOL) -> bool:
     """Multiset comparison of the nonzero eigenvalues of two operators.
 
     Eigenvalues with |λ| > tol * scale are compared by

@@ -28,7 +28,6 @@ from .operators import (
     Operator,
     ZERO_TOL,
     densify,
-    kernel_operator,
     magnitude,
     numerical_rank,
 )
@@ -208,14 +207,16 @@ def scc_triangularize(K: Operator) -> TriangularizationCertificate:
 
 # --- zero row/column projections and the nilpotent block form -------------
 
-def max_kernel_projection(kfr: FiniteRankOperator, side: str = "right") -> StandardSet:
-    """Largest standard set E with K P_E = 0 (side="right": the points
-    where all the g_i vanish, i.e. the zero columns of the kernel) or
-    P_E K = 0 (side="left": zero rows)."""
+def max_kernel_projection(K: Operator | FiniteRankOperator, side: str = "right") -> StandardSet:
+    """Largest standard set E with K P_E = 0 (side="right": the zero
+    columns of the kernel, where all the g_i of a finite-rank K vanish)
+    or P_E K = 0 (side="left": zero rows). A finite-rank K is densified
+    first."""
+    K = densify(K)
     if side not in ("right", "left"):
         raise PreconditionError("side must be 'right' or 'left'")
-    zero = ~densify(kfr).support.any(axis=0 if side == "right" else 1)
-    return StandardSet.from_indices(kfr.space, np.flatnonzero(zero).tolist())
+    zero = ~K.support.any(axis=0 if side == "right" else 1)
+    return StandardSet.from_indices(K.space, np.flatnonzero(zero).tolist())
 
 
 def assert_nilpotent_compressions(K: Operator, tol: float = DEFAULT_TOL) -> None:
@@ -286,10 +287,9 @@ def nilpotent_block_form(
     Stage j takes E_j = the maximal right-kernel projection of the current
     compression (its zero columns), which makes column block j vanish and
     drops the rank of the remaining compression by at least one. A
-    finite-rank operator is densified first.
+    finite-rank K is densified first.
     """
-    if isinstance(K, FiniteRankOperator):
-        K = densify(K)
+    K = densify(K)
     assert_nilpotent_compressions(K, tol)
     kernel = K.kernel_values
     blocks = _peel_zero_columns(K.support, np.ones(K.size, dtype=bool))
@@ -333,23 +333,6 @@ def _peel_zero_columns(support: np.ndarray, alive: np.ndarray) -> tuple[tuple[in
 
 
 # --- eigen-atom peeling and the increasing-spectrum block form -------------
-
-def eigenatom_peel(
-    K: Operator, tol: float = DEFAULT_TOL
-) -> tuple[list[tuple[int, complex]], Operator]:
-    """Find the atoms carrying the nonzero eigenvalues of K.
-
-    Returns the list of (point index, k(j,j)) for atoms with nonzero
-    kernel diagonal, sorted by ascending atom id, together with
-    G = K minus those diagonal entries. Raises when the atom-diagonal
-    multiset fails to match the nonzero eigenvalue multiset of K.
-    """
-    peeled = _eigen_atoms(K, tol)
-    g_kernel = K.kernel_values.copy()
-    for j, _ in peeled:
-        g_kernel[j, j] = 0.0
-    return peeled, kernel_operator(K.space, g_kernel)
-
 
 def _eigen_atoms(K: Operator, tol: float) -> list[tuple[int, complex]]:
     """The (point index, k(j,j)) of the atoms whose kernel diagonal

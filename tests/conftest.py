@@ -19,23 +19,30 @@ from kerneltri import (
     TheoremViolationError,
     build_space,
     compress,
-    eigenatom_peel,
-    factor,
     kernel_operator,
     support_digraph,
 )
 from kerneltri.operators import ZERO_TOL
 from kerneltri.spaces import mask_indices, standard_pair_masks
 from kerneltri.spectral import first_excluded
-from kerneltri.triangular import BlockDiagnosis, TriangularizationCertificate
+from kerneltri.triangular import BlockDiagnosis, TriangularizationCertificate, _eigen_atoms
 
 
 def inclusion_witness(inner: np.ndarray, outer: np.ndarray, tol: float) -> complex | None:
-    """First value of `inner` farther than tol from every value of `outer`
-    (by `first_excluded`); None when every inner value lies within tol of
-    some outer one."""
-    hit = first_excluded(inner, outer, tol)
+    """First value of the vector `inner` farther than tol from every value
+    of the vector `outer` (by `first_excluded` on one-row tables); None
+    when every inner value lies within tol of some outer one."""
+    hit = first_excluded(inner[None], outer[None], tol)
     return None if hit is None else complex(inner[hit])
+
+
+def svd_factors(K) -> FiniteRankOperator:
+    """Factors (F, G) of K with F @ G.T its kernel up to roundoff, from the
+    SVD truncated to the singular values > ZERO_TOL * sigma_max: a
+    factored form of a dense operator, for the oracles that read F and G."""
+    u, s, vh = np.linalg.svd(K.kernel_values)
+    n = 0 if s.size == 0 or s[0] == 0.0 else int(np.sum(s > ZERO_TOL * s[0]))
+    return FiniteRankOperator(space=K.space, F=u[:, :n] * s[:n], G=vh[:n, :].T.copy())
 
 
 def moment_matrix(kfr, E, tol: float = 1e-8) -> np.ndarray:
@@ -226,7 +233,7 @@ def reference_peel_zero_columns(K) -> tuple[tuple[int, ...], ...]:
     blocks: list[tuple[int, ...]] = []
     while remaining:
         sub = compress(K, StandardSet.from_indices(K.space, remaining))
-        kernel = factor(sub).kernel_matrix()
+        kernel = svd_factors(sub).kernel_matrix()
         scale = max(1.0, float(np.abs(kernel).max())) if kernel.size else 1.0
         mags = np.abs(kernel).max(axis=0) if kernel.size else np.empty(0)
         local = [i for i in range(sub.size) if mags.size == 0 or mags[i] <= ZERO_TOL * scale]
@@ -251,7 +258,7 @@ def reference_increasing_blocks(K, tol: float = 1e-8) -> tuple[tuple[int, ...], 
     messages. The reference for `increasing_spectrum_block_form`, which
     recurses on masks of one copy of K.support."""
     kernel, thr = K.kernel_values, K.zero_threshold
-    peeled, _ = eigenatom_peel(K, tol)  # sorted by atom id
+    peeled = _eigen_atoms(K, tol)  # sorted by atom id
 
     def peel(g: np.ndarray) -> list[tuple[int, ...]]:
         remaining = np.arange(g.shape[0])

@@ -20,7 +20,10 @@ from conftest import (
 )
 
 from kerneltri import (
+    StandardSet,
     canonical_dumps,
+    densify,
+    moment_identities,
     named_operator,
     nilpotent_block_form,
     operator_from_dict,
@@ -252,6 +255,38 @@ class TestMoments:
     def test_missing_sets_is_input_error(self, tmp_path, example_file):
         code, _ = run(tmp_path, "moments", "--in", example_file)
         assert code == 2
+
+    @pytest.mark.parametrize("tol", [[], ["--tol", "0"]], ids=["default-tol", "tol-0"])
+    @pytest.mark.parametrize("cells", [8, 256])
+    def test_volterra_singletons_have_exact_zero_residuals(self, tmp_path, cells, tol):
+        # a strictly lower triangular kernel makes every a[x,y] a[y,x]
+        # exactly 0, while its reconstruction from SVD factors leaves
+        # roundoff of about 1e-18 there
+        desc = {"kind": "named", "name": "volterra_linear", "cells": cells,
+                "sets": [[i] for i in range(cells)]}
+        op = write_json(tmp_path, "singletons.json", desc)
+        code, text = run(tmp_path, "moments", "--in", op, *tol)
+        assert code == 0
+        assert '"max_residual":0.0,' in text
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_finite_rank_report_matches_library(self, seed):
+        kfr, blocks = random_nilpotent_instance(np.random.default_rng(seed))
+        desc = {
+            "kind": "finite_rank",
+            "space": {"cells": 0, "atoms": list(kfr.space.atom_ids)},
+            "F": [[[z.real, z.imag] for z in row] for row in kfr.F],
+            "G": [[[z.real, z.imag] for z in row] for row in kfr.G],
+            "sets": blocks,
+        }
+        with tempfile.TemporaryDirectory() as tmp:
+            op = write_json(Path(tmp), "op.json", desc)
+            code, text = run(Path(tmp), "moments", "--in", op, "--tol", "1e-8")
+        sets = [StandardSet.from_indices(kfr.space, b) for b in blocks]
+        report = moment_identities(densify(kfr), sets, tol=1e-8)
+        assert code == (0 if report.passed else 1)
+        assert text == canonical_dumps(report.to_dict())
 
 
     @pytest.mark.parametrize("sets", [[[0.5]], [[0], [1.0]], [[True]], [0, 1], {"a": [0]}])

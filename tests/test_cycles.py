@@ -11,6 +11,7 @@ from conftest import (
     random_nilpotent_instance,
     reference_acyclic_suffix,
     reference_shortest_cycle,
+    svd_factors,
 )
 
 from kerneltri import (
@@ -18,7 +19,6 @@ from kerneltri import (
     StandardSet,
     build_space,
     densify,
-    factor,
     find_nondegenerate_cycle,
     kernel_operator,
     moment_identities,
@@ -243,7 +243,7 @@ class TestMomentMatrix:
         b = StandardSet.from_indices(space, range(half, space.size))
         ma = moment_matrix(kfr, a)
         mb = moment_matrix(kfr, b)
-        mab = moment_matrix(kfr, a.union(b))
+        mab = moment_matrix(kfr, StandardSet(space, a.mask | b.mask))
         np.testing.assert_allclose(ma + mb, mab, atol=1e-12)
 
     def test_trace_vanishes_when_diagonal_does(self):
@@ -266,7 +266,7 @@ class TestMomentMatrix:
 
     def test_matches_direct_sum_oracle(self):
         rng = np.random.default_rng(35)
-        kfr = factor(densify(sharpness_example_factors(2)))
+        kfr = svd_factors(sharpness_example(2))
         # diagonal of the example is nonzero at points 1 and 3
         E = StandardSet.from_indices(kfr.space, [0, 2, 4])
         m = moment_matrix(kfr, E)
@@ -321,11 +321,12 @@ class TestMomentIdentities:
             rng.random((p, p)) < [0.2, 0.5, 1.0][seed % 3]
         )
         mat[np.diag_indices(p)] = 0.0
-        kfr = factor(kernel_operator(build_space(cells, range(2, p - cells + 2)), mat))
+        kfr = svd_factors(kernel_operator(build_space(cells, range(2, p - cells + 2)), mat))
         points = rng.permutation(p)[: int(rng.integers(1, p + 1))]
         cuts = np.sort(rng.choice(np.arange(1, points.size + 1), size=2)) if points.size > 1 else []
         sets = [StandardSet.from_indices(kfr.space, part) for part in np.split(points, cuts)]
         report = moment_identities(kfr, sets)
+        assert moment_identities(densify(kfr), sets) == report
         moments = [moment_matrix(kfr, s) for s in sets]
         squares = [abs(np.trace(m @ m)) for m in moments]
         crosses = [

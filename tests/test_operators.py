@@ -8,6 +8,7 @@ from conftest import (
     kernel_operator_from_function,
     random_hybrid_instance,
     random_nilpotent_instance,
+    svd_factors,
 )
 
 from kerneltri import (
@@ -20,7 +21,6 @@ from kerneltri import (
     build_space,
     compress,
     densify,
-    factor,
     kernel_operator,
     moment_identities,
     modulus,
@@ -80,8 +80,12 @@ class TestDensify:
         F = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
         G = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
         K = densify(FiniteRankOperator(space=space, F=F, G=G))
-        again = densify(factor(K))
+        again = densify(svd_factors(K))
         np.testing.assert_allclose(again.kernel_values, K.kernel_values, atol=1e-10)
+
+    def test_dense_operator_is_returned_unchanged(self):
+        for K in (volterra_linear(8), sharpness_example(2)):
+            assert densify(K) is K
 
     def test_dimension_mismatch(self):
         space = build_space(0, [2, 3])
@@ -99,7 +103,7 @@ class TestOperatorConstruction:
         K, _ = random_hybrid_instance(np.random.default_rng(seed))
         kfr, _ = random_nilpotent_instance(np.random.default_rng(seed))
         half = StandardSet.from_indices(K.space, range(0, K.size, 2))
-        for op in (K, compress(K, half), densify(factor(K)), densify(kfr), modulus(K)):
+        for op in (K, compress(K, half), densify(svd_factors(K)), densify(kfr), modulus(K)):
             weighted = op.kernel_values * op.space.weights
             assert op.entries.tobytes() == weighted.tobytes()
             assert not op.entries.flags.writeable and not op.kernel_values.flags.writeable

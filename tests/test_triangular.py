@@ -20,6 +20,7 @@ from conftest import (
     reference_nilpotent_structural_failure,
     reference_peel_zero_columns,
     reference_scc_blocks,
+    svd_factors,
 )
 
 from kerneltri import (
@@ -31,8 +32,6 @@ from kerneltri import (
     build_space,
     canonical_dumps,
     densify,
-    eigenatom_peel,
-    factor,
     increasing_spectrum_block_form,
     kernel_operator,
     max_kernel_projection,
@@ -46,7 +45,7 @@ from kerneltri import (
 )
 from kerneltri import cycles
 from kerneltri.operators import ZERO_TOL, magnitude
-from kerneltri.triangular import BlockDiagnosis, _certificate, _peel_zero_columns
+from kerneltri.triangular import BlockDiagnosis, _certificate, _eigen_atoms, _peel_zero_columns
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -57,7 +56,15 @@ def atomic_operator(matrix):
 
 
 def finite_rank(matrix):
-    return factor(atomic_operator(matrix))
+    return svd_factors(atomic_operator(matrix))
+
+
+def atom_diagonal_cleared(K):
+    """K with the kernel diagonal of its eigen-atoms set to zero."""
+    atoms = [j for j, _ in _eigen_atoms(K, 1e-8)]
+    kernel = K.kernel_values.copy()
+    kernel[atoms, atoms] = 0.0
+    return kernel_operator(K.space, kernel)
 
 
 class TestSccTriangularize:
@@ -166,8 +173,9 @@ class TestSccBlocksAgainstReference:
 class TestMaxKernelProjection:
     def test_sharpness_example_sides(self):
         kfr = sharpness_example_factors(2)
-        assert max_kernel_projection(kfr, side="right").indices() == (0,)
-        assert max_kernel_projection(kfr, side="left").indices() == (4,)
+        for op in (kfr, densify(kfr)):
+            assert max_kernel_projection(op, side="right").indices() == (0,)
+            assert max_kernel_projection(op, side="left").indices() == (4,)
 
     def test_zero_kernel_takes_everything(self):
         space = build_space(0, [2, 3])
@@ -381,7 +389,7 @@ class TestPeelAgainstReference:
     def test_hybrid_family_and_its_compressions(self, seed):
         rng = np.random.default_rng(seed)
         K, _ = random_hybrid_instance(rng)
-        _, G = eigenatom_peel(K)
+        G = atom_diagonal_cleared(K)
         sub = sorted(rng.choice(K.size, size=int(rng.integers(1, K.size + 1)), replace=False))
         G_sub = kernel_operator(K.space.restrict(sub), G.kernel_values[np.ix_(sub, sub)])
         for op in (K, G, G_sub):
@@ -397,7 +405,7 @@ class TestPeelAgainstReference:
         perm = rng.permutation(K.size)
         scale = complex(rng.standard_normal(), rng.standard_normal())
         K = atomic_operator(scale * np.asarray(K.kernel_values)[np.ix_(perm, perm)])
-        _, G = eigenatom_peel(K)
+        G = atom_diagonal_cleared(K)
         blocks = _peel_zero_columns(G.support, np.ones(G.size, dtype=bool))
         assert blocks == reference_peel_zero_columns(G)
         expected = peel_outcome(reference_peel_zero_columns, K)
@@ -486,6 +494,7 @@ class TestNilpotentBlockForm:
         for _ in range(25):
             kfr, _ = random_nilpotent_instance(rng)
             cert = nilpotent_block_form(kfr)
+            assert nilpotent_block_form(densify(kfr)) == cert
             assert cert.num_blocks <= cert.rank + 1
             report = verify_certificate(densify(kfr), cert)
             assert report.passed, report.failures()
@@ -529,31 +538,27 @@ class TestNilpotentBlockForm:
         assert emitted > 300
 
 
-class TestEigenatomPeel:
+class TestEigenAtoms:
     def test_diagonal_atoms(self):
         K = atomic_operator(np.diag([2.0, 3.0]))
-        peeled, G = eigenatom_peel(K)
+        peeled = _eigen_atoms(K, 1e-8)
         assert [(j, z.real) for j, z in peeled] == [(0, 2.0), (1, 3.0)]
-        np.testing.assert_array_equal(G.kernel_values, np.zeros((2, 2)))
 
     def test_cells_do_not_peel(self):
-        K = volterra_linear(8)
-        peeled, G = eigenatom_peel(K)
-        assert peeled == []
-        np.testing.assert_array_equal(G.kernel_values, K.kernel_values)
+        assert _eigen_atoms(volterra_linear(8), 1e-8) == []
 
     def test_mismatch_raises_with_details(self):
         # cell block holds eigenvalue 1 that no atom diagonal accounts for
         space = build_space(1, [2])
         kernel = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
         with pytest.raises(TheoremViolationError) as err:
-            eigenatom_peel(kernel_operator(space, kernel))
+            _eigen_atoms(kernel_operator(space, kernel), 1e-8)
         assert "multiset" in str(err.value)
 
     def test_peel_order_follows_atom_ids(self):
         space = build_space(0, [9, 2])  # atom ids out of order
         K = kernel_operator(space, np.diag([5.0, 7.0]).astype(complex))
-        peeled, _ = eigenatom_peel(K)
+        peeled = _eigen_atoms(K, 1e-8)
         # atom id 2 (point 1) precedes atom id 9 (point 0)
         assert [j for j, _ in peeled] == [1, 0]
 
@@ -561,12 +566,10 @@ class TestEigenatomPeel:
         rng = np.random.default_rng(88)
         for _ in range(25):
             K, lambdas = random_hybrid_instance(rng)
-            peeled, G = eigenatom_peel(K)
+            peeled = _eigen_atoms(K, 1e-8)
             assert {j for j, _ in peeled} == set(lambdas)
             for j, z in peeled:
                 assert z == pytest.approx(lambdas[j])
-            if lambdas:
-                assert np.abs(np.diag(G.kernel_values)[sorted(lambdas)]).max() == 0.0
 
 
 class TestIncreasingSpectrumBlockForm:
@@ -615,7 +618,7 @@ class TestIncreasingSpectrumBlockForm:
         kernel = np.zeros((3, 3), dtype=complex)
         kernel[0, 1], kernel[1, 2], kernel[2, 2], kernel[2, 1] = 2.0, 1.0, 0.5, 1.5e-10
         K = kernel_operator(build_space(1, [2, 3]), kernel)
-        _, G = eigenatom_peel(K)
+        G = atom_diagonal_cleared(K)
         G_sub = kernel_operator(K.space.restrict([1, 2]), G.kernel_values[1:, 1:])
         assert peel_outcome(reference_peel_zero_columns, G_sub) == (0, 1)
         cert = increasing_spectrum_block_form(K)
@@ -674,7 +677,7 @@ class TestVerifyCertificate:
             mat = np.zeros((4, 4))
             mat[0, 3] = 1.0
             K = atomic_operator(mat)
-            cert = nilpotent_block_form(factor(K))
+            cert = nilpotent_block_form(svd_factors(K))
         else:
             cert = increasing_spectrum_block_form(K)
         assert verify_certificate(K, cert).passed
@@ -693,7 +696,7 @@ class TestVerifyCertificate:
             mat = np.zeros((4, 4))
             mat[0, 3] = 1.0
             K = atomic_operator(mat)
-            cert = nilpotent_block_form(factor(K))
+            cert = nilpotent_block_form(svd_factors(K))
         else:
             cert = increasing_spectrum_block_form(K)
         # the entry naming point 0 or 1 becomes 0.0 / False or 1.0 / True
