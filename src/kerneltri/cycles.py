@@ -12,7 +12,7 @@ from scipy.sparse import csr_array
 from scipy.sparse.csgraph import connected_components, shortest_path
 
 from .errors import PreconditionError
-from .operators import FiniteRankOperator, Operator, ZERO_TOL, densify, magnitude
+from .operators import DEFAULT_TOL, FiniteRankOperator, Operator, ZERO_TOL, densify, magnitude
 from .spaces import StandardSet
 
 
@@ -122,15 +122,17 @@ def scc_blocks(dg: SupportDigraph) -> tuple[tuple[int, ...], ...]:
     ascending, in the topological order of the condensation that breaks
     ties by the smallest point (Kahn's algorithm on a min-heap).
 
-    Up to _CSGRAPH_CUTOFF points Tarjan's algorithm and a set-based
-    condensation run in Python over `successors`. Above it one csgraph
-    call labels the components, each by its smallest point, and each
-    popped component takes its out-arcs, with multiplicity, off the
-    in-degrees in one NumPy update: the same blocks in the same order.
+    Both sides of _CSGRAPH_CUTOFF follow one rule: each component is
+    labelled by its smallest point, its in-degree counts the arcs into it
+    from other components with multiplicity, and the heap pops labels.
+    Up to the cutoff :func:`_python_scc_blocks` does this in Python over
+    `successors`; above it one csgraph call labels the components, and
+    each popped component takes its out-arcs off the in-degrees in one
+    NumPy update.
     """
     p = dg.size
     if p <= _CSGRAPH_CUTOFF:
-        return _tarjan_kahn(dg.successors)
+        return _python_scc_blocks(dg.successors)
     tails, heads, graph, comp = _strong_components(dg.arcs)
     _, first = np.unique(comp, return_index=True)
     label = first[comp]  # the smallest point of each point's component
@@ -157,80 +159,59 @@ def scc_blocks(dg: SupportDigraph) -> tuple[tuple[int, ...], ...]:
     return tuple(blocks)
 
 
-def _tarjan_kahn(successors) -> tuple[tuple[int, ...], ...]:
-    """:func:`scc_blocks` by Tarjan's algorithm and a Python condensation."""
-    sccs = _tarjan_sccs(successors)
-    comp_of = {}
-    for c, comp in enumerate(sccs):
-        for v in comp:
-            comp_of[v] = c
-    nc = len(sccs)
-    out_edges: list[set[int]] = [set() for _ in range(nc)]
-    indeg = [0] * nc
-    for u in range(len(successors)):
-        for v in successors[u]:
-            a, b = comp_of[u], comp_of[v]
-            if a != b and b not in out_edges[a]:
-                out_edges[a].add(b)
-                indeg[b] += 1
-    heap = [(min(sccs[c]), c) for c in range(nc) if indeg[c] == 0]
-    heapq.heapify(heap)
-    order = []
-    while heap:
-        _, c = heapq.heappop(heap)
-        order.append(c)
-        for b in out_edges[c]:
-            indeg[b] -= 1
-            if indeg[b] == 0:
-                heapq.heappush(heap, (min(sccs[b]), b))
-    return tuple(tuple(sccs[c]) for c in order)
-
-
-def _tarjan_sccs(successors) -> list[list[int]]:
+def _python_scc_blocks(successors) -> tuple[tuple[int, ...], ...]:
+    """:func:`scc_blocks` in Python over `successors`, by the same rule as
+    the csgraph side: each component labelled by its smallest point, its
+    in-degree counting the arcs from other components with multiplicity,
+    and Kahn's order on a min-heap of the labels."""
     p = len(successors)
-    index = [-1] * p
-    low = [0] * p
-    on_stack = [False] * p
+    # Tarjan, recursive: at most _CSGRAPH_CUTOFF deep. low[v] is the lowest
+    # place on the stack that v is known to reach, at first its own; a
+    # visited point without a label is on the stack
+    low = [-1] * p
+    label = [-1] * p
     stack: list[int] = []
-    sccs: list[list[int]] = []
-    counter = 0
-    for root in range(p):
-        if index[root] != -1:
-            continue
-        work = [(root, iter(successors[root]))]
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack[root] = True
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if index[w] == -1:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, iter(successors[w])))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                low[work[-1][0]] = min(low[work[-1][0]], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                sccs.append(sorted(comp))
-    return sccs
+
+    def visit(v: int) -> None:
+        low[v] = depth = len(stack)
+        stack.append(v)
+        for w in successors[v]:
+            if low[w] < 0:
+                visit(w)
+            if label[w] < 0 and low[w] < low[v]:
+                low[v] = low[w]
+        if low[v] == depth:
+            comp = stack[depth:]
+            del stack[depth:]
+            smallest = min(comp)
+            for w in comp:
+                label[w] = smallest
+
+    for v in range(p):
+        if low[v] < 0:
+            visit(v)
+
+    members: list[list[int]] = [[] for _ in range(p)]
+    indeg = [0] * p
+    for u in range(p):
+        members[label[u]].append(u)
+        for w in successors[u]:
+            if label[w] != label[u]:
+                indeg[label[w]] += 1
+    # ascending, so already a heap
+    heap = [c for c in range(p) if label[c] == c and indeg[c] == 0]
+    blocks = []
+    while heap:
+        c = heapq.heappop(heap)
+        blocks.append(tuple(members[c]))
+        for u in members[c]:
+            for w in successors[u]:
+                b = label[w]
+                if b != c:
+                    indeg[b] -= 1
+                    if indeg[b] == 0:
+                        heapq.heappush(heap, b)
+    return tuple(blocks)
 
 
 def acyclic_suffix(entries: np.ndarray) -> int:
@@ -299,7 +280,7 @@ class MomentResidualReport:
 
 
 def moment_identities(
-    K: Operator | FiniteRankOperator, sets: list[StandardSet], tol: float = 1e-9
+    K: Operator | FiniteRankOperator, sets: list[StandardSet], tol: float = DEFAULT_TOL
 ) -> MomentResidualReport:
     """Residuals |tr(M(E)^2)| per set and |tr(M(E) M(F))| per pair, where
     M(E) = sum_{x in E} G(x) F(x)^t w(x) for any factors k = F G^t; for

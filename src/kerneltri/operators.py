@@ -18,6 +18,8 @@ from .spaces import MeasureSpace, StandardSet, build_space
 
 #: relative threshold separating structural zeros from roundoff
 ZERO_TOL = 1e-10
+#: relative tolerance of the spectral and moment comparisons
+DEFAULT_TOL = 1e-8
 
 
 def magnitude(a: np.ndarray) -> float:

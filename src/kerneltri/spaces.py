@@ -122,10 +122,6 @@ class StandardSet:
             raise SpaceError("mask out of range for the space size")
 
     @classmethod
-    def empty(cls, space: MeasureSpace) -> "StandardSet":
-        return cls(space, 0)
-
-    @classmethod
     def full(cls, space: MeasureSpace) -> "StandardSet":
         return cls(space, (1 << space.size) - 1)
 

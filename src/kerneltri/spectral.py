@@ -11,10 +11,9 @@ from scipy.optimize import linear_sum_assignment
 
 from .cycles import SupportDigraph, acyclic_suffix, shortest_cycle
 from .errors import PreconditionError
-from .operators import Operator
+from .operators import DEFAULT_TOL, Operator
 
 MAX_DENSE_SIZE = 512
-DEFAULT_TOL = 1e-8
 
 
 @dataclass(frozen=True)

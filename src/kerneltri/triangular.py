@@ -469,10 +469,10 @@ def verify_certificate(
 
     # chain invariance: K maps each prefix F_b into itself. A below-block
     # entry (i, j) leaks out of every prefix b with pos[j] <= b < pos[i], so
-    # the first leaking prefix is the smallest pos[j] over the entries > thr
-    leaking = pos[np.nonzero(below & (mag > thr))[1]]
-    if leaking.size:
-        b = int(leaking.min())
+    # some prefix leaks exactly when the residual fails, and the first is
+    # the smallest pos[j] over the entries > thr
+    if worst > thr:
+        b = int(pos[np.nonzero(below & (mag > thr))[1]].min())
         leak = float(mag[np.ix_(pos > b, pos <= b)].max())
         checks["chain_invariant"] = CheckResult(False, f"prefix {b} leaks {leak:.3e}")
     else:

@@ -31,6 +31,7 @@ from kerneltri import (
 )
 from kerneltri.cli import MAX_POINTS_LIMIT, main
 from kerneltri.jsonio import _complex_matrix
+from kerneltri.operators import DEFAULT_TOL
 
 
 def run(tmp_path, *argv):
@@ -268,6 +269,21 @@ class TestMoments:
         code, text = run(tmp_path, "moments", "--in", op, *tol)
         assert code == 0
         assert '"max_residual":0.0,' in text
+
+    def test_library_default_tol_is_the_cli_default(self, tmp_path):
+        # the cross residual 5e-9 passes at DEFAULT_TOL = 1e-8, not at 1e-9
+        operator = {
+            "kind": "dense",
+            "space": {"cells": 0, "atoms": [2, 3]},
+            "kernel": [[0, 1], [5e-9, 0]],
+        }
+        op = write_json(tmp_path, "op.json", {"operator": operator, "sets": [[0], [1]]})
+        code, text = run(tmp_path, "moments", "--in", op)
+        K = operator_from_dict(operator)
+        report = moment_identities(K, [StandardSet.from_indices(K.space, [i]) for i in (0, 1)])
+        assert report.tol == DEFAULT_TOL and report.passed
+        assert code == 0
+        assert text == canonical_dumps(report.to_dict())
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=25, deadline=None)

@@ -284,7 +284,7 @@ class TestLevelByLevelAgainstReference:
 
     def test_empty_space_has_one_pair(self):
         K = sharpness_example(1)
-        report = check_increasing_spectrum(compress(K, StandardSet.empty(K.space)))
+        report = check_increasing_spectrum(compress(K, StandardSet(K.space, 0)))
         assert decision(report) == (True, 1, None)
 
     def test_no_runtime_warning(self):

@@ -187,7 +187,7 @@ class TestCompress:
 
     def test_empty_set(self):
         K = atomic_operator(EXAMPLE_5x5)
-        empty = compress(K, StandardSet.empty(K.space))
+        empty = compress(K, StandardSet(K.space, 0))
         assert empty.size == 0
         assert empty.entries.shape == (0, 0)
 

@@ -86,7 +86,7 @@ class TestStandardSet:
 
     def test_empty_and_full(self):
         space = build_space(3)
-        assert StandardSet.empty(space).size == 0
+        assert StandardSet(space, 0).size == 0
         assert StandardSet.full(space).size == 3
 
     def test_out_of_range(self):

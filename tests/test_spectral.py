@@ -46,7 +46,7 @@ class TestEigenvalues:
 
     def test_empty_operator(self):
         K = atomic_operator(np.diag([1.0, 2.0]))
-        empty = compress(K, StandardSet.empty(K.space))
+        empty = compress(K, StandardSet(K.space, 0))
         rep = eigenvalues(empty)
         assert len(rep.eigenvalues) == 0
         assert rep.radius == 0.0

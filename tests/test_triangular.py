@@ -157,12 +157,42 @@ class TestSccBlocksAgainstReference:
         expected = reference_certificate("scc", K, reference_scc_blocks(K), K.zero_threshold)
         assert scc_triangularize(K).to_dict() == expected.to_dict()
 
-    @given(seeds, st.integers(min_value=1, max_value=12), st.sampled_from([0, 10**9]))
+    @given(
+        seeds,
+        st.integers(min_value=1, max_value=cycles._CSGRAPH_CUTOFF),
+        st.sampled_from([0, 10**9]),
+    )
     @settings(max_examples=200, deadline=None)
     def test_forced_path(self, seed, p, cutoff):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(cycles, "_CSGRAPH_CUTOFF", cutoff)
             self.assert_matches(scc_kernel(np.random.default_rng(seed), p))
+
+    @pytest.mark.parametrize("cutoff", [cycles._CSGRAPH_CUTOFF, 0])
+    @pytest.mark.parametrize("loops", [False, True])
+    @pytest.mark.parametrize("shape", ["path", "reverse", "cycle"])
+    def test_cutoff_sized_supports(self, shape, loops, cutoff):
+        """A directed path 0 -> 1 -> ... on _CSGRAPH_CUTOFF points (Tarjan's
+        deepest recursion on the Python side), its reverse and the cycle
+        that closes it, with and without self-loops on the odd points."""
+        p = cycles._CSGRAPH_CUTOFF
+        mat = np.eye(p, k=1)
+        if shape == "reverse":
+            mat = mat.T.copy()
+        if shape == "cycle":
+            mat[p - 1, 0] = 1.0
+        if loops:
+            np.fill_diagonal(mat, np.arange(p) % 2 * 2.0)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cycles, "_CSGRAPH_CUTOFF", cutoff)
+            self.assert_matches(mat)
+            blocks = scc_triangularize(atomic_operator(mat)).blocks
+        expected = {
+            "path": tuple((i,) for i in range(p)),
+            "reverse": tuple((i,) for i in reversed(range(p))),
+            "cycle": (tuple(range(p)),),
+        }
+        assert blocks == expected[shape]
 
     @given(seeds, st.integers(min_value=cycles._CSGRAPH_CUTOFF + 1, max_value=96))
     @settings(max_examples=40, deadline=None)
