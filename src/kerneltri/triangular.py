@@ -39,7 +39,7 @@ from .spectral import (
     exact_cycle_spectrum,
     match_multisets,
 )
-from .cycles import acyclic_suffix, scc_blocks, support_digraph
+from .cycles import SupportDigraph, acyclic_suffix, scc_blocks, support_digraph
 from .jsonio import canonical_dumps, is_integer, is_number
 
 
@@ -292,7 +292,7 @@ def nilpotent_block_form(
     K = densify(K)
     assert_nilpotent_compressions(K, tol)
     kernel = K.kernel_values
-    blocks = _peel_zero_columns(K.support, np.ones(K.size, dtype=bool))
+    blocks = _peel_zero_columns(support_digraph(K), np.ones(K.size, dtype=bool))
     n = numerical_rank(K)
     m = len(blocks)
     if m > n + 1:
@@ -310,25 +310,42 @@ def nilpotent_block_form(
     return _certificate("nilpotent_rank", K, blocks, tol, rank=n, bound=n + 1)
 
 
-def _peel_zero_columns(support: np.ndarray, alive: np.ndarray) -> tuple[tuple[int, ...], ...]:
+def _peel_zero_columns(dg: SupportDigraph, alive: np.ndarray) -> tuple[tuple[int, ...], ...]:
     """Repeatedly strip the live points (alive[i]) that no live point has an
-    arc into (support[j, i]), i.e. the zero columns of the compression of
+    arc into (dg.arcs[j, i]), i.e. the zero columns of the compression of
     the support to the live points; the stripped index sets, in order, are
-    the partition blocks."""
-    alive = alive.copy()
-    arcs_in = support[alive].sum(axis=0)  # live points with an arc into each point
+    the partition blocks.
+
+    Kahn's layering: one NumPy sum counts each live point's arcs in from
+    live points (-1 for a point that is not live, which so never reaches
+    0), and each stage then takes its arcs off the counts of its heads over
+    dg.successors (self-loops included). The points that reach 0 form the
+    next stage, ascending.
+    """
+    successors = dg.successors
+    arcs_in = dg.arcs[alive].sum(axis=0)
+    arcs_in[~alive] = -1
+    arcs_in = arcs_in.tolist()
+    stage = [i for i, d in enumerate(arcs_in) if d == 0]
     blocks: list[tuple[int, ...]] = []
-    while alive.any():
-        zero = alive & (arcs_in == 0)
-        if not zero.any():
-            raise TheoremViolationError(
-                "no zero-column set in a compression asserted to have "
-                "nilpotent standard compressions",
-                remaining=tuple(np.flatnonzero(alive).tolist()),
-            )
-        blocks.append(tuple(np.flatnonzero(zero).tolist()))
-        alive &= ~zero
-        arcs_in -= support[zero].sum(axis=0)
+    while stage:
+        blocks.append(tuple(stage))
+        nxt = []
+        for v in stage:
+            for w in successors[v]:
+                arcs_in[w] -= 1
+                if arcs_in[w] == 0:
+                    nxt.append(w)
+        nxt.sort()
+        stage = nxt
+    # a stripped point ends at 0, and a live point left over above 0
+    remaining = tuple(i for i, d in enumerate(arcs_in) if d > 0)
+    if remaining:
+        raise TheoremViolationError(
+            "no zero-column set in a compression asserted to have "
+            "nilpotent standard compressions",
+            remaining=remaining,
+        )
     return tuple(blocks)
 
 
@@ -367,26 +384,34 @@ def increasing_spectrum_block_form(
     Each level takes the nilpotent block form of the remainder's support
     with the peeled atom diagonal cleared, splits at the block holding the
     smallest-id eigen-atom and recurses on the two flanks, each a mask of
-    the points.
+    the points. Every peel is the Kahn layering of
+    :func:`_peel_zero_columns` over the successor lists of that support,
+    built once in one SupportDigraph. The stages before the split are
+    closed under predecessors among the live points, so they are the left
+    flank's own peel and are passed down; only the right flank is peeled
+    again.
     """
     n = numerical_rank(K)
     atoms = [a for a, _ in _eigen_atoms(K, tol)]  # sorted by atom id
     support = K.support.copy()
     support[atoms, atoms] = False
+    support.flags.writeable = False
+    dg = SupportDigraph(K.zero_threshold, support)
 
-    def rec(alive: np.ndarray) -> list[tuple[int, ...]]:
-        if not alive.any():
-            return []
-        g_blocks = _peel_zero_columns(support, alive)
+    def rec(alive: np.ndarray, stages: tuple | None = None) -> list[tuple[int, ...]]:
+        if stages is None:
+            if not alive.any():
+                return []
+            stages = _peel_zero_columns(dg, alive)
         j = next((a for a in atoms if alive[a]), None)
         if j is None:
-            return list(g_blocks)
-        split = next(p for p, blk in enumerate(g_blocks) if j in blk)
+            return list(stages)
+        split = next(p for p, blk in enumerate(stages) if j in blk)
         f1 = np.zeros_like(alive)
-        f1[[i for blk in g_blocks[:split] for i in blk]] = True
+        f1[[i for blk in stages[:split] for i in blk]] = True
         f2 = alive & ~f1
         f2[j] = False
-        return rec(f1) + [(j,)] + rec(f2)
+        return rec(f1, stages[:split]) + [(j,)] + rec(f2)
 
     blocks = tuple(rec(np.ones(K.size, dtype=bool)))
     m = len(blocks)

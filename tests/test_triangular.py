@@ -394,6 +394,11 @@ class TestAssertNilpotentCompressions:
         assert message == reference_nilpotent_failure(K)
 
 
+def peel_support(op):
+    """`_peel_zero_columns` of all the points of op's support digraph."""
+    return _peel_zero_columns(cycles.support_digraph(op), np.ones(op.size, dtype=bool))
+
+
 def peel_outcome(peel, *args):
     """The blocks of a peel, or the points left when it found no zero column."""
     try:
@@ -411,7 +416,7 @@ class TestPeelAgainstReference:
     def test_nilpotent_family(self, seed):
         kfr, _ = random_nilpotent_instance(np.random.default_rng(seed))
         K = densify(kfr)
-        blocks = _peel_zero_columns(K.support, np.ones(K.size, dtype=bool))
+        blocks = peel_support(K)
         assert blocks == reference_peel_zero_columns(K)
 
     @given(seeds)
@@ -424,7 +429,7 @@ class TestPeelAgainstReference:
         G_sub = kernel_operator(K.space.restrict(sub), G.kernel_values[np.ix_(sub, sub)])
         for op in (K, G, G_sub):
             expected = peel_outcome(reference_peel_zero_columns, op)
-            outcome = peel_outcome(_peel_zero_columns, op.support, np.ones(op.size, dtype=bool))
+            outcome = peel_outcome(peel_support, op)
             assert outcome == expected
 
     @given(seeds, st.integers(min_value=1, max_value=6))
@@ -436,11 +441,46 @@ class TestPeelAgainstReference:
         scale = complex(rng.standard_normal(), rng.standard_normal())
         K = atomic_operator(scale * np.asarray(K.kernel_values)[np.ix_(perm, perm)])
         G = atom_diagonal_cleared(K)
-        blocks = _peel_zero_columns(G.support, np.ones(G.size, dtype=bool))
+        blocks = peel_support(G)
         assert blocks == reference_peel_zero_columns(G)
         expected = peel_outcome(reference_peel_zero_columns, K)
-        alive = np.ones(K.size, dtype=bool)
-        assert peel_outcome(_peel_zero_columns, K.support, alive) == expected
+        assert peel_outcome(peel_support, K) == expected
+
+
+class TestPeelPrefixStages:
+    """The union of the first s stages of a peel is closed under
+    predecessors among the live points, so peeling it returns exactly
+    those s stages: the increasing-spectrum form reuses them as the left
+    flank's peel."""
+
+    @given(seeds, st.integers(min_value=1, max_value=90))
+    @settings(max_examples=80, deadline=None)
+    def test_prefix_union_peels_to_the_prefix(self, seed, p):
+        rng = np.random.default_rng(seed)
+        # forward arcs in a random point order, plus a few back arcs (cycles)
+        # and self-loops, and a random set of live points
+        rank = rng.permutation(p)
+        density = 10 ** rng.uniform(-2, -0.3)
+        support = (rank[:, None] < rank[None, :]) & (rng.random((p, p)) < density)
+        back = rng.integers(0, p, size=(rng.integers(0, 4), 2))
+        support[back[:, 0], back[:, 1]] = True
+        loops = rng.integers(0, p, size=rng.integers(0, 3))
+        support[loops, loops] = True
+        alive = rng.random(p) < rng.uniform(0.3, 1.0)
+        dg = cycles.SupportDigraph(0.0, support)
+        try:
+            stages = _peel_zero_columns(dg, alive)
+        except TheoremViolationError as exc:
+            # the points stripped before the failure are closed too
+            stuck = list(exc.details["remaining"])
+            assert stuck and alive[stuck].all()
+            alive[stuck] = False
+            stages = _peel_zero_columns(dg, alive)
+        assert sorted(i for stage in stages for i in stage) == np.flatnonzero(alive).tolist()
+        for s in range(len(stages) + 1):
+            prefix = np.zeros(p, dtype=bool)
+            prefix[[i for stage in stages[:s] for i in stage]] = True
+            assert _peel_zero_columns(dg, prefix) == stages[:s]
 
 
 def near_threshold_noise(rng, K):
