@@ -9,6 +9,7 @@ support holds, and on a cyclic one a shortest cycle C gives the witness
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,7 +66,7 @@ def _structural_check(K: Operator, tol: float) -> PropertyReport:
     cycle, spectrum = exact_cycle_spectrum(K)
     diagonal = K.entries[cycle, cycle]
     tol_eff = tol * K.scale
-    hit = first_excluded(diagonal[None], spectrum[None], tol_eff)
+    hit = first_excluded(diagonal, np.broadcast_to(spectrum, (cycle.size, cycle.size)), tol_eff)
     if hit is None:
         margin = np.abs(diagonal[:, None] - spectrum).min(axis=1).max()
         raise PreconditionError(
@@ -89,25 +90,44 @@ def block_size(p: int) -> int:
     return max(1, BLOCK_ENTRIES // max(1, p * p))
 
 
-def _pair_chunks(lo: int, hi: int, m: int):
-    """Pairs number lo..hi-1, all over T_m with lo a power of 3, in
-    enumeration order and in blocks of at most block_size(m) pairs:
-    yields (number of the block's first pair, E level masks, F level
-    masks)."""
+@functools.cache
+def _value_index(digits: int, start: int, above: int) -> tuple[np.ndarray, ...]:
+    """The values of σ(E) over the pairs start .. 3^digits - 1 of
+    level_pair_table(digits) when E holds `above` more points past those
+    digits, in row-major order: per value the E and F level masks of its
+    pair (low digits only), its pair's row (from start) and its column of
+    σ(E), which holds |E| values in its first columns."""
+    e, f = level_pair_table(digits)
+    e, f = e[start:], f[start:]
+    counts = ((e[:, None] >> np.arange(digits)) & 1).sum(axis=1) + above
+    rows = np.repeat(np.arange(e.size), counts)
+    cols = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    return e[rows], f[rows], rows, cols
+
+
+def _pair_chunks(m: int):
+    """The pairs of level m, numbers 3^(m-1) .. 3^m - 1, in enumeration
+    order and in blocks of at most block_size(m) pairs: yields, per block,
+    the number of its first pair and, for each value of σ(E) over its
+    pairs in row-major order, the E and F level masks, the pair's row in
+    the block and the value's column of σ(E) (see :func:`_value_index`).
+    A block of 3^k pairs is one setting of the m - k high digits over
+    level_pair_table(k), so its index is the cached one of the low digits
+    for the count of E's points among the high ones."""
+    lo, hi = 3 ** (m - 1), 3**m
     cap = block_size(m)
     if hi - lo <= cap:
-        e, f = level_pair_table(m)
-        yield lo, e[lo:hi], f[lo:hi]
+        yield (lo, *_value_index(m, lo, 0))
         return
     k = 0
     while 3 ** (k + 1) <= cap:
         k += 1
-    e_low, f_low = level_pair_table(k)
     high_bits = [1 << j for j in range(k, m)]
     block = 3**k
     for high in range(lo // block, hi // block):
-        e, f = pair_masks(high, high_bits)
-        yield high * block, e | e_low, f | f_low
+        e_high, f_high = pair_masks(high, high_bits)
+        e, f, rows, cols = _value_index(k, 0, e_high.bit_count())
+        yield high * block, e | e_high, f | f_high, rows, cols
 
 
 def _exhaustive_check(K: Operator, tol: float) -> PropertyReport:
@@ -118,18 +138,20 @@ def _exhaustive_check(K: Operator, tol: float) -> PropertyReport:
     if suffix == p:
         return PropertyReport(True, 3**p, True, tol)
     tol_eff = tol * K.scale
-    # spectra per level mask of T_m, one row of m columns each, padded with
-    # NaN (row 0 is the empty set); it grows by one level at a time, so a
-    # witness found at level m costs only the 2^m subsets of T_m
-    spec = np.empty((1, 0), dtype=complex)
+    # spectra per level mask of T_m, one column of m rows each, padded with
+    # NaN (column 0 is the empty set): a σ(F) table gathered from it is
+    # column-major, so first_excluded reduces each value's distances along
+    # contiguous rows. It grows by one level at a time, so a witness found
+    # at level m costs only the 2^m subsets of T_m.
+    spec = np.empty((0, 1), dtype=complex)
 
     def add_level(low: int, m: int) -> None:
         nonlocal spec
-        grown = np.full((1 << m, m), np.nan, dtype=complex)
-        grown[: 1 << low, :low] = spec
+        grown = np.full((m, 1 << m), np.nan, dtype=complex)
+        grown[:low, : 1 << low] = spec
         block = entries[p - m :, p - m :].ravel()  # T_m, row-major
         for s, lmasks, gather in _subsets_by_size(low, m):
-            grown[lmasks, :s] = dense_eigvals(block.take(gather))
+            grown[:s, lmasks] = dense_eigvals(block.take(gather)).T
         spec = grown
 
     # the pairs up to level `suffix` hold, so the scan starts one level later
@@ -137,17 +159,17 @@ def _exhaustive_check(K: Operator, tol: float) -> PropertyReport:
     for m in range(suffix + 1, p + 1):
         add_level(low, m)
         low = m
-        for number, e, f in _pair_chunks(3 ** (m - 1), 3**m, m):
-            hit = first_excluded(spec.take(e, 0), spec.take(f, 0), tol_eff)
+        flat = spec.ravel()
+        for number, e, f, rows, cols in _pair_chunks(m):
+            hit = first_excluded(flat.take(cols * (1 << m) + e), spec.take(f, 1).T, tol_eff)
             if hit is not None:
-                row, col = divmod(hit, m)
-                e_lmask, f_lmask = int(e[row]), int(f[row])
+                e_lmask, f_lmask = int(e[hit]), int(f[hit])
                 witness = (
                     level_mask_indices(e_lmask, p),
                     level_mask_indices(f_lmask, p),
-                    complex(spec[e_lmask, col]),
+                    complex(spec[cols[hit], e_lmask]),
                 )
-                return PropertyReport(False, number + row + 1, True, tol, witness)
+                return PropertyReport(False, number + int(rows[hit]) + 1, True, tol, witness)
     return PropertyReport(True, 3**p, True, tol)
 
 
@@ -171,11 +193,14 @@ def check_increasing_spectrum(
     last m points T_m = {p-m, ..., p-1}, so level m (m = 1..p) adds the
     pairs whose F holds point p-m. The levels up to the acyclic suffix
     hold, all p of them on an acyclic support; each later level
-    eigen-decomposes its new subsets in one stacked call per subset size
-    and scans its pairs exactly, in enumeration order and in vectorized
-    blocks of bounded size, with :func:`first_excluded`. Only the spectra
-    of the subsets of T_m are held, so a witness found at level m costs
-    2^m subsets however large p is. The reported witness on failure is
+    eigen-decomposes its new subsets in one stacked :func:`dense_eigvals`
+    call per subset size and scans its pairs exactly, in enumeration order
+    and in vectorized blocks of bounded size (:func:`_pair_chunks`). Each
+    block gathers only the eigenvalues of σ(E) that exist, by its cached
+    structural value index, and the σ(F) row of each, and one
+    :func:`first_excluded` call measures them. Only the spectra of the
+    subsets of T_m are held, so a witness found at level m costs 2^m
+    subsets however large p is. The reported witness on failure is
     the first violating pair in enumeration order (the lexicographically
     minimal one), and `pairs_checked` counts the pairs decided: up to and
     including the witness, or all 3^p on a pass.

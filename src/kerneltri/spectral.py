@@ -7,6 +7,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 from scipy.optimize import linear_sum_assignment
 
 from .cycles import SupportDigraph, acyclic_suffix, shortest_cycle
@@ -41,13 +42,28 @@ def _sorted_eigs(values: np.ndarray) -> tuple[complex, ...]:
     return tuple(complex(z) for z in values[order])
 
 
+def _not_converged(err: str, flag: int) -> None:
+    raise PreconditionError("eigenvalue iteration did not converge")
+
+
 def dense_eigvals(a: np.ndarray) -> np.ndarray:
-    """np.linalg.eigvals of the square array `a`, with LAPACK's
-    non-convergence reported as a PreconditionError."""
-    try:
-        return np.linalg.eigvals(a)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK non-convergence
-        raise PreconditionError(f"eigenvalue iteration did not converge: {exc}") from exc
+    """Eigenvalues of the complex square matrices stacked in `a` (..., n, n),
+    bit for bit those of np.linalg.eigvals(a), with LAPACK's
+    non-convergence reported as a PreconditionError.
+
+    This calls the LAPACK gufunc that np.linalg.eigvals wraps (zgeev, in
+    numpy.linalg._umath_linalg from NumPy 1.24 through 2.x) under the
+    wrapper's floating-point error state, and skips the wrapper's checks,
+    about half the cost of a small call. Precondition, in place of the
+    wrapper's finiteness scan: `a` is complex and finite. Every caller
+    decomposes compressions of K.entries, which Operator.__post_init__ has
+    proved finite; a NaN would reach LAPACK, which prints XERBLA lines on
+    stderr.
+    """
+    with np.errstate(
+        call=_not_converged, invalid="call", over="ignore", divide="ignore", under="ignore"
+    ):
+        return _umath_linalg.eigvals(a, signature="D->D")
 
 
 def exact_cycle_spectrum(K: Operator) -> tuple[np.ndarray, np.ndarray]:
@@ -89,23 +105,14 @@ def eigenvalues(K: Operator, tol: float = DEFAULT_TOL) -> SpectrumReport:
     )
 
 
-def first_excluded(inner: np.ndarray, outer: np.ndarray, tol: float) -> int | None:
-    """Flat index into the table `inner` of its first value, in row-major
-    order, that lies farther than tol from every value of the matching
-    row of the table `outer` (inner (n, a), outer (n, b)); None when there
-    is none. NaN entries are padding: only the values of `inner` that
-    exist are measured, so a padded one is never excluded, and a row of
-    `outer` without values excludes every value of `inner`."""
-    valid = inner == inner
-    rows, cols = valid.nonzero()  # the values, in row-major order
-    dist = np.fmin.reduce(
-        np.abs(inner[valid][:, None] - outer.take(rows, 0)), axis=1, initial=np.inf
-    )
+def first_excluded(values: np.ndarray, outer: np.ndarray, tol: float) -> int | None:
+    """Index of the first of the `values` (n,) that lies farther than tol
+    from every value of its own row of `outer` (n, b); None when there is
+    none. NaN entries of `outer` are padding, so a row without values
+    excludes its value; `values` holds values only."""
+    dist = np.fmin.reduce(np.abs(values[:, None] - outer), axis=1, initial=np.inf)
     bad = (dist > tol).nonzero()[0]
-    if not bad.size:
-        return None
-    k = bad[0]
-    return int(rows[k]) * inner.shape[1] + int(cols[k])
+    return int(bad[0]) if bad.size else None
 
 
 def match_multisets(a: Sequence[complex], b: Sequence[complex], cutoff: float) -> bool:

@@ -165,14 +165,20 @@ def _is_complex(value) -> bool:
     return type(value) is list and len(value) == 2 and all(map(_is_finite, value))
 
 
+def _block_positions(p: int, blocks) -> np.ndarray:
+    """pos[i]: the number of the block that holds point i."""
+    pos = np.empty(p, dtype=np.intp)
+    pos[[i for block in blocks for i in block]] = [b for b, blk in enumerate(blocks) for _ in blk]
+    return pos
+
+
 def _certificate(
     kind: str, K: Operator, blocks, tol: float, rank: int | None = None, bound: int | None = None
 ) -> TriangularizationCertificate:
     """Certificate for `blocks`, with each diagonal block classed by
     K.support and the below-block residual taken on the kernel."""
     kernel = K.kernel_values
-    pos = np.empty(K.size, dtype=np.intp)  # pos[i]: the block holding point i
-    pos[[i for block in blocks for i in block]] = [b for b, blk in enumerate(blocks) for _ in blk]
+    pos = _block_positions(K.size, blocks)
     # the blocks that hold an entry of the support; every other one is zero
     nonzero = set(pos[(K.support & (pos[:, None] == pos[None, :])).any(axis=1)].tolist())
     diagonal = []
@@ -299,14 +305,17 @@ def nilpotent_block_form(
         raise TheoremViolationError(
             f"block count {m} exceeds rank bound {n + 1}", blocks=blocks, rank=n
         )
-    # the threshold verify_certificate applies to these blocks at this tol
-    sup_thr = tol * magnitude(kernel)
-    for j in range(m - 1):
-        sup = kernel[np.ix_(blocks[j], blocks[j + 1])]
-        if np.abs(sup).max() <= sup_thr:
-            raise TheoremViolationError(
-                f"superdiagonal block ({j}, {j + 1}) vanishes", blocks=blocks
-            )
+    # the largest |k| of each superdiagonal block (b, b + 1), read in one
+    # pass over the entries (i, j) with pos[j] == pos[i] + 1, against the
+    # threshold verify_certificate applies to these blocks at this tol
+    pos = _block_positions(K.size, blocks)
+    rows, cols = np.nonzero(pos[:, None] + 1 == pos[None, :])
+    peak = np.zeros(max(m - 1, 0))
+    np.maximum.at(peak, pos[rows], np.abs(kernel[rows, cols]))
+    weak = np.flatnonzero(peak <= tol * magnitude(kernel))
+    if weak.size:
+        j = int(weak[0])
+        raise TheoremViolationError(f"superdiagonal block ({j}, {j + 1}) vanishes", blocks=blocks)
     return _certificate("nilpotent_rank", K, blocks, tol, rank=n, bound=n + 1)
 
 
@@ -468,7 +477,8 @@ def verify_certificate(
     checks: dict[str, CheckResult] = {}
     kernel = K.kernel_values
     p = K.size
-    scale = max(1.0, float(np.abs(kernel).max()) if kernel.size else 1.0)
+    mag = np.abs(kernel)
+    scale = max(1.0, float(mag.max(initial=0.0)))
     thr = tol * scale
 
     flat = [i for b in cert.blocks for i in b]
@@ -486,7 +496,6 @@ def verify_certificate(
     for b, block in enumerate(cert.blocks):
         pos[list(block)] = b
     below = pos[:, None] > pos[None, :]
-    mag = np.abs(kernel)
     worst = float(mag[below].max()) if below.any() else 0.0
     checks["residual"] = CheckResult(
         worst <= thr, f"below-block residual {worst:.3e} > {thr:.3e}" if worst > thr else ""
@@ -554,6 +563,15 @@ def verify_certificate(
             else f"scalars {scalars} do not match nonzero spectrum {eigs}",
         )
 
+    # the arcs of the structural support of README "Tolerances" that lie
+    # inside one block
+    inside = (pos[:, None] == pos[None, :]) & (mag > ZERO_TOL * scale)
+    if cert.kind == "scc":
+        loose = _loose_blocks(inside, cert.blocks)
+        checks["strong_components"] = CheckResult(
+            not loose, f"blocks {loose} are not strongly connected" if loose else ""
+        )
+
     m = len(cert.blocks)
     rank = limit = None  # an scc certificate records neither
     if cert.kind in ("nilpotent_rank", "increasing_spectrum"):
@@ -582,9 +600,8 @@ def verify_certificate(
         wrong.append(f"residual {_as_json(cert.residual)} != {_as_json(worst)}")
     checks["recorded_counts"] = CheckResult(not wrong, "; ".join(wrong))
 
-    # the recorded diagonal against this verifier's own classes at the
-    # structural zero of README "Tolerances"; a scalar's lambda within thr
-    inside = (pos[:, None] == pos[None, :]) & (mag > ZERO_TOL * scale)
+    # the recorded diagonal against this verifier's own classes on the
+    # structural support; a scalar's lambda within thr
     nonzero = set(pos[inside.any(axis=1)].tolist())  # the blocks holding such an entry
     numbers = [d.block for d in cert.diagonal]
     if numbers != list(range(m)):
@@ -608,6 +625,31 @@ def verify_certificate(
     checks["recorded_diagonal"] = CheckResult(not wrong, "; ".join(wrong))
 
     return VerificationReport(checks)
+
+
+def _loose_blocks(inside: np.ndarray, blocks) -> list[int]:
+    """The blocks of 2 or more points that are not strongly connected
+    along the arcs `inside` (arc i -> j iff inside[i, j], none of them
+    between two blocks): a reachability sweep from the block's first
+    point, along the arcs or against them, misses a point of the block."""
+    big = [b for b, block in enumerate(blocks) if len(block) > 1]
+    if not big:
+        return []
+    heads, tails = inside.tolist(), inside.T.tolist()
+    return [b for b in big if _sweep_misses(heads, blocks[b]) or _sweep_misses(tails, blocks[b])]
+
+
+def _sweep_misses(rows: list[list[bool]], block) -> bool:
+    """Whether the sweep from block[0] along the arcs rows[i][j] misses a
+    point of the block; each reached point's row is read once, at the
+    points not yet reached."""
+    todo, unseen = [block[0]], set(block[1:])
+    while todo and unseen:
+        row = rows[todo.pop()]
+        step = [j for j in unseen if row[j]]
+        unseen.difference_update(step)
+        todo += step
+    return bool(unseen)
 
 
 def _as_json(value) -> str:

@@ -8,6 +8,7 @@ import functools
 import itertools
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 from scipy.sparse import csr_array
 from scipy.sparse.csgraph import shortest_path
 
@@ -30,9 +31,10 @@ from kerneltri.triangular import BlockDiagnosis, TriangularizationCertificate, _
 
 def inclusion_witness(inner: np.ndarray, outer: np.ndarray, tol: float) -> complex | None:
     """First value of the vector `inner` farther than tol from every value
-    of the vector `outer` (by `first_excluded` on one-row tables); None
-    when every inner value lies within tol of some outer one."""
-    hit = first_excluded(inner[None], outer[None], tol)
+    of the vector `outer` (by `first_excluded`, each inner value against
+    `outer` as its row); None when every inner value lies within tol of
+    some outer one."""
+    hit = first_excluded(inner, np.broadcast_to(outer, (inner.size, outer.size)), tol)
     return None if hit is None else complex(inner[hit])
 
 
@@ -71,27 +73,29 @@ def moment_matrix(kfr, E, tol: float = 1e-8) -> np.ndarray:
 
 
 def forbid_eigenvalues(monkeypatch) -> None:
-    """Make every `np.linalg.eigvals` call fail, for tests of decisions
-    that must need no eigen-decomposition."""
+    """Make every eigen-decomposition fail, for tests of decisions that
+    must need none. It patches the LAPACK gufunc itself, which both
+    `spectral.dense_eigvals` and `np.linalg.eigvals` call."""
 
-    def refuse(a):
+    def refuse(a, **kwargs):
         raise AssertionError("eigen-decomposed a compression")
 
-    monkeypatch.setattr(np.linalg, "eigvals", refuse)
+    monkeypatch.setattr(_umath_linalg, "eigvals", refuse)
 
 
 def count_decompositions(monkeypatch) -> list[tuple[int, int]]:
-    """Wrap np.linalg.eigvals; the returned list gets, per call, the
-    size of its matrices and how many it decomposed."""
-    eigvals = np.linalg.eigvals
+    """Wrap the LAPACK eigenvalue gufunc (see `forbid_eigenvalues`); the
+    returned list gets, per call, the size of its matrices and how many it
+    decomposed."""
+    eigvals = _umath_linalg.eigvals
     counts: list[tuple[int, int]] = []
 
-    def counting(a):
+    def counting(a, **kwargs):
         a = np.asarray(a)
         counts.append((a.shape[-1], int(np.prod(a.shape[:-2]))))
-        return eigvals(a)
+        return eigvals(a, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigvals", counting)
+    monkeypatch.setattr(_umath_linalg, "eigvals", counting)
     return counts
 
 

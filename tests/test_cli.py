@@ -599,6 +599,30 @@ class TestTriangularize:
         assert code == 0
         assert json.loads(text)["checks"]["recorded_diagonal"] == {"passed": True, "detail": ""}
 
+    def test_verify_rejects_an_scc_block_that_is_not_strongly_connected(self, tmp_path):
+        # one block of all three points, with every recorded field made to
+        # agree with it: only the blocks' strong connectivity is wrong
+        op = write_json(tmp_path, "op.json", {"kind": "named", "name": "paper_example_1"})
+        cert = json.loads(Path(_certificate(tmp_path, op)).read_text())
+        assert cert["blocks"] == [[0], [1], [2]]
+        cert.update(
+            blocks=[[0, 1, 2]],
+            diagonal=[{"block": 0, "class": "irreducible"}],
+            bound={**cert["bound"], "m": 1},
+            multiplicity_free=False,
+        )
+        code, text = run(
+            tmp_path, "verify", "--in", op, "--cert", write_json(tmp_path, "forged.json", cert)
+        )
+        assert code == 1
+        report = json.loads(text)
+        assert [name for name, c in report["checks"].items() if not c["passed"]] == [
+            "strong_components"
+        ]
+        assert report["checks"]["strong_components"]["detail"] == (
+            "blocks [0] are not strongly connected"
+        )
+
     @pytest.mark.parametrize(
         "residual, tol, detail",
         [

@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -117,6 +117,25 @@ class TestCheckIncreasingSpectrum:
             assert np.abs(np.linalg.eigvals(sub.entries)).max() <= 1e-8
 
 
+def cycles_through_one_point(rng, p, top, ratios):
+    """Atomic operator, upper triangular with random complex entries and
+    diagonal, but for two arcs back from later points j to the point
+    `top`, beside forward arcs top -> j, each sized so that its 2-cycle
+    moves the eigenvalues near a_tt and a_jj by about r x tol x scale to
+    first order, for one r drawn from `ratios` per arc. The two shifts add
+    up on a_tt, and the paths through the points between add terms of the
+    same order, so the pairs over the points from `top` on are scanned and
+    decided either way; points before `top` only add their diagonal."""
+    mat = np.triu(rng.standard_normal((p, p)) + 1j * rng.standard_normal((p, p)), 1)
+    mat *= rng.random((p, p)) < 0.5
+    mat += np.diag(rng.standard_normal(p) + 1j * rng.standard_normal(p))
+    tol_eff = 1e-8 * max(1.0, float(np.abs(mat).max()))
+    for j in rng.choice(np.arange(top + 1, p), size=2, replace=False):
+        mat[top, j] = mat[top, j] or 1.0
+        mat[j, top] = rng.uniform(*ratios) * tol_eff * (mat[top, top] - mat[j, j]) / mat[top, j]
+    return atomic_operator(mat)
+
+
 def decision(report):
     return report.verdict, report.pairs_checked, report.witness
 
@@ -208,6 +227,36 @@ class TestLevelByLevelAgainstReference:
         K = near_tolerance_instance(np.random.default_rng(seed), p, ratio)
         report = check_increasing_spectrum(K)
         assert not report.verdict
+        assert decision(report) == decision(reference_increasing_check(K))
+
+    @given(
+        seeds,
+        st.integers(min_value=7, max_value=10),
+        st.integers(min_value=0, max_value=1),
+        st.sampled_from([(0.05, 0.4), (0.3, 1.2)]),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_levels_of_several_pair_blocks(self, seed, p, top, ratios):
+        # from 7 points on, the last levels split into several pair blocks,
+        # and the later blocks have points of E among their high digits;
+        # cycles through point 0 or 1 reach those levels; the small shifts
+        # hold in about 60% of the draws, and about a fifth of the larger
+        # ones first fail with `top`, a high digit, in E
+        K = cycles_through_one_point(np.random.default_rng(seed), p, top, ratios)
+        report = check_increasing_spectrum(K)
+        assert decision(report) == decision(reference_increasing_check(K))
+
+    @given(seeds, st.sampled_from([13, 14]), st.integers(min_value=7, max_value=9))
+    @settings(max_examples=10, deadline=None)
+    def test_max_points_13_and_14(self, seed, p, level):
+        # exhaustive at 13 and 14 points: the cycles lie among the last
+        # `level` points, so a failing operator has its first witness among
+        # the first 3^level pairs, as far as the reference loop goes (a
+        # holding one would take it through all 3^p pairs)
+        K = cycles_through_one_point(np.random.default_rng(seed), p, p - level, (0.6, 1.0))
+        report = check_increasing_spectrum(K, max_points=p)
+        assume(not report.verdict)
+        assert report.exhaustive and report.pairs_checked <= 3**level
         assert decision(report) == decision(reference_increasing_check(K))
 
     @pytest.mark.parametrize("p", [5, 6, 7])

@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +18,7 @@ from kerneltri import (
     nonzero_eigen_match,
     sharpness_example,
 )
-from kerneltri.spectral import _sorted_eigs, first_excluded
+from kerneltri.spectral import _sorted_eigs, dense_eigvals, first_excluded
 
 
 def atomic_operator(matrix):
@@ -137,6 +138,50 @@ class TestDiagonalSpectrum:
         assert rep.radius > 1.0 + 1e-3
 
 
+def jordan_blocks(rng, n: int) -> np.ndarray:
+    """Defective: Jordan blocks of random sizes summing to n, each one
+    value with ones on its superdiagonal, in a random point order."""
+    mat = np.zeros((n, n), dtype=complex)
+    start = 0
+    while start < n:
+        size = int(rng.integers(1, n - start + 1))
+        block = slice(start, start + size)
+        mat[block, block] = complex(*rng.standard_normal(2)) * np.eye(size) + np.eye(size, k=1)
+        start += size
+    perm = rng.permutation(n)
+    return mat[np.ix_(perm, perm)]
+
+
+class TestDenseEigvals:
+    """`dense_eigvals` calls the LAPACK gufunc behind np.linalg.eigvals
+    directly; a NumPy release that changes that private gufunc fails here."""
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    @pytest.mark.parametrize("shape", ["dense", "permuted-triangular", "jordan"])
+    def test_bitwise_equal_to_np_linalg_eigvals(self, n, shape):
+        rng = np.random.default_rng(n)
+        if shape == "jordan":
+            stack = np.array([jordan_blocks(rng, n) for _ in range(8)])
+        else:
+            stack = rng.standard_normal((8, n, n)) + 1j * rng.standard_normal((8, n, n))
+        if shape == "permuted-triangular":
+            perm = rng.permutation(n)
+            stack = np.triu(stack)[:, perm[:, None], perm]
+        assert dense_eigvals(stack).tobytes() == np.linalg.eigvals(stack).tobytes()
+        for mat in stack:
+            assert dense_eigvals(mat).tobytes() == np.linalg.eigvals(mat).tobytes()
+
+    def test_non_convergence_is_a_precondition_error(self, monkeypatch):
+        # LAPACK reports non-convergence by the invalid floating-point
+        # flag, raised here by a stand-in for the gufunc
+        def invalid(a, **kwargs):
+            return np.sqrt(np.full(a.shape[:-1], -1.0))
+
+        monkeypatch.setattr(_umath_linalg, "eigvals", invalid)
+        with pytest.raises(PreconditionError, match="eigenvalue iteration did not converge"):
+            dense_eigvals(np.eye(2, dtype=complex))
+
+
 def excluded(inner, outer, tol):
     """First eigenvalue of the report `inner` that no eigenvalue of the
     report `outer` is within tol of, or None."""
@@ -173,14 +218,12 @@ class TestSpectrumInclusion:
         assert excluded(outer, inner, 1e-8) == 0.0  # 0 is missing
 
 
-def plain_first_excluded(inner, outer, tol):
-    """first_excluded as a loop over the values of `inner` in row-major
-    order, each measured against the values of its row of `outer`."""
-    for flat, index in enumerate(np.ndindex(inner.shape)):
-        z = inner[index]
-        values = [y for y in outer[index[:-1]] if not np.isnan(y)]
-        if not np.isnan(z) and all(abs(z - y) > tol for y in values):
-            return flat
+def plain_first_excluded(values, outer, tol):
+    """first_excluded as a loop over the `values`, each measured against
+    the values of its own row of `outer`."""
+    for i, z in enumerate(values):
+        if all(abs(z - y) > tol for y in outer[i] if not np.isnan(y)):
+            return i
     return None
 
 
@@ -192,60 +235,64 @@ _SCAN_VALUES += [complex(-0.0, 0.5), complex(0.5, -0.0), complex(-0.0, -0.0)]
 
 @st.composite
 def _inclusion_tables(draw):
-    """(inner, outer): 2-D tables with 0-3 rows each, NaN-padded after a
-    per-row count of values (as the level tables pad them) or NaN
-    anywhere."""
-    lead = (draw(st.integers(0, 3)),)
-    prefix = draw(st.booleans())
+    """(values, outer): a table of 0-3 rows of 0-4 columns, NaN-padded
+    after a per-row count of values (as the level tables pad them) or NaN
+    anywhere, and 0-4 values per row of it, in row order, each paired with
+    its row (as the pair blocks pair the values of σ(E) with σ(F))."""
+    n, width = draw(st.integers(0, 3)), draw(st.integers(0, 4))
 
-    def table(width):
-        shape = lead + (width,)
-        values = draw(st.lists(st.sampled_from(_SCAN_VALUES), min_size=math.prod(shape),
-                               max_size=math.prod(shape)))
-        t = np.array(values, dtype=complex).reshape(shape)
-        if prefix:
-            counts = np.array(draw(st.lists(st.integers(0, width), min_size=math.prod(lead),
-                                            max_size=math.prod(lead)))).reshape(lead)
-            t[np.arange(width) >= counts[..., None]] = np.nan
-        else:
-            pad = draw(st.lists(st.booleans(), min_size=t.size, max_size=t.size))
-            t[np.array(pad, dtype=bool).reshape(shape)] = np.nan
-        return t
+    def complex_values(count):
+        return np.array(
+            draw(st.lists(st.sampled_from(_SCAN_VALUES), min_size=count, max_size=count)),
+            dtype=complex,
+        )
 
-    return table(draw(st.integers(0, 4))), table(draw(st.integers(0, 4)))
+    table = complex_values(n * width).reshape(n, width)
+    if draw(st.booleans()):
+        counts = np.array(draw(st.lists(st.integers(0, width), min_size=n, max_size=n)), dtype=int)
+        table[np.arange(width) >= counts[:, None]] = np.nan
+    else:
+        pad = draw(st.lists(st.booleans(), min_size=table.size, max_size=table.size))
+        table[np.array(pad, dtype=bool).reshape(table.shape)] = np.nan
+    rows = np.repeat(np.arange(n), draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)))
+    return complex_values(rows.size), table.take(rows, 0)
 
 
 class TestFirstExcluded:
     @pytest.mark.parametrize("seed", range(20))
     def test_padded_batches_match_a_plain_loop(self, seed):
+        # rows of a values each against rows of b padded ones; 30% of the
+        # inner entries do not exist, so each row holds a random count
         rng = np.random.default_rng(seed)
         rows, a, b = rng.integers(1, 6, size=3)
         inner = np.round(rng.standard_normal((rows, a)) + 1j * rng.standard_normal((rows, a)))
         outer = np.round(rng.standard_normal((rows, b)) + 1j * rng.standard_normal((rows, b)))
-        inner[rng.random((rows, a)) < 0.3] = np.nan
+        exists = rng.random((rows, a)) >= 0.3
         outer[rng.random((rows, b)) < 0.3] = np.nan
-        assert first_excluded(inner, outer, 0.5) == plain_first_excluded(inner, outer, 0.5)
+        values, table = inner[exists], outer.take(exists.nonzero()[0], 0)
+        assert first_excluded(values, table, 0.5) == plain_first_excluded(values, table, 0.5)
 
     @given(_inclusion_tables(), st.sampled_from([0.0, 0.5, 1.0]))
     @settings(max_examples=400, deadline=None)
     def test_matches_a_plain_loop(self, tables, tol):
-        inner, outer = tables
-        assert first_excluded(inner, outer, tol) == plain_first_excluded(inner, outer, tol)
+        values, outer = tables
+        assert first_excluded(values, outer, tol) == plain_first_excluded(values, outer, tol)
 
     def test_distance_tol_is_included(self):
         above = np.nextafter(1.5, 2.0)
-        assert first_excluded(np.array([[1.5, above]]), np.array([[1.0]]), 0.5) == 1
-        assert first_excluded(np.array([[1.5], [above]]), np.array([[1.0], [1.0]]), 0.5) == 1
-        assert first_excluded(np.array([[0.0, -0.0]]), np.array([[-0.0]]), 0.0) is None
+        assert first_excluded(np.array([1.5, above]), np.array([[1.0], [1.0]]), 0.5) == 1
+        # each value is measured against its own row only
+        assert first_excluded(np.array([above, 1.5]), np.array([[2.0], [1.0]]), 0.5) is None
+        assert first_excluded(np.array([0.0, -0.0]), np.array([[-0.0], [-0.0]]), 0.0) is None
 
     def test_empty_outer_excludes_every_value(self):
-        assert first_excluded(np.array([[2.0, 3.0]]), np.empty((1, 0)), 1.0) == 0
-        assert first_excluded(np.array([[np.nan, 2.0]]), np.full((1, 3), np.nan), 1.0) == 1
+        assert first_excluded(np.array([2.0, 3.0]), np.empty((2, 0)), 1.0) == 0
+        assert first_excluded(np.array([2.0]), np.full((1, 3), np.nan), 1.0) == 0
         assert inclusion_witness(np.array([2.0]), np.empty(0), 1.0) == 2.0
 
     def test_empty_inner_is_included(self):
-        assert first_excluded(np.empty((1, 0)), np.array([[1.0]]), 1.0) is None
-        assert first_excluded(np.full((2, 2), np.nan), np.ones((2, 1)), 1.0) is None
+        assert first_excluded(np.empty(0, dtype=complex), np.empty((0, 1)), 1.0) is None
+        assert inclusion_witness(np.empty(0, dtype=complex), np.array([1.0]), 1.0) is None
 
 
 class TestNonzeroEigenMatch:

@@ -26,17 +26,20 @@ from conftest import (
 from kerneltri import (
     FiniteRankOperator,
     PreconditionError,
+    StandardSet,
     TheoremViolationError,
     TriangularizationCertificate,
     assert_nilpotent_compressions,
     build_space,
     canonical_dumps,
+    compress,
     densify,
     increasing_spectrum_block_form,
     kernel_operator,
     max_kernel_projection,
     nilpotent_block_form,
     ones_kernel,
+    operator_from_dict,
     scc_triangularize,
     sharpness_example,
     sharpness_example_factors,
@@ -44,7 +47,7 @@ from kerneltri import (
     volterra_linear,
 )
 from kerneltri import cycles
-from kerneltri.operators import ZERO_TOL, magnitude
+from kerneltri.operators import ZERO_TOL, magnitude, numerical_rank
 from kerneltri.triangular import BlockDiagnosis, _certificate, _eigen_atoms, _peel_zero_columns
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -586,6 +589,57 @@ class TestNilpotentBlockForm:
         assert cert.blocks == ((0,), (1,), (2,))
         assert verify_certificate(atomic_operator(mat), cert).passed
 
+    def test_empty_space_has_no_blocks(self):
+        K = sharpness_example(1)
+        cert = nilpotent_block_form(compress(K, StandardSet(K.space, 0)))
+        assert (cert.blocks, cert.num_blocks, cert.rank) == ((), 0, 0)
+
+    def test_first_vanishing_superdiagonal_block_is_named(self):
+        # a path 0 -> 1 -> 2 -> 3 -> 4 whose arcs into 2 and into 4 lie
+        # within tol * scale: both of their blocks vanish, the first is named
+        mat = np.eye(5, k=1)
+        mat[1, 2] = mat[3, 4] = 1e-9
+        with pytest.raises(TheoremViolationError, match=r"superdiagonal block \(1, 2\) vanishes"):
+            nilpotent_block_form(atomic_operator(mat))
+
+    def test_superdiagonal_blocks_match_a_loop_over_block_pairs(self):
+        # one superdiagonal block pair of a random nilpotent instance shrunk
+        # to a largest |k| of 1.5-200 x 1e-10 x scale, about half of them at
+        # most tol * scale: the block form raises for exactly the first pair
+        # (j, j + 1) whose largest |k| is at most tol * scale, by a loop
+        # over the pairs
+        named = passed = 0
+        for seed in range(10000, 10100):
+            rng = np.random.default_rng(seed)
+            kfr, _ = random_nilpotent_instance(rng)
+            kernel = densify(kfr).kernel_values.copy()
+            blocks = nilpotent_block_form(kfr).blocks
+            if len(blocks) < 2:
+                continue
+            j = int(rng.integers(len(blocks) - 1))
+            pair = np.ix_(blocks[j], blocks[j + 1])
+            target = rng.uniform(1.5, 200.0) * 1e-10 * magnitude(kernel)
+            kernel[pair] *= target / np.abs(kernel[pair]).max()
+            K = kernel_operator(kfr.space, kernel)
+            blocks = _peel_zero_columns(cycles.support_digraph(K), np.ones(K.size, dtype=bool))
+            if len(blocks) > numerical_rank(K) + 1:
+                continue  # the block count is refused first
+            thr = 1e-8 * magnitude(kernel)
+            weak = [
+                j
+                for j in range(len(blocks) - 1)
+                if np.abs(kernel[np.ix_(blocks[j], blocks[j + 1])]).max() <= thr
+            ]
+            if weak:
+                named += 1
+                match = rf"superdiagonal block \({weak[0]}, {weak[0] + 1}\) vanishes"
+                with pytest.raises(TheoremViolationError, match=match):
+                    nilpotent_block_form(K)
+            else:
+                passed += 1
+                assert nilpotent_block_form(K).blocks == blocks
+        assert named > 20 and passed > 20, (named, passed)
+
     def test_near_threshold_entries_give_no_certificate_the_verifier_rejects(self):
         # one nonzero entry shrunk to 0.3-3 x 1e-10 x scale, between the
         # structural-zero threshold and the verifier's tol * scale
@@ -737,6 +791,51 @@ class TestVerifyCertificate:
         report = verify_certificate(K, tampered)
         assert not report.checks["partition"].passed
         assert list(report.checks) == ["partition"]
+
+    def test_scc_block_that_is_not_strongly_connected_fails(self):
+        # paper_example_1's three blocks merged into one, with every recorded
+        # field made to agree: only the strong connectivity is wrong
+        K = operator_from_dict({"kind": "named", "name": "paper_example_1"})
+        cert = scc_triangularize(K)
+        assert cert.blocks == ((0,), (1,), (2,))
+        forged = dataclasses.replace(
+            cert,
+            blocks=((0, 1, 2),),
+            diagonal=(BlockDiagnosis(0, "irreducible"),),
+            num_blocks=1,
+            multiplicity_free=False,
+        )
+        report = verify_certificate(K, forged)
+        assert not report.passed
+        assert report.failures() == ["strong_components: blocks [0] are not strongly connected"]
+
+    @given(seeds, st.integers(min_value=2, max_value=24))
+    @settings(max_examples=100, deadline=None)
+    def test_scc_blocks_are_strong_components(self, seed, p):
+        # every emitted scc certificate passes the check, and merging two
+        # neighbouring blocks leaves one block that is not strongly connected
+        rng = np.random.default_rng(seed)
+        K = atomic_operator(mixed_component_digraph(rng, p))
+        cert = scc_triangularize(K)
+        assert verify_certificate(K, cert).checks["strong_components"].passed
+        blocks = list(cert.blocks)
+        if len(blocks) > 1:
+            b = int(rng.integers(len(blocks) - 1))
+            merged = blocks[:b] + [blocks[b] + blocks[b + 1]] + blocks[b + 2 :]
+            check = verify_certificate(K, dataclasses.replace(cert, blocks=tuple(merged)))
+            assert check.checks["strong_components"].detail == (
+                f"blocks [{b}] are not strongly connected"
+            )
+        big = [block for block in blocks if len(block) > 2]
+        if big:
+            # the block less its first point is strongly connected exactly
+            # when the reference finds its support one component
+            rest = big[0][1:]
+            b = blocks.index(big[0])
+            split = blocks[:b] + [big[0][:1], rest] + blocks[b + 1 :]
+            check = verify_certificate(K, dataclasses.replace(cert, blocks=tuple(split)))
+            sub = atomic_operator(K.support[np.ix_(rest, rest)].astype(float))
+            assert check.checks["strong_components"].passed == (len(reference_scc_blocks(sub)) == 1)
 
     @pytest.mark.parametrize("kind", ["scc", "nilpotent_rank", "increasing_spectrum"])
     def test_empty_block_fails_partition(self, kind):
