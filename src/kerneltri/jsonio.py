@@ -161,19 +161,34 @@ def _check_points(name: str, points: int) -> None:
         )
 
 
+def _takes_only(name: str, params: dict, *takes: str) -> None:
+    """Refuse a parameter of the named operator `name` other than `takes`."""
+    unknown = sorted(set(params) - set(takes))
+    if unknown:
+        raise PreconditionError(
+            f"named operator {name!r} takes no parameter {unknown[0]!r}"
+            + (f" (it takes {', '.join(takes)})" if takes else "")
+        )
+
+
 def named_operator(name: str, **params) -> Operator:
     """Built-in operators so checks need no external data files.
 
-    Sizes whose point count (2n+1 for paper_example, `cells` otherwise)
-    exceeds MAX_DENSE_SIZE are refused before any kernel is built.
+    `paper_example` takes `n`, `volterra_linear` and `ones_kernel` take
+    `cells` (default 64), and `paper_example_<n>` takes no parameter; any
+    other parameter is refused. Sizes whose point count (2n+1 for
+    paper_example, `cells` otherwise) exceeds MAX_DENSE_SIZE are refused
+    before any kernel is built.
     """
     m = _NAMED_WITH_INDEX.match(name)
     if m or name == "paper_example":
+        _takes_only(name, params, *(() if m else ("n",)))
         n = int(m.group(1)) if m else _integer(params["n"], '"n"')
         _check_points(name, 2 * n + 1)
         return sharpness_example(n)
     builders = {"volterra_linear": volterra_linear, "ones_kernel": ones_kernel}
     if name in builders:
+        _takes_only(name, params, "cells")
         cells = _integer(params.get("cells", 64), '"cells"')
         _check_points(name, cells)
         return builders[name](cells)
@@ -181,11 +196,14 @@ def named_operator(name: str, **params) -> Operator:
 
 
 def operator_from_dict(data: dict) -> Operator:
+    """The operator of a descriptor. A named descriptor passes its keys
+    other than "kind", "name" and the "sets" of `kerneltri moments` to
+    :func:`named_operator` as parameters."""
     if not isinstance(data, dict):
         raise PreconditionError("an operator descriptor must be a JSON object")
     kind = data.get("kind")
     if kind == "named":
-        extra = {k: v for k, v in data.items() if k not in ("kind", "name")}
+        extra = {k: v for k, v in data.items() if k not in ("kind", "name", "sets")}
         return named_operator(str(data["name"]), **extra)
     if kind == "dense":
         kernel = _complex_matrix(data["kernel"])

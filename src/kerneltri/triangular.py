@@ -492,9 +492,9 @@ def verify_certificate(
     if not ok:
         return VerificationReport(checks)
 
+    m = len(cert.blocks)
     pos = np.empty(p, dtype=int)
-    for b, block in enumerate(cert.blocks):
-        pos[list(block)] = b
+    pos[flat] = [b for b, block in enumerate(cert.blocks) for _ in block]
     below = pos[:, None] > pos[None, :]
     worst = float(mag[below].max()) if below.any() else 0.0
     checks["residual"] = CheckResult(
@@ -512,20 +512,20 @@ def verify_certificate(
     else:
         checks["chain_invariant"] = CheckResult(True)
 
+    if cert.kind in ("nilpotent_rank", "increasing_spectrum"):
+        # peak[g, b]: the largest |k| of the entries (i, j) with pos[i] == b
+        # and pos[j] == b + g: block b (g = 0) and block pair (b, b + 1) (g = 1)
+        gap = pos[None, :] - pos[:, None]
+        rows, cols = np.nonzero((gap == 0) | (gap == 1))
+        peak = np.zeros((2, m))
+        np.maximum.at(peak, (gap[rows, cols], pos[rows]), mag[rows, cols])
+        filled = np.flatnonzero(peak[0] > thr).tolist()  # the blocks not zero at thr
+
     if cert.kind == "nilpotent_rank":
-        bad = [
-            b
-            for b, block in enumerate(cert.blocks)
-            if np.abs(kernel[np.ix_(block, block)]).max() > thr
-        ]
         checks["zero_diagonal_blocks"] = CheckResult(
-            not bad, f"nonzero diagonal blocks {bad}" if bad else ""
+            not filled, f"nonzero diagonal blocks {filled}" if filled else ""
         )
-        weak = [
-            j
-            for j in range(len(cert.blocks) - 1)
-            if np.abs(kernel[np.ix_(cert.blocks[j], cert.blocks[j + 1])]).max() <= thr
-        ]
+        weak = np.flatnonzero(peak[1, :-1] <= thr).tolist()
         checks["superdiagonal_nonzero"] = CheckResult(
             not weak, f"vanishing superdiagonal blocks {weak}" if weak else ""
         )
@@ -533,12 +533,10 @@ def verify_certificate(
     if cert.kind == "increasing_spectrum":
         bad_blocks = []
         scalars: list[complex] = []
-        for b, block in enumerate(cert.blocks):
-            sub = kernel[np.ix_(block, block)]
-            if np.abs(sub).max() <= thr:
-                continue
+        for b in filled:
+            block = cert.blocks[b]
             if len(block) == 1 and K.space.is_atom(block[0]):
-                scalars.append(complex(sub[0, 0]))
+                scalars.append(complex(kernel[block[0], block[0]]))
             else:
                 bad_blocks.append(b)
         checks["diagonal_blocks"] = CheckResult(
@@ -565,14 +563,17 @@ def verify_certificate(
 
     # the arcs of the structural support of README "Tolerances" that lie
     # inside one block
-    inside = (pos[:, None] == pos[None, :]) & (mag > ZERO_TOL * scale)
+    zero = ZERO_TOL * scale
+    inside = (pos[:, None] == pos[None, :]) & (mag > zero)
     if cert.kind == "scc":
+        # strongly connected blocks with no arc of that support back to an
+        # earlier block are exactly the strong components
         loose = _loose_blocks(inside, cert.blocks)
-        checks["strong_components"] = CheckResult(
-            not loose, f"blocks {loose} are not strongly connected" if loose else ""
-        )
+        wrong = [f"blocks {loose} are not strongly connected"] if loose else []
+        if worst > zero:
+            wrong.append(f"an arc leads back to an earlier block: {worst:.3e} > {zero:.3e}")
+        checks["strong_components"] = CheckResult(not wrong, "; ".join(wrong))
 
-    m = len(cert.blocks)
     rank = limit = None  # an scc certificate records neither
     if cert.kind in ("nilpotent_rank", "increasing_spectrum"):
         s = np.linalg.svd(np.asarray(kernel, dtype=complex), compute_uv=False)

@@ -605,6 +605,44 @@ def reference_chain_invariant(K, blocks, tol: float = 1e-8) -> tuple[bool, str]:
     return True, ""
 
 
+def reference_block_checks(K, kind: str, blocks, tol: float = 1e-8) -> dict[str, dict]:
+    """The block checks of `verify_certificate` for a `nilpotent_rank` or
+    `increasing_spectrum` certificate on a partition `blocks`, as a loop
+    that slices the kernel once per block and once per block pair: the
+    reference for the verifier, which reads every block's largest |k| in
+    one pass over the block positions."""
+    kernel = K.kernel_values
+    thr = tol * max(1.0, float(np.abs(kernel).max()) if kernel.size else 1.0)
+    peaks = [np.abs(kernel[np.ix_(block, block)]).max() for block in blocks]
+    if kind == "nilpotent_rank":
+        bad = [b for b, peak in enumerate(peaks) if peak > thr]
+        weak = [
+            j
+            for j in range(len(blocks) - 1)
+            if np.abs(kernel[np.ix_(blocks[j], blocks[j + 1])]).max() <= thr
+        ]
+        return {
+            "zero_diagonal_blocks": {
+                "passed": not bad, "detail": f"nonzero diagonal blocks {bad}" if bad else ""
+            },
+            "superdiagonal_nonzero": {
+                "passed": not weak,
+                "detail": f"vanishing superdiagonal blocks {weak}" if weak else "",
+            },
+        }
+    bad = [
+        b
+        for b, block in enumerate(blocks)
+        if peaks[b] > thr and not (len(block) == 1 and K.space.is_atom(block[0]))
+    ]
+    return {
+        "diagonal_blocks": {
+            "passed": not bad,
+            "detail": f"nonzero non-atom diagonal blocks {bad}" if bad else "",
+        }
+    }
+
+
 def mixed_component_digraph(rng: np.random.Generator, p: int) -> np.ndarray:
     """A p×p kernel whose support mixes trivial and nontrivial strongly
     connected components: forward arcs in a random point order, a few

@@ -31,7 +31,7 @@ from kerneltri import (
 )
 from kerneltri.cli import MAX_POINTS_LIMIT, main
 from kerneltri.jsonio import _complex_matrix
-from kerneltri.operators import DEFAULT_TOL
+from kerneltri.operators import DEFAULT_TOL, magnitude
 
 
 def run(tmp_path, *argv):
@@ -623,6 +623,33 @@ class TestTriangularize:
             "blocks [0] are not strongly connected"
         )
 
+    def test_verify_rejects_a_split_strong_component(self, tmp_path):
+        # the one strong component of [[0, 1], [1e-9, 0]] split into two
+        # singletons, with every recorded field made to agree: the arc back
+        # lies inside the residual's tol * scale
+        desc = {"kind": "dense", "space": {"atoms": [2, 3]}, "kernel": [[0, 1], [1e-9, 0]]}
+        op = write_json(tmp_path, "op.json", desc)
+        cert = json.loads(Path(_certificate(tmp_path, op)).read_text())
+        assert cert["blocks"] == [[0, 1]]
+        cert.update(
+            blocks=[[0], [1]],
+            diagonal=[{"block": 0, "class": "zero"}, {"block": 1, "class": "zero"}],
+            bound={**cert["bound"], "m": 2},
+            residual=1e-9,
+            multiplicity_free=True,
+        )
+        code, text = run(
+            tmp_path, "verify", "--in", op, "--cert", write_json(tmp_path, "forged.json", cert)
+        )
+        assert code == 1
+        report = json.loads(text)
+        assert [name for name, c in report["checks"].items() if not c["passed"]] == [
+            "strong_components"
+        ]
+        assert report["checks"]["strong_components"]["detail"] == (
+            "an arc leads back to an earlier block: 1.000e-09 > 1.000e-10"
+        )
+
     @pytest.mark.parametrize(
         "residual, tol, detail",
         [
@@ -715,6 +742,31 @@ class TestErrorsAndDeterminism:
         op = write_json(tmp_path, "bad.json", {"kind": "named", "name": "nope"})
         code, _ = run(tmp_path, "spectrum", "--in", op)
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "desc, name",
+        [
+            ({"kind": "named", "name": "volterra_linear", "cels": 8}, "'cels'"),
+            ({"kind": "named", "name": "ones_kernel", "n": 8}, "'n'"),
+            ({"kind": "named", "name": "paper_example_1", "n": 5}, "'n'"),
+            ({"kind": "named", "name": "paper_example", "n": 2, "cells": 5}, "'cells'"),
+        ],
+        ids=["volterra-cels", "ones-n", "paper1-n", "paper-cells"],
+    )
+    def test_unknown_named_parameter_exits_two(self, tmp_path, capsys, desc, name):
+        code, text = run(tmp_path, "spectrum", "--in", write_json(tmp_path, "op.json", desc))
+        err = capsys.readouterr().err
+        assert (code, text) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"takes no parameter {name}" in err
+
+    def test_named_parameters_that_are_taken(self):
+        # paper_example with n, and the top-level "sets" of a flat moments
+        # descriptor, which is no parameter of the builder
+        paper = operator_from_dict({"kind": "named", "name": "paper_example", "n": 2})
+        assert paper.kernel_values.tobytes() == sharpness_example(2).kernel_values.tobytes()
+        desc = {"kind": "named", "name": "volterra_linear", "cells": 4, "sets": [[0]]}
+        assert operator_from_dict(desc).size == 4
 
     def test_shape_mismatch(self, tmp_path):
         op = write_json(
@@ -953,8 +1005,12 @@ class TestErrorsAndDeterminism:
         ],
     )
     def test_repeated_runs_are_byte_identical(self, tmp_path, argv):
-        name = "volterra_linear" if argv[0] == "radius-profile" else "paper_example_2"
-        op = write_json(tmp_path, "op.json", {"kind": "named", "name": name, "cells": 16})
+        desc = (
+            {"kind": "named", "name": "volterra_linear", "cells": 16}
+            if argv[0] == "radius-profile"
+            else {"kind": "named", "name": "paper_example_2"}
+        )
+        op = write_json(tmp_path, "op.json", desc)
         outputs = set()
         for i in range(3):
             out = tmp_path / f"out{i}.json"
@@ -1097,6 +1153,39 @@ def _mutated(draw, node):
     return node
 
 
+@st.composite
+def _wrong_claim(draw, cert, thr):
+    """`cert` with exactly one recorded claim changed to a value that the
+    verifier, at threshold `thr` = tol * scale, recomputes differently,
+    and the check that rechecks it."""
+    cert = copy.deepcopy(cert)
+    lambdas = [d for d in cert["diagonal"] if "lambda" in d]
+    claim = draw(
+        st.sampled_from(
+            ["bound.m", "bound.limit", "bound.rank", "multiplicity_free", "residual", "class"]
+            + (["lambda"] if lambdas else [])
+        )
+    )
+    far = draw(st.sampled_from([-1, 1])) * draw(st.floats(1.5, 1e3)) * thr
+    if claim.startswith("bound."):
+        key = claim[len("bound.") :]
+        if cert["bound"][key] is None:
+            cert["bound"][key] = draw(st.integers(-2, 5))
+        else:
+            cert["bound"][key] += draw(st.sampled_from([-1, 1]))
+    elif claim == "multiplicity_free":
+        cert["multiplicity_free"] = not cert["multiplicity_free"]
+    elif claim == "residual":
+        cert["residual"] += far
+    elif claim == "class":
+        entry = draw(st.sampled_from(cert["diagonal"]))
+        others = [kind for kind in ("zero", "scalar", "irreducible") if kind != entry["class"]]
+        entry["class"] = draw(st.sampled_from(others))
+    else:
+        draw(st.sampled_from(lambdas))["lambda"][draw(st.integers(0, 1))] += far
+    return cert, ("recorded_diagonal" if claim in ("class", "lambda") else "recorded_counts")
+
+
 _DESCRIPTORS = [
     {"kind": "named", "name": "paper_example_1", "sets": [[0], [1]]},
     {"kind": "named", "name": "volterra_linear", "cells": 4, "sets": [[0], [1, 2]]},
@@ -1152,17 +1241,29 @@ class TestFuzzedInputs:
             code, _ = run(tmp, command[0], "--in", op, *command[1:], *extra)
         assert code in (0, 1, 2)
 
-    @given(st.data(), st.sampled_from(_CERTIFIED))
+    @given(st.data(), st.sampled_from(_CERTIFIED), st.booleans())
     @settings(max_examples=300, deadline=None)
-    def test_mutated_certificates(self, data, certified):
+    def test_mutated_certificates(self, data, certified, one_claim):
+        # an arbitrary mutation, or one recorded claim made wrong, which
+        # exits 1 with only the check that rechecks that claim failed
         desc, kind = certified
+        thr = DEFAULT_TOL * magnitude(operator_from_dict(desc).kernel_values)
         with tempfile.TemporaryDirectory() as tmp:
             tmp = Path(tmp)
             op = write_json(tmp, "op.json", desc)
             good = json.loads(Path(_certificate(tmp, op, kind)).read_text())
-            cert = write_json(tmp, "bad.json", data.draw(_mutated(good)))
-            code, _ = run(tmp, "verify", "--in", op, "--cert", cert)
-        assert code in (0, 1, 2)
+            if one_claim:
+                bad, check = data.draw(_wrong_claim(good, thr))
+            else:
+                bad, check = data.draw(_mutated(good)), None
+            cert = write_json(tmp, "bad.json", bad)
+            code, text = run(tmp, "verify", "--in", op, "--cert", cert)
+        if check is None:
+            assert code in (0, 1, 2)
+        else:
+            assert code == 1
+            failed = [name for name, c in json.loads(text)["checks"].items() if not c["passed"]]
+            assert failed == [check]
 
 
 def _certificate(tmp: Path, op: str | None = None, kind: str = "scc") -> str:

@@ -13,6 +13,7 @@ from conftest import (
     mixed_component_digraph,
     random_hybrid_instance,
     random_nilpotent_instance,
+    reference_block_checks,
     reference_certificate,
     reference_chain_invariant,
     reference_increasing_blocks,
@@ -828,14 +829,80 @@ class TestVerifyCertificate:
             )
         big = [block for block in blocks if len(block) > 2]
         if big:
-            # the block less its first point is strongly connected exactly
-            # when the reference finds its support one component
+            # a component split into its first point and the rest always
+            # fails: the rest has an arc back to the first point. The rest is
+            # also named exactly when the reference finds its support more
+            # than one component
             rest = big[0][1:]
             b = blocks.index(big[0])
             split = blocks[:b] + [big[0][:1], rest] + blocks[b + 1 :]
             check = verify_certificate(K, dataclasses.replace(cert, blocks=tuple(split)))
             sub = atomic_operator(K.support[np.ix_(rest, rest)].astype(float))
-            assert check.checks["strong_components"].passed == (len(reference_scc_blocks(sub)) == 1)
+            detail = check.checks["strong_components"].detail
+            assert detail.startswith(f"blocks [{b + 1}] are not strongly connected; ") == (
+                len(reference_scc_blocks(sub)) > 1
+            )
+            assert "an arc leads back to an earlier block: " in detail
+
+    def test_split_strong_component_fails(self):
+        # the one strong component of [[0, 1], [1e-9, 0]] split into two
+        # singletons, with every recorded field made to agree: the arc back
+        # lies below tol * scale, so only the strong components are wrong
+        K = atomic_operator([[0, 1], [1e-9, 0]])
+        assert scc_triangularize(K).blocks == ((0, 1),)
+        forged = TriangularizationCertificate(
+            kind="scc",
+            blocks=((0,), (1,)),
+            diagonal=(BlockDiagnosis(0, "zero"), BlockDiagnosis(1, "zero")),
+            rank=None,
+            bound=None,
+            residual=1e-9,
+            tol=K.zero_threshold,
+            multiplicity_free=True,
+        )
+        assert verify_certificate(K, forged).failures() == [
+            "strong_components: an arc leads back to an earlier block: 1.000e-09 > 1.000e-10"
+        ]
+
+    @given(seeds, st.integers(min_value=2, max_value=16))
+    @settings(max_examples=150, deadline=None)
+    def test_consistent_split_forgeries_fail(self, seed, p):
+        # a strong component of 2 or more points cut into two blocks, its
+        # arcs back from the second to the first shrunk to 1.5-95 x
+        # ZERO_TOL x scale (inside the residual's tol * scale), and bound.m,
+        # the classes, multiplicity_free and the residual recomputed: the
+        # strong components fail, naming a part only when the reference
+        # finds it is not strongly connected, and every other check passes
+        rng = np.random.default_rng(seed)
+        mat = mixed_component_digraph(rng, p)
+        blocks = list(scc_triangularize(atomic_operator(mat)).blocks)
+        big = [b for b, block in enumerate(blocks) if len(block) > 1]
+        if not big:
+            return
+        b = big[int(rng.integers(len(big)))]
+        points = rng.permutation(blocks[b])
+        cut = int(rng.integers(1, len(points)))
+        first, second = sorted(points[:cut].tolist()), sorted(points[cut:].tolist())
+        back = np.ix_(second, first)
+        arcs = mat[back] != 0
+        mat[back] = 0.0
+        zero = ZERO_TOL * magnitude(mat)
+        mat[back] = arcs * rng.uniform(1.5, 95.0, arcs.shape) * zero
+        K = atomic_operator(mat)
+        assert scc_triangularize(K).blocks == tuple(blocks)
+        blocks[b : b + 1] = [tuple(first), tuple(second)]
+        forged = reference_certificate("scc", K, tuple(blocks), K.zero_threshold)
+
+        loose = [
+            b + k
+            for k, part in enumerate((first, second))
+            if len(reference_scc_blocks(atomic_operator(K.support[np.ix_(part, part)]))) > 1
+        ]
+        wrong = [f"blocks {loose} are not strongly connected"] if loose else []
+        wrong.append(f"an arc leads back to an earlier block: {forged.residual:.3e} > {zero:.3e}")
+        assert verify_certificate(K, forged).failures() == [
+            "strong_components: " + "; ".join(wrong)
+        ]
 
     @pytest.mark.parametrize("kind", ["scc", "nilpotent_rank", "increasing_spectrum"])
     def test_empty_block_fails_partition(self, kind):
@@ -952,6 +1019,48 @@ class TestChainInvarianceAgainstReference:
         thr = 1e-8 * magnitude(kernel)
         assert passed == (np.abs(kernel[below]).max(initial=0.0) <= thr)
         assert data["passed"] == all(c["passed"] for c in checks.values())
+
+
+class TestBlockChecksAgainstReference:
+    """Random kernels of 0-10 points over cells and atoms, with entries
+    near tol * scale, and random partitions of them into 1..p blocks (none
+    for 0 points), some of them broken by a dropped or repeated point."""
+
+    @given(
+        seeds,
+        st.integers(min_value=0, max_value=10),
+        st.sampled_from(["nilpotent_rank", "increasing_spectrum"]),
+        st.sampled_from(["partition", "dropped", "repeated"]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_match_a_loop_over_blocks_and_block_pairs(self, seed, p, kind, shape):
+        rng = np.random.default_rng(seed)
+        if p == 0:
+            example = sharpness_example(1)
+            K = compress(example, StandardSet(example.space, 0))
+        else:
+            cells = int(rng.integers(0, p + 1))
+            scale = 10.0 ** rng.uniform(-3, 3)
+            kernel = scale * rng.standard_normal((p, p)) * (rng.random((p, p)) < 0.5)
+            near = rng.random((p, p)) < 0.3  # about 1e-8 x scale, on either side
+            kernel[near] = rng.uniform(0.3, 3.0, near.sum()) * 1e-8 * max(1.0, scale)
+            K = kernel_operator(build_space(cells, range(2, p - cells + 2)), kernel)
+        m = int(rng.integers(1, p + 1)) if p else 0
+        pos = np.concatenate([np.arange(m), rng.integers(0, m, p - m)]).astype(int)
+        rng.shuffle(pos)
+        blocks = [list(np.flatnonzero(pos == b)) for b in range(m)]
+        if shape != "partition" and p:
+            b = int(rng.integers(m))
+            blocks[b] = blocks[b][1:] if shape == "dropped" else blocks[b] + blocks[b][:1]
+        blocks = tuple(tuple(int(i) for i in block) for block in blocks)
+        cert = TriangularizationCertificate(kind, blocks, (), None, None, 0.0, 1e-8, False)
+
+        checks = verify_certificate(K, cert).to_dict()["checks"]
+        if shape != "partition" and p:
+            assert list(checks) == ["partition"]
+            return
+        expected = reference_block_checks(K, kind, blocks)
+        assert {name: checks[name] for name in expected} == expected
 
 
 class TestCertificateAgainstReference:
