@@ -6,14 +6,16 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.sparse import csr_array
-from scipy.sparse.csgraph import connected_components, shortest_path
 
 from .errors import PreconditionError
 from .operators import DEFAULT_TOL, FiniteRankOperator, Operator, ZERO_TOL, densify, magnitude
 from .spaces import StandardSet
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_array
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,7 +64,15 @@ def _strong_components(arcs: np.ndarray) -> tuple[np.ndarray, np.ndarray, csr_ar
     """Tails and heads of the arcs of the square boolean array `arcs`, in
     row-major order, their sparse graph (built from `indptr`, which is
     cheaper than from the pairs) and each point's strongly connected
-    component label."""
+    component label.
+
+    scipy.sparse is imported here, not with the module: it takes most of
+    the package's import time, and only this function and
+    :func:`shortest_cycle` use it.
+    """
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import connected_components
+
     p = arcs.shape[0]
     points = np.arange(p)
     counts = arcs.sum(axis=1)
@@ -83,6 +93,8 @@ def shortest_cycle(dg: SupportDigraph) -> tuple[int, ...] | None:
     breadth-first searches start only from the points of the components
     of 2 or more points, and none run when there is no such component.
     """
+    from scipy.sparse.csgraph import shortest_path
+
     p = dg.size
     arcs = dg.arcs.copy()
     np.fill_diagonal(arcs, False)  # a loop is no cycle

@@ -90,6 +90,7 @@ def _integer(value, what: str) -> int:
 def _space_fields(data: dict) -> tuple[int, list[int]]:
     if not isinstance(data, dict) or not isinstance(data.get("atoms", []), list):
         raise PreconditionError('a space must be an object with an "atoms" list')
+    _takes_only("a space", data, "cells", "atoms")
     cells = _integer(data.get("cells", 0), '"cells"')
     return cells, [_integer(a, "an atom id") for a in data.get("atoms", [])]
 
@@ -161,12 +162,13 @@ def _check_points(name: str, points: int) -> None:
         )
 
 
-def _takes_only(name: str, params: dict, *takes: str) -> None:
-    """Refuse a parameter of the named operator `name` other than `takes`."""
+def _takes_only(what: str, params: dict, *takes: str, noun: str = "key") -> None:
+    """Refuse a key of `params` other than `takes`, so that a misspelled
+    key is not read as its default; `what` names the object."""
     unknown = sorted(set(params) - set(takes))
     if unknown:
         raise PreconditionError(
-            f"named operator {name!r} takes no parameter {unknown[0]!r}"
+            f"{what} takes no {noun} {unknown[0]!r}"
             + (f" (it takes {', '.join(takes)})" if takes else "")
         )
 
@@ -182,13 +184,13 @@ def named_operator(name: str, **params) -> Operator:
     """
     m = _NAMED_WITH_INDEX.match(name)
     if m or name == "paper_example":
-        _takes_only(name, params, *(() if m else ("n",)))
+        _takes_only(f"named operator {name!r}", params, *(() if m else ("n",)), noun="parameter")
         n = int(m.group(1)) if m else _integer(params["n"], '"n"')
         _check_points(name, 2 * n + 1)
         return sharpness_example(n)
     builders = {"volterra_linear": volterra_linear, "ones_kernel": ones_kernel}
     if name in builders:
-        _takes_only(name, params, "cells")
+        _takes_only(f"named operator {name!r}", params, "cells", noun="parameter")
         cells = _integer(params.get("cells", 64), '"cells"')
         _check_points(name, cells)
         return builders[name](cells)
@@ -198,7 +200,8 @@ def named_operator(name: str, **params) -> Operator:
 def operator_from_dict(data: dict) -> Operator:
     """The operator of a descriptor. A named descriptor passes its keys
     other than "kind", "name" and the "sets" of `kerneltri moments` to
-    :func:`named_operator` as parameters."""
+    :func:`named_operator` as parameters. A dense or finite-rank
+    descriptor, and its "space", refuse every key they do not read."""
     if not isinstance(data, dict):
         raise PreconditionError("an operator descriptor must be a JSON object")
     kind = data.get("kind")
@@ -206,9 +209,11 @@ def operator_from_dict(data: dict) -> Operator:
         extra = {k: v for k, v in data.items() if k not in ("kind", "name", "sets")}
         return named_operator(str(data["name"]), **extra)
     if kind == "dense":
+        _takes_only("a 'dense' descriptor", data, "kind", "space", "kernel", "sets")
         kernel = _complex_matrix(data["kernel"])
         return kernel_operator(_space_for(data, kernel), kernel)
     if kind == "finite_rank":
+        _takes_only("a 'finite_rank' descriptor", data, "kind", "space", "F", "G", "sets")
         F = _complex_matrix(data["F"])
         G = _complex_matrix(data["G"])
         space = _space_for(data, F, G)

@@ -8,7 +8,6 @@ from typing import Sequence
 
 import numpy as np
 from numpy.linalg import _umath_linalg
-from scipy.optimize import linear_sum_assignment
 
 from .cycles import SupportDigraph, acyclic_suffix, shortest_cycle
 from .errors import PreconditionError
@@ -121,7 +120,12 @@ def match_multisets(a: Sequence[complex], b: Sequence[complex], cutoff: float) -
     The values are paired by an optimal assignment on |a_i - b_j|; the
     match holds iff both lists have equal length and every paired
     distance is <= cutoff.
+
+    scipy.optimize is imported here, not with the module: no other
+    function uses it, and it loads scipy.sparse too.
     """
+    from scipy.optimize import linear_sum_assignment
+
     a = np.array(a)
     b = np.array(b)
     if a.size != b.size:

@@ -768,6 +768,40 @@ class TestErrorsAndDeterminism:
         desc = {"kind": "named", "name": "volterra_linear", "cells": 4, "sets": [[0]]}
         assert operator_from_dict(desc).size == 4
 
+    @pytest.mark.parametrize(
+        "desc, message",
+        [
+            (
+                {"kind": "dense", "space": {"cels": 1, "atoms": [2, 3]}, "kernel": [[0, 1], [0, 0]]},
+                "a space takes no key 'cels'",
+            ),
+            (
+                {"kind": "dense", "space": {"atoms": [2, 3]}, "kernel": [[0, 1], [0, 0]], "kernal": 5},
+                "a 'dense' descriptor takes no key 'kernal'",
+            ),
+            (
+                {"kind": "finite_rank", "space": {"atoms": [2]}, "F": [[1]], "G": [[0]], "H": [[1]]},
+                "a 'finite_rank' descriptor takes no key 'H'",
+            ),
+        ],
+        ids=["space-cels", "dense-kernal", "finite-rank-H"],
+    )
+    def test_unknown_descriptor_key_exits_two(self, tmp_path, capsys, desc, message):
+        # before, "cels" was dropped and the space read as 2 atoms, exit 0
+        code, text = run(tmp_path, "spectrum", "--in", write_json(tmp_path, "op.json", desc))
+        err = capsys.readouterr().err
+        assert (code, text) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
+    def test_flat_dense_moments_descriptor_is_taken(self, tmp_path):
+        # the top-level "sets" of a flat moments descriptor is no key of
+        # the operator (a flat finite_rank one is run in TestMoments)
+        desc = {"kind": "dense", "space": {"cells": 1, "atoms": [2]}, "kernel": [[0, 1], [0, 0]],
+                "sets": [[0], [1]]}
+        code, text = run(tmp_path, "moments", "--in", write_json(tmp_path, "op.json", desc))
+        assert code == 0 and json.loads(text)["passed"]
+
     def test_shape_mismatch(self, tmp_path):
         op = write_json(
             tmp_path,
