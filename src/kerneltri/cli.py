@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes, decided in `main` alone: 0 = verdict/construction succeeded,
-1 = property or verification failed (a report is still written), 2 = input,
-size or write error (one `error:` line on stderr).
+1 = property or verification failed (a report is still written), 2 = any
+`KernelTriError`: input, size or write error (one `error:` line on stderr).
 """
 
 from __future__ import annotations
@@ -12,11 +12,10 @@ import json
 import math
 import sys
 
-from .errors import KernelTriError, TheoremViolationError
+from .errors import KernelTriError, PreconditionError, TheoremViolationError
 from .increasing import check_increasing_spectrum, radius_profile
 from .jsonio import canonical_dumps, is_integer, operator_from_dict
 from .cycles import moment_identities, shortest_cycle, support_digraph
-from .operators import Operator
 from .spaces import DEFAULT_MAX_POINTS, StandardSet, nested_chain
 from .spectral import DEFAULT_TOL, eigenvalues
 from .triangular import (
@@ -34,27 +33,16 @@ from .triangular import (
 MAX_POINTS_LIMIT = 16
 
 
-class InputError(Exception):
-    pass
-
-
-def _load_json(path: str) -> dict:
+def _load_json(path: str):
     try:
         with open(path) as fh:
             return json.load(fh)
     except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
-        raise InputError(f"malformed JSON in {path}: {exc}") from exc
-
-
-def _load_operator(path: str) -> tuple[Operator, dict]:
-    data = _load_json(path)
-    payload = data.get("operator", data) if isinstance(data, dict) else data
-    try:
-        return operator_from_dict(payload), data
-    except KeyError as exc:
-        raise InputError(f"missing field in operator descriptor: {exc}") from exc
+        raise PreconditionError(f"cannot read {path}: {exc}") from exc
+    # JSONDecodeError, bytes that are not UTF-8, or arrays nested deeper
+    # than the decoder's recursion limit
+    except (ValueError, RecursionError) as exc:
+        raise PreconditionError(f"malformed JSON in {path}: {exc}") from exc
 
 
 def _write(text: str, out: str | None):
@@ -65,7 +53,7 @@ def _write(text: str, out: str | None):
         with open(out, "w") as fh:
             fh.write(text)
     except OSError as exc:
-        raise InputError(f"cannot write {out}: {exc}") from exc
+        raise PreconditionError(f"cannot write {out}: {exc}") from exc
 
 
 # Each subcommand maps (operator, descriptor, args) to (report, ok); main
@@ -94,14 +82,14 @@ def _cmd_cycles(K, data, args) -> tuple[dict, bool]:
 
 def _cmd_moments(K, data, args) -> tuple[dict, bool]:
     if "sets" not in data:
-        raise InputError("moments needs a top-level \"sets\" list of index lists")
+        raise PreconditionError("moments needs a top-level \"sets\" list of index lists")
     if not isinstance(data["sets"], list) or not all(
         isinstance(idx, list) and all(map(is_integer, idx)) for idx in data["sets"]
     ):
-        raise InputError("\"sets\" must be a list of lists of integer point indices")
+        raise PreconditionError("\"sets\" must be a list of lists of integer point indices")
     # disjoint nonempty sets number at most one per point
     if not all(data["sets"]):
-        raise InputError("\"sets\" must not hold an empty index list")
+        raise PreconditionError("\"sets\" must not hold an empty index list")
     sets = [StandardSet.from_indices(K.space, idx) for idx in data["sets"]]
     report = moment_identities(K, sets, tol=args.tol)
     return report.to_dict(), report.passed
@@ -121,10 +109,7 @@ def _cmd_triangularize(K, data, args) -> tuple[dict, bool]:
 
 
 def _cmd_verify(K, data, args) -> tuple[dict, bool]:
-    try:
-        cert = TriangularizationCertificate.from_dict(_load_json(args.cert))
-    except KeyError as exc:
-        raise InputError(f"missing field in certificate: {exc}") from exc
+    cert = TriangularizationCertificate.from_dict(_load_json(args.cert))
     report = verify_certificate(K, cert, tol=args.tol)
     return report.to_dict(), report.passed
 
@@ -161,6 +146,30 @@ def _bounded_int(low: int, high: int | None = None):
     return integer
 
 
+#: the subcommands in the order `kerneltri -h` lists them: name -> (handler,
+#: help, whether it takes --tol, its own arguments as flag -> add_argument
+#: keywords); each also takes --in and --out
+SUBCOMMANDS = {
+    "spectrum": (_cmd_spectrum, "eigenvalue report", True, {}),
+    "check-increasing": (_cmd_check_increasing, "increasing-spectrum verdict", True, {
+        "--max-points": dict(type=_bounded_int(0, MAX_POINTS_LIMIT), default=DEFAULT_MAX_POINTS)
+    }),
+    "cycles": (_cmd_cycles, "support digraph and non-degenerate cycle search", False, {
+        "--threshold": dict(type=_nonnegative_real, default=None)
+    }),
+    "moments": (_cmd_moments, "moment-matrix trace identities", True, {}),
+    "triangularize": (_cmd_triangularize, "construct a certificate", True, {
+        "--kind": dict(choices=("scc", "nilpotent", "increasing"), required=True)
+    }),
+    "verify": (_cmd_verify, "re-verify a certificate", True, {
+        "--cert": dict(required=True, help="certificate JSON file")
+    }),
+    "radius-profile": (_cmd_radius_profile, "spectral radius along the nested chain", False, {
+        "--steps": dict(type=_bounded_int(1), default=16)
+    }),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kerneltri",
@@ -168,64 +177,26 @@ def build_parser() -> argparse.ArgumentParser:
         "certificates for discretized kernel operators.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for name, (fn, help_text, takes_tol, arguments) in SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--in", dest="infile", required=True, help="operator JSON file")
         p.add_argument("--out", default=None, help="output file (default stdout)")
-
-    def tolerance(p):
-        p.add_argument("--tol", type=_nonnegative_real, default=DEFAULT_TOL)
-
-    p = sub.add_parser("spectrum", help="eigenvalue report")
-    common(p)
-    tolerance(p)
-    p.set_defaults(fn=_cmd_spectrum)
-
-    p = sub.add_parser("check-increasing", help="increasing-spectrum verdict")
-    common(p)
-    tolerance(p)
-    p.add_argument(
-        "--max-points", type=_bounded_int(0, MAX_POINTS_LIMIT), default=DEFAULT_MAX_POINTS
-    )
-    p.set_defaults(fn=_cmd_check_increasing)
-
-    p = sub.add_parser("cycles", help="support digraph and non-degenerate cycle search")
-    common(p)
-    p.add_argument("--threshold", type=_nonnegative_real, default=None)
-    p.set_defaults(fn=_cmd_cycles)
-
-    p = sub.add_parser("moments", help="moment-matrix trace identities")
-    common(p)
-    tolerance(p)
-    p.set_defaults(fn=_cmd_moments)
-
-    p = sub.add_parser("triangularize", help="construct a certificate")
-    common(p)
-    tolerance(p)
-    p.add_argument("--kind", choices=("scc", "nilpotent", "increasing"), required=True)
-    p.set_defaults(fn=_cmd_triangularize)
-
-    p = sub.add_parser("verify", help="re-verify a certificate")
-    common(p)
-    tolerance(p)
-    p.add_argument("--cert", required=True, help="certificate JSON file")
-    p.set_defaults(fn=_cmd_verify)
-
-    p = sub.add_parser("radius-profile", help="spectral radius along the nested chain")
-    common(p)
-    p.add_argument("--steps", type=_bounded_int(1), default=16)
-    p.set_defaults(fn=_cmd_radius_profile)
-
+        if takes_tol:
+            p.add_argument("--tol", type=_nonnegative_real, default=DEFAULT_TOL)
+        for flag, options in arguments.items():
+            p.add_argument(flag, **options)
+        p.set_defaults(fn=fn)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        K, data = _load_operator(args.infile)
+        data = _load_json(args.infile)
+        K = operator_from_dict(data.get("operator", data) if isinstance(data, dict) else data)
         report, ok = args.fn(K, data, args)
         _write(canonical_dumps(report), args.out)
-    except (InputError, KernelTriError) as exc:
+    except KernelTriError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0 if ok else 1

@@ -201,21 +201,25 @@ def operator_from_dict(data: dict) -> Operator:
     """The operator of a descriptor. A named descriptor passes its keys
     other than "kind", "name" and the "sets" of `kerneltri moments` to
     :func:`named_operator` as parameters. A dense or finite-rank
-    descriptor, and its "space", refuse every key they do not read."""
+    descriptor, and its "space", refuse every key they do not read, and a
+    missing field raises a PreconditionError that names it."""
     if not isinstance(data, dict):
         raise PreconditionError("an operator descriptor must be a JSON object")
     kind = data.get("kind")
-    if kind == "named":
-        extra = {k: v for k, v in data.items() if k not in ("kind", "name", "sets")}
-        return named_operator(str(data["name"]), **extra)
-    if kind == "dense":
-        _takes_only("a 'dense' descriptor", data, "kind", "space", "kernel", "sets")
-        kernel = _complex_matrix(data["kernel"])
-        return kernel_operator(_space_for(data, kernel), kernel)
-    if kind == "finite_rank":
-        _takes_only("a 'finite_rank' descriptor", data, "kind", "space", "F", "G", "sets")
-        F = _complex_matrix(data["F"])
-        G = _complex_matrix(data["G"])
-        space = _space_for(data, F, G)
-        return densify(FiniteRankOperator(space=space, F=F, G=G))
+    try:
+        if kind == "named":
+            extra = {k: v for k, v in data.items() if k not in ("kind", "name", "sets")}
+            return named_operator(str(data["name"]), **extra)
+        if kind == "dense":
+            _takes_only("a 'dense' descriptor", data, "kind", "space", "kernel", "sets")
+            kernel = _complex_matrix(data["kernel"])
+            return kernel_operator(_space_for(data, kernel), kernel)
+        if kind == "finite_rank":
+            _takes_only("a 'finite_rank' descriptor", data, "kind", "space", "F", "G", "sets")
+            F = _complex_matrix(data["F"])
+            G = _complex_matrix(data["G"])
+            space = _space_for(data, F, G)
+            return densify(FiniteRankOperator(space=space, F=F, G=G))
+    except KeyError as exc:
+        raise PreconditionError(f"missing field in operator descriptor: {exc}") from exc
     raise PreconditionError(f"unknown operator kind: {kind!r}")

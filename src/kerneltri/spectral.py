@@ -115,11 +115,13 @@ def first_excluded(values: np.ndarray, outer: np.ndarray, tol: float) -> int | N
 
 
 def match_multisets(a: Sequence[complex], b: Sequence[complex], cutoff: float) -> bool:
-    """Multiset comparison of two lists of complex values.
+    """Multiset comparison of two lists of complex values: the match holds
+    iff both lists have equal length and some pairing keeps every distance
+    |a_i - b_j| <= cutoff.
 
-    The values are paired by an optimal assignment on |a_i - b_j|; the
-    match holds iff both lists have equal length and every paired
-    distance is <= cutoff.
+    The pairing is an optimal assignment on the 0/1 cost
+    `|a_i - b_j| > cutoff`, which is 0 exactly when such a pairing exists;
+    a min-sum assignment on the distances need not find it.
 
     scipy.optimize is imported here, not with the module: no other
     function uses it, and it loads scipy.sparse too.
@@ -132,9 +134,9 @@ def match_multisets(a: Sequence[complex], b: Sequence[complex], cutoff: float) -
         return False
     if a.size == 0:
         return True
-    dist = np.abs(a[:, None] - b[None, :])
-    rows, cols = linear_sum_assignment(dist)
-    return not (dist[rows, cols] > cutoff).any()
+    far = np.abs(a[:, None] - b[None, :]) > cutoff
+    rows, cols = linear_sum_assignment(far)
+    return not far[rows, cols].any()
 
 
 def nonzero_eigen_match(K1: Operator, K2: Operator, tol: float = DEFAULT_TOL) -> bool:

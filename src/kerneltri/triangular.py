@@ -93,44 +93,47 @@ class TriangularizationCertificate:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TriangularizationCertificate":
-        """Read a certificate, checking the type of every field; whether
-        the recorded classes, residual and bound hold is left to
-        :func:`verify_certificate`."""
+        """Read a certificate, checking the type of every field and naming
+        a missing one; whether the recorded classes, residual and bound
+        hold is left to :func:`verify_certificate`."""
         if not isinstance(data, dict):
             raise PreconditionError("a certificate must be a JSON object")
-        blocks, diagonal, bound = data["blocks"], data["diagonal"], data["bound"]
-        if not (isinstance(blocks, list) and all(isinstance(b, list) for b in blocks)):
-            raise PreconditionError('certificate "blocks" must be a list of lists')
-        if not (
-            isinstance(diagonal, list)
-            and all(isinstance(d, dict) for d in diagonal)
-            and all(_is_complex(d["lambda"]) for d in diagonal if "lambda" in d)
-        ):
-            raise PreconditionError(
-                'certificate "diagonal" must be a list of objects whose "lambda" is [re, im]'
+        try:
+            blocks, diagonal, bound = data["blocks"], data["diagonal"], data["bound"]
+            if not (isinstance(blocks, list) and all(isinstance(b, list) for b in blocks)):
+                raise PreconditionError('certificate "blocks" must be a list of lists')
+            if not (
+                isinstance(diagonal, list)
+                and all(isinstance(d, dict) for d in diagonal)
+                and all(_is_complex(d["lambda"]) for d in diagonal if "lambda" in d)
+            ):
+                raise PreconditionError(
+                    'certificate "diagonal" must be a list of objects whose "lambda" is [re, im]'
+                )
+            if not isinstance(bound, dict):
+                raise PreconditionError('certificate "bound" must be an object')
+            diag = tuple(
+                BlockDiagnosis(
+                    block=d["block"],
+                    kind=d["class"],
+                    value=(None if "lambda" not in d else complex(*d["lambda"])),
+                )
+                for d in diagonal
             )
-        if not isinstance(bound, dict):
-            raise PreconditionError('certificate "bound" must be an object')
-        diag = tuple(
-            BlockDiagnosis(
-                block=d["block"],
-                kind=d["class"],
-                value=(None if "lambda" not in d else complex(*d["lambda"])),
+            counts = {key: bound[key] for key in ("m", "limit", "rank")}
+            cert = cls(
+                kind=data["kind"],
+                blocks=tuple(tuple(b) for b in blocks),
+                diagonal=diag,
+                rank=counts["rank"],
+                bound=counts["limit"],
+                residual=data["residual"],
+                tol=data["tol"],
+                multiplicity_free=data["multiplicity_free"],
+                num_blocks=counts["m"],
             )
-            for d in diagonal
-        )
-        counts = {key: bound[key] for key in ("m", "limit", "rank")}
-        cert = cls(
-            kind=data["kind"],
-            blocks=tuple(tuple(b) for b in blocks),
-            diagonal=diag,
-            rank=counts["rank"],
-            bound=counts["limit"],
-            residual=data["residual"],
-            tol=data["tol"],
-            multiplicity_free=data["multiplicity_free"],
-            num_blocks=counts["m"],
-        )
+        except KeyError as exc:
+            raise PreconditionError(f"missing field in certificate: {exc}") from exc
         # after every field is read, so a missing field is still named first
         if cert.kind not in CERTIFICATE_KINDS:
             raise PreconditionError(f"unknown certificate kind: {cert.kind!r}")

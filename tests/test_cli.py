@@ -20,6 +20,7 @@ from conftest import (
 )
 
 from kerneltri import (
+    PreconditionError,
     StandardSet,
     canonical_dumps,
     densify,
@@ -375,6 +376,16 @@ class TestTriangularize:
         code, text = run(tmp_path, "triangularize", "--in", op, "--kind", "nilpotent")
         assert code == 2  # precondition, not a theorem violation
 
+    def test_increasing_violation_prints_its_error_report(self, tmp_path, capsys):
+        # the atom diagonal [0, 0] does not carry the spectrum {1, -1}: exit
+        # 1, with the report on stdout since no --out is given
+        desc = {"kind": "dense", "space": {"atoms": [2, 3]}, "kernel": [[0, 1], [1, 0]]}
+        op = write_json(tmp_path, "swap.json", desc)
+        assert main(["triangularize", "--in", op, "--kind", "increasing"]) == 1
+        assert capsys.readouterr() == (
+            '{"error":"atom diagonal multiset does not match the nonzero spectrum"}\n', ""
+        )
+
     def test_nilpotent_on_volterra_uses_the_exact_kernel(self, tmp_path):
         # a refactored kernel carries roundoff into the zero triangle, which
         # made its 3-point compressions fail the nilpotence precondition
@@ -717,6 +728,99 @@ class TestRadiusProfile:
         assert json.loads(text)["set_sizes"] == list(range(9))
 
 
+def _atoms(kernel) -> dict:
+    """A dense descriptor of `kernel` on one atom per row."""
+    return {"kind": "dense", "space": {"atoms": list(range(2, len(kernel) + 2))}, "kernel": kernel}
+
+
+def _late_two_cycle(p: int, diagonal: bool) -> dict:
+    """A 2-cycle on points 0 and 1 of `p`, upper triangular elsewhere (with
+    a diagonal on points 2 .. p-1, or strictly)."""
+    kernel = [[float(i + j) if 2 <= i <= j and (diagonal or i < j) else 0.0 for j in range(p)]
+              for i in range(p)]
+    kernel[0][1], kernel[1][0] = 1.5, -0.75
+    return _atoms(kernel)
+
+
+_VOLTERRA_8 = {"kind": "named", "name": "volterra_linear", "cells": 8}
+_PATH_40 = _atoms([[1.0 if j == i + 1 else 0.0 for j in range(40)] for i in range(40)])
+
+
+class TestHandBuiltDescriptors:
+    """Whole commands on hand-built descriptors: the exit code and the
+    fragments their output must hold (stdout for exit 0 and 1, the one
+    stderr line for exit 2)."""
+
+    @pytest.mark.parametrize(
+        "desc, argv, code, fragments",
+        [
+            (_VOLTERRA_8, ["spectrum"], 0, ['"quasinilpotent":true']),
+            (_VOLTERRA_8, ["cycles"], 0, ['"cycle":null']),
+            (_VOLTERRA_8, ["triangularize", "--kind", "scc"], 0, ['"blocks":[[7],[6],']),
+            # a planted 2-cycle on points 1 and 2, a self-loop and an arc into
+            # the cycle
+            (
+                _atoms([[0, 1, 0, 0], [0, 0, 2, 0], [0, [0, 3], 0, 0], [0, 0, 1, 4]]),
+                ["cycles"],
+                1,
+                ['"cycle":[1,2]'],
+            ),
+            # the paper's rank-3 example needs all 2n + 1 = 7 blocks
+            (
+                {"kind": "named", "name": "paper_example_3"},
+                ["triangularize", "--kind", "increasing"],
+                0,
+                ['"m":7,'],
+            ),
+            # a directed path on 40 atoms, the most points the Python side
+            # of the Frobenius form takes: Tarjan recurses 40 deep
+            (_PATH_40, ["triangularize", "--kind", "scc"], 0, ['"blocks":[[0],[1],']),
+            (_PATH_40, ["verify"], 0, ['"passed":true}']),
+            # a cyclic shift on 24 atoms: its one 24-cycle gives the witness
+            (
+                _atoms([[1.0 if j == (i + 1) % 24 else 0.0 for j in range(24)] for i in range(24)]),
+                ["check-increasing"],
+                1,
+                ['"witness":{"E":[0],"F":[0,1,2,'],
+            ),
+            # the exhaustive scan meets the late 2-cycle's witness after 5/9
+            # of the 3^12 pairs
+            (
+                _late_two_cycle(12, diagonal=True),
+                ["check-increasing"],
+                1,
+                ['"pairs_checked":295246', '"witness":{"E":[1],"F":[0,1],'],
+            ),
+            # under a strictly upper triangular rest, the nilpotence scan
+            # names {0, 1} after the 12 singletons and the 66 pairs
+            (
+                _late_two_cycle(12, diagonal=False),
+                ["triangularize", "--kind", "nilpotent"],
+                2,
+                ["points [0, 1] is not nilpotent"],
+            ),
+        ],
+        ids=[
+            "volterra8-spectrum", "volterra8-cycles", "volterra8-scc", "planted-cycle",
+            "paper3-increasing", "path40-scc", "path40-verify", "shift24", "late12",
+            "late12-nilpotent",
+        ],
+    )
+    def test_exit_code_and_output(self, tmp_path, capsys, desc, argv, code, fragments):
+        op = write_json(tmp_path, "op.json", desc)
+        if argv == ["verify"]:
+            argv = argv + ["--cert", _certificate(tmp_path, op)]
+        capsys.readouterr()
+        got, text = run(tmp_path, argv[0], "--in", op, *argv[1:])
+        err = capsys.readouterr().err
+        assert got == code
+        if code == 2:
+            assert text == "" and err.startswith("error: ") and err.count("\n") == 1
+            text = err
+        for fragment in fragments:
+            assert fragment in text
+
+
 #: every certificate field the verifier does not read, each of the wrong type
 _UNREAD_CERTIFICATE_FIELDS = {
     "tol": "abc",
@@ -802,6 +906,44 @@ class TestErrorsAndDeterminism:
         code, text = run(tmp_path, "moments", "--in", write_json(tmp_path, "op.json", desc))
         assert code == 0 and json.loads(text)["passed"]
 
+    @pytest.mark.parametrize(
+        "desc, field",
+        [
+            ({"kind": "named"}, "name"),
+            ({"kind": "named", "name": "paper_example"}, "n"),
+            ({"kind": "dense", "space": {"atoms": [2]}}, "kernel"),
+            ({"kind": "dense", "kernel": [[0.0]]}, "space"),
+            ({"kind": "finite_rank", "space": {"atoms": [2]}, "F": [[1.0]]}, "G"),
+        ],
+        ids=["named-name", "paper-n", "dense-kernel", "dense-space", "finite-rank-G"],
+    )
+    def test_missing_descriptor_field_is_named(self, tmp_path, capsys, desc, field):
+        message = f"missing field in operator descriptor: '{field}'"
+        with pytest.raises(PreconditionError) as exc:
+            operator_from_dict(desc)
+        assert str(exc.value) == message
+        code, text = run(tmp_path, "spectrum", "--in", write_json(tmp_path, "op.json", desc))
+        assert (code, text) == (2, "")
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("depth", [990, 100_000])
+    @pytest.mark.parametrize("role", ["in", "cert"])
+    def test_deeply_nested_json_exits_two(self, tmp_path, capsys, role, depth):
+        # the decoder recurses once per "[" and gives up at Python's
+        # recursion limit: malformed input, not a failed verdict
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * depth)
+        if role == "in":
+            argv = ["spectrum", "--in", str(deep)]
+        else:
+            op = write_json(tmp_path, "op.json", {"kind": "named", "name": "paper_example_1"})
+            argv = ["verify", "--in", op, "--cert", str(deep)]
+        capsys.readouterr()
+        code, text = run(tmp_path, *argv)
+        assert (code, text) == (2, "")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: malformed JSON in {deep}: ") and err.count("\n") == 1
+
     def test_shape_mismatch(self, tmp_path):
         op = write_json(
             tmp_path,
@@ -850,6 +992,7 @@ class TestErrorsAndDeterminism:
             (None, {"kind": "dense", "space": {"atoms": [2]}, "kernel": [[[1, False]]]}),
             (None, {"kind": "finite_rank", "space": {"atoms": [2, 3]}, "F": [["1"], [0]], "G": [[0], [1]]}),
             (None, {"kind": "finite_rank", "space": {"atoms": [2, 3]}, "F": [[1], [0]], "G": [[None], [1]]}),
+            (None, {"kind": "finite_rank", "space": {"atoms": [2, 3]}, "F": [[1, 1], [1, 1]], "G": [[1, 0], [0, 1]]}),
             (None, {"kind": "dense", "space": {"atoms": [2, 3]}, "kernel": [[0.0, 1.0], [0.0]]}),
             (None, {"kind": "dense", "space": 5, "kernel": [[0.0]]}),
             (None, {"kind": "dense", "space": {"atoms": 2}, "kernel": [[0.0]]}),
@@ -859,6 +1002,7 @@ class TestErrorsAndDeterminism:
             (None, {"kind": "named", "name": "volterra_linear", "cells": True}),
             (None, {"kind": "named", "name": "volterra_linear", "cells": "5"}),
             (None, {"kind": "named", "name": "volterra_linear", "cells": 8.0}),
+            (None, {"kind": "named", "name": "volterra_linear", "cells": -1}),
             (None, {"kind": "dense", "space": {"atoms": [2.9]}, "kernel": [[1.0]]}),
             (None, [{"kind": "named", "name": "paper_example_1"}]),
             (None, 5),
@@ -871,9 +1015,9 @@ class TestErrorsAndDeterminism:
             "class-unknown", "lambda-huge-int", "unread-fields",
             "kernel-number", "kernel-dict-entry", "kernel-huge-int", "kernel-string",
             "kernel-numeric-strings", "kernel-bool", "kernel-null", "pair-string", "pair-bool",
-            "F-string", "G-null",
+            "F-string", "G-null", "F-dependent-columns",
             "kernel-ragged", "space-number", "atoms-number", "n-null", "n-float", "cells-float",
-            "cells-bool", "cells-string", "cells-integral-float", "atom-float",
+            "cells-bool", "cells-string", "cells-integral-float", "cells-negative", "atom-float",
             "descriptor-list", "descriptor-number",
         ],
     )
@@ -1025,6 +1169,14 @@ class TestErrorsAndDeterminism:
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
 
+    def test_stdout_is_the_out_file(self, tmp_path, capsys, example_file):
+        # the one write path that `run` does not take
+        argv = ["triangularize", "--in", example_file, "--kind", "increasing"]
+        code, text = run(tmp_path, *argv)
+        capsys.readouterr()
+        assert main(argv) == code == 0
+        assert capsys.readouterr() == (text, "")
+
     def test_largest_named_operator_loads(self):
         assert named_operator("volterra_linear", cells=512).size == 512
 
@@ -1078,7 +1230,8 @@ class TestNumericFlags:
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--in", str(tmp_path / "absent.json")])
         assert exc.value.code == 2
-        assert "absent.json" not in capsys.readouterr().err
+        err = capsys.readouterr().err  # the parser's usage line, then one error line
+        assert "absent.json" not in err and err.count("error:") == 1
 
     @pytest.mark.parametrize("flag", ["--samples", "--seed"])
     def test_sampled_mode_flags_are_gone(self, tmp_path, capsys, flag):
@@ -1148,6 +1301,21 @@ def test_named_operator_round_trip_matches_library():
 def test_canonical_dumps_is_sorted_and_terminated():
     text = canonical_dumps({"b": 1, "a": [0.5, True, None]})
     assert text == '{"a":[0.5,true,null],"b":1}\n'
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ({"x": [1.0, math.nan]}, "cannot serialize non-finite number"),
+        ([math.inf], "cannot serialize non-finite number"),
+        ({"x": {1, 2}}, "cannot serialize set"),
+        (object(), "cannot serialize object"),
+    ],
+    ids=["nan", "inf", "set", "object"],
+)
+def test_canonical_dumps_refusals(obj, message):
+    with pytest.raises(PreconditionError, match=f"^{message}$"):
+        canonical_dumps(obj)
 
 
 # small values only, so that every mutated operator stays cheap to check

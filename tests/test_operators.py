@@ -353,3 +353,34 @@ def test_volterra_linear_matches_the_sampled_kernel(n):
     K = volterra_linear(n)
     assert K.kernel_values.tobytes() == expected.kernel_values.tobytes()
     assert K.entries.tobytes() == expected.entries.tobytes()
+
+
+_TWO_ATOMS = build_space(0, [2, 3])
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (
+            lambda: FiniteRankOperator(_TWO_ATOMS, np.ones(2), np.ones((2, 1))),
+            DimensionMismatchError,
+            "factors must be 2-d arrays",
+        ),
+        (
+            lambda: FiniteRankOperator(_TWO_ATOMS, np.eye(2), np.ones((2, 1))),
+            DimensionMismatchError,
+            "factor count mismatch between F and G",
+        ),
+        (
+            lambda: FiniteRankOperator(_TWO_ATOMS, np.ones((2, 2)), np.eye(2)),
+            PreconditionError,
+            "factor columns are not linearly independent",
+        ),
+        (lambda: trace_power(sharpness_example(1), 0), PreconditionError, "power must be >= 1"),
+        (lambda: sharpness_example_factors(0), PreconditionError, "n must be >= 1"),
+    ],
+    ids=["factor-1-d", "factor-counts", "dependent-columns", "power-0", "sharpness-0"],
+)
+def test_refusals(build, error, message):
+    with pytest.raises(error, match=message):
+        build()

@@ -198,3 +198,20 @@ class TestNestedChain:
         mids = tuple(sorted(t / steps for t in data.draw(st.lists(ticks, min_size=1, max_size=40, unique=True))))
         space = MeasureSpace(mids, (1.0,) * len(mids), ())
         assert nested_chain(space, steps) == reference_nested_chain(space, steps)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: MeasureSpace((0.25, 0.75), (0.5,), ()), "midpoints and cell weights differ"),
+        (lambda: MeasureSpace((0.75, 0.25), (0.5, 0.5), ()), "midpoints must be strictly increasing"),
+        (lambda: MeasureSpace((0.5, 0.5), (0.5, 0.5), ()), "midpoints must be strictly increasing"),
+        (lambda: build_space(2, [2]).restrict([0, 2, 0]), "repeated index in restriction"),
+        (lambda: build_space(-1), "num_cells must be nonnegative"),
+        (lambda: nested_chain(build_space(4), 0), "steps must be >= 1"),
+    ],
+    ids=["lengths", "decreasing", "equal", "restrict-repeated", "cells-negative", "steps-0"],
+)
+def test_refusals(build, message):
+    with pytest.raises(SpaceError, match=message):
+        build()

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -18,7 +19,7 @@ from kerneltri import (
     nonzero_eigen_match,
     sharpness_example,
 )
-from kerneltri.spectral import _sorted_eigs, dense_eigvals, first_excluded
+from kerneltri.spectral import _sorted_eigs, dense_eigvals, first_excluded, match_multisets
 
 
 def atomic_operator(matrix):
@@ -337,6 +338,35 @@ class TestNonzeroEigenMatch:
         K1 = atomic_operator(np.diag([1.0, 5.0]))
         K2 = atomic_operator(np.diag([1.0, 7.0]))
         assert nonzero_eigen_match(K1, K2, 1e-8) is False
+
+
+def brute_force_match(a, b, cutoff) -> bool:
+    """Whether some pairing of `a` with `b` keeps every distance <= cutoff."""
+    return len(a) == len(b) and any(
+        all(abs(x - b[j]) <= cutoff for x, j in zip(a, perm))
+        for perm in itertools.permutations(range(len(b)))
+    )
+
+
+class TestMatchMultisets:
+    def test_a_pairing_within_the_cutoff_is_found(self):
+        # the min-sum pairing, 0 with 0 and z with 1, totals 1.5 but puts z
+        # at 1.5 from 1; pairing 0 with 1 and z with 0 keeps both within
+        # the cutoff, at 1 and |z| = 1.000003
+        z = -0.125 + 0.99216j
+        assert brute_force_match([0, z], [1, 0], 1.0001)
+        assert match_multisets([0, z], [1, 0], 1.0001)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_brute_force(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(250):
+            n, m = (int(v) for v in rng.integers(0, 6, size=2))
+            m = n if rng.random() < 0.9 else m  # a length mismatch now and then
+            a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            b = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+            cutoff = float(rng.uniform(0.2, 2.0))
+            assert match_multisets(a, b, cutoff) == brute_force_match(a, b, cutoff)
 
 
 def test_permutation_similarity_invariance():

@@ -982,6 +982,23 @@ class TestVerifyCertificate:
         assert again == cert
         assert verify_certificate(K, again).passed
 
+    @pytest.mark.parametrize(
+        "edit, field",
+        [
+            (lambda c: c.pop("tol"), "tol"),
+            (lambda c: c.pop("blocks"), "blocks"),
+            (lambda c: c["bound"].pop("rank"), "rank"),
+            (lambda c: c["diagonal"][0].pop("class"), "class"),
+        ],
+        ids=["tol", "blocks", "bound-rank", "diagonal-class"],
+    )
+    def test_missing_field_is_named(self, edit, field):
+        data = increasing_spectrum_block_form(sharpness_example(2)).to_dict()
+        edit(data)
+        with pytest.raises(PreconditionError) as exc:
+            TriangularizationCertificate.from_dict(data)
+        assert str(exc.value) == f"missing field in certificate: '{field}'"
+
 
 class TestChainInvarianceAgainstReference:
     """An ordered partition, a kernel that is zero below its blocks, and a
