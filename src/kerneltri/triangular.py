@@ -474,8 +474,9 @@ def verify_certificate(
 ) -> VerificationReport:
     """Recheck every certificate invariant from scratch.
 
-    Deliberately uses direct matrix scans and its own eigenvalue matching
-    rather than the constructor code paths.
+    Deliberately uses direct matrix scans and its own eigenvalues rather
+    than the constructor code paths; it shares only the pairing rule of
+    its scalar check, :func:`match_multisets`, with the eigen-atom check.
     """
     checks: dict[str, CheckResult] = {}
     kernel = K.kernel_values
@@ -546,22 +547,13 @@ def verify_certificate(
             not bad_blocks,
             f"nonzero non-atom diagonal blocks {bad_blocks}" if bad_blocks else "",
         )
-        # greedy nearest matching of scalars against the nonzero spectrum
         eigs = [z for z in np.linalg.eigvals(K.entries) if abs(z) > thr]
-        match_ok = len(eigs) == len(scalars)
-        if match_ok:
-            pool = list(eigs)
-            for z in scalars:
-                dists = [abs(z - w) for w in pool]
-                if not dists or min(dists) > thr:
-                    match_ok = False
-                    break
-                pool.pop(int(np.argmin(dists)))
+        match_ok = match_multisets(scalars, eigs, thr)
         checks["scalar_eigenvalues"] = CheckResult(
             match_ok,
             ""
             if match_ok
-            else f"scalars {scalars} do not match nonzero spectrum {eigs}",
+            else f"scalars {_as_json(scalars)} do not match nonzero spectrum {_as_json(eigs)}",
         )
 
     # the arcs of the structural support of README "Tolerances" that lie

@@ -19,6 +19,7 @@ from kerneltri import (
     StandardSet,
     TheoremViolationError,
     build_space,
+    canonical_dumps,
     compress,
     kernel_operator,
     support_digraph,
@@ -610,7 +611,9 @@ def reference_block_checks(K, kind: str, blocks, tol: float = 1e-8) -> dict[str,
     `increasing_spectrum` certificate on a partition `blocks`, as a loop
     that slices the kernel once per block and once per block pair: the
     reference for the verifier, which reads every block's largest |k| in
-    one pass over the block positions."""
+    one pass over the block positions. The scalars of the filled singleton
+    atom blocks are paired with the eigenvalues above thr by
+    :func:`backtracking_match`."""
     kernel = K.kernel_values
     thr = tol * max(1.0, float(np.abs(kernel).max()) if kernel.size else 1.0)
     peaks = [np.abs(kernel[np.ix_(block, block)]).max() for block in blocks]
@@ -630,17 +633,52 @@ def reference_block_checks(K, kind: str, blocks, tol: float = 1e-8) -> dict[str,
                 "detail": f"vanishing superdiagonal blocks {weak}" if weak else "",
             },
         }
-    bad = [
-        b
-        for b, block in enumerate(blocks)
-        if peaks[b] > thr and not (len(block) == 1 and K.space.is_atom(block[0]))
-    ]
+    filled = [b for b, peak in enumerate(peaks) if peak > thr]
+    bad = [b for b in filled if not (len(blocks[b]) == 1 and K.space.is_atom(blocks[b][0]))]
+    scalars = [complex(kernel[blocks[b][0], blocks[b][0]]) for b in filled if b not in bad]
+    eigs = [complex(z) for z in np.linalg.eigvals(K.entries) if abs(z) > thr]
+    matched = len(scalars) == len(eigs) and backtracking_match(scalars, eigs, thr)
     return {
         "diagonal_blocks": {
             "passed": not bad,
             "detail": f"nonzero non-atom diagonal blocks {bad}" if bad else "",
-        }
+        },
+        "scalar_eigenvalues": {
+            "passed": matched,
+            "detail": ""
+            if matched
+            else f"scalars {canonical_dumps(scalars).rstrip()} do not match nonzero spectrum "
+            f"{canonical_dumps(eigs).rstrip()}",
+        },
     }
+
+
+#: a kernel on four atoms whose diagonal lies within 1.2e-8 of 1 and whose
+#: spectrum is that diagonal moved by up to 4e-9: its scalars pair with the
+#: spectrum within tol = 1e-8, but not nearest eigenvalue first
+NEAR_DEGENERATE_ATOMS = [
+    [1.0000000114235603, 0.0, 0.0, 7.860492406500997e-05],
+    [7.748828452637234e-14, 1.0000000078097124, 0.47337304233635824, 0.0],
+    [0.0, 0.0, 1.0000000016009638, 0.0],
+    [8.445010205098427e-13, -8.528774198830557e-13, 4.65103937655899e-10, 0.9999999980106994],
+]
+
+
+def backtracking_match(a: list[complex], b: list[complex], cutoff: float) -> bool:
+    """Whether some pairing of `a` with the equally many `b` keeps every
+    distance <= cutoff: a[i] tries each unused partner within the cutoff in
+    turn and a[i + 1:] recurse, remembering the sets of used partners that
+    failed, until a pairing holds or none is left."""
+    near = [[abs(x - z) <= cutoff for z in b] for x in a]
+
+    @functools.cache
+    def pairs(i: int, used: int) -> bool:  # used: bitmask of the taken b
+        return i == len(a) or any(
+            near[i][j] and not used >> j & 1 and pairs(i + 1, used | 1 << j)
+            for j in range(len(b))
+        )
+
+    return pairs(0, 0)
 
 
 def mixed_component_digraph(rng: np.random.Generator, p: int) -> np.ndarray:

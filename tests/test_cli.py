@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    NEAR_DEGENERATE_ATOMS,
     count_decompositions,
     forbid_eigenvalues,
     random_nilpotent_instance,
@@ -776,6 +777,14 @@ class TestHandBuiltDescriptors:
             # of the Frobenius form takes: Tarjan recurses 40 deep
             (_PATH_40, ["triangularize", "--kind", "scc"], 0, ['"blocks":[[0],[1],']),
             (_PATH_40, ["verify"], 0, ['"passed":true}']),
+            # four atom diagonals within 1.2e-8 of 1: a pairing of the scalars
+            # with the spectrum within tol exists, though not the nearest-first
+            (
+                _atoms(NEAR_DEGENERATE_ATOMS),
+                ["verify", "increasing"],
+                0,
+                ['"scalar_eigenvalues":{"detail":"","passed":true}', '"passed":true}'],
+            ),
             # a cyclic shift on 24 atoms: its one 24-cycle gives the witness
             (
                 _atoms([[1.0 if j == (i + 1) % 24 else 0.0 for j in range(24)] for i in range(24)]),
@@ -802,14 +811,14 @@ class TestHandBuiltDescriptors:
         ],
         ids=[
             "volterra8-spectrum", "volterra8-cycles", "volterra8-scc", "planted-cycle",
-            "paper3-increasing", "path40-scc", "path40-verify", "shift24", "late12",
-            "late12-nilpotent",
+            "paper3-increasing", "path40-scc", "path40-verify", "near-degenerate-verify",
+            "shift24", "late12", "late12-nilpotent",
         ],
     )
     def test_exit_code_and_output(self, tmp_path, capsys, desc, argv, code, fragments):
         op = write_json(tmp_path, "op.json", desc)
-        if argv == ["verify"]:
-            argv = argv + ["--cert", _certificate(tmp_path, op)]
+        if argv[0] == "verify":  # of the certificate of kind argv[1:], or scc
+            argv = ["verify", "--cert", _certificate(tmp_path, op, *argv[1:])]
         capsys.readouterr()
         got, text = run(tmp_path, argv[0], "--in", op, *argv[1:])
         err = capsys.readouterr().err
@@ -944,18 +953,24 @@ class TestErrorsAndDeterminism:
         err = capsys.readouterr().err
         assert err.startswith(f"error: malformed JSON in {deep}: ") and err.count("\n") == 1
 
-    def test_shape_mismatch(self, tmp_path):
+    @pytest.mark.parametrize(
+        "kernel, message",
+        [([[0.0]], "matrix with 1 rows does not match 2 points"), ([], "matrix shape mismatch")],
+        ids=["one-row", "empty"],
+    )
+    def test_shape_mismatch(self, tmp_path, capsys, kernel, message):
         op = write_json(
             tmp_path,
             "bad.json",
             {
                 "kind": "dense",
                 "space": {"cells": 0, "atoms": [2, 3]},
-                "kernel": [[0.0]],
+                "kernel": kernel,
             },
         )
-        code, _ = run(tmp_path, "spectrum", "--in", op)
-        assert code == 2
+        code, text = run(tmp_path, "spectrum", "--in", op)
+        assert (code, text) == (2, "")
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize(
         "cert, op",

@@ -342,6 +342,9 @@ class TestLevelByLevelAgainstReference:
             warnings.simplefilter("error")
             assert check_increasing_spectrum(K).verdict
             assert not check_increasing_spectrum(atomic_operator(np.ones((6, 6)))).verdict
+            for K, verdict in ((volterra_linear(4), True), (ones_kernel(3), False)):
+                report = check_increasing_spectrum(K)
+                assert report.verdict is bool(report) is verdict
 
 
 def triangular_hybrid(seed: int, p: int):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    NEAR_DEGENERATE_ATOMS,
     count_decompositions,
     figure_eight,
     forbid_eigenvalues,
@@ -975,6 +976,29 @@ class TestVerifyCertificate:
         report = verify_certificate(K, cert)
         assert not report.checks["block_count_bound"].passed
 
+    def test_near_degenerate_scalars_of_a_constructed_certificate_verify(self):
+        # scalars 1 + (1.14, 0.78, -0.20, 0.16)e-8 in block order, spectrum
+        # 1 + (1.53, -0.58, 0.78, 0.16)e-8, thr = 1e-8. Taking the nearest
+        # eigenvalue left for each scalar in turn pairs 1.14 with 0.78 and
+        # 0.78 with 0.16, and leaves 0.16 with 1.53, 1.37e-8 away; pairing
+        # 1.14 with 1.53 and the rest with their equals keeps all within thr
+        K = atomic_operator(NEAR_DEGENERATE_ATOMS)
+        report = verify_certificate(K, increasing_spectrum_block_form(K))
+        assert report.passed, report.failures()
+
+    def test_scalar_detail_is_canonical_json(self):
+        # the certificate of [[1, 20], [0, 2]] against that kernel with
+        # thr / 2 = 1e-7 below its diagonal, which moves each eigenvalue
+        # 20 * 1e-7 = 10 * thr off its scalar; both lists print as [re, im]
+        # pairs, the same bytes under NumPy 1 and 2
+        cert = increasing_spectrum_block_form(atomic_operator([[1.0, 20.0], [0.0, 2.0]]))
+        K = atomic_operator([[1.0, 20.0], [1e-7, 2.0]])
+        report = verify_certificate(K, cert)
+        eigs = canonical_dumps([complex(z) for z in np.linalg.eigvals(K.entries)]).rstrip()
+        detail = f"scalars [[1.0,0.0],[2.0,0.0]] do not match nonzero spectrum {eigs}"
+        assert report.failures() == [f"scalar_eigenvalues: {detail}"]
+        assert "np." not in detail
+
     def test_round_trip_through_dict(self):
         K = sharpness_example(2)
         cert = increasing_spectrum_block_form(K)
@@ -1041,15 +1065,18 @@ class TestChainInvarianceAgainstReference:
 class TestBlockChecksAgainstReference:
     """Random kernels of 0-10 points over cells and atoms, with entries
     near tol * scale, and random partitions of them into 1..p blocks (none
-    for 0 points), some of them broken by a dropped or repeated point."""
+    for 0 points), some of them broken by a dropped or repeated point.
+    The `degenerate` shape takes singleton blocks in a random order, atom
+    diagonals within about tol * scale of each other and below-block noise
+    up to 1e-9 x scale, which can split them by far more than that."""
 
     @given(
         seeds,
         st.integers(min_value=0, max_value=10),
         st.sampled_from(["nilpotent_rank", "increasing_spectrum"]),
-        st.sampled_from(["partition", "dropped", "repeated"]),
+        st.sampled_from(["partition", "dropped", "repeated", "degenerate"]),
     )
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=400, deadline=None)
     def test_match_a_loop_over_blocks_and_block_pairs(self, seed, p, kind, shape):
         rng = np.random.default_rng(seed)
         if p == 0:
@@ -1061,19 +1088,27 @@ class TestBlockChecksAgainstReference:
             kernel = scale * rng.standard_normal((p, p)) * (rng.random((p, p)) < 0.5)
             near = rng.random((p, p)) < 0.3  # about 1e-8 x scale, on either side
             kernel[near] = rng.uniform(0.3, 3.0, near.sum()) * 1e-8 * max(1.0, scale)
-            K = kernel_operator(build_space(cells, range(2, p - cells + 2)), kernel)
         m = int(rng.integers(1, p + 1)) if p else 0
         pos = np.concatenate([np.arange(m), rng.integers(0, m, p - m)]).astype(int)
         rng.shuffle(pos)
+        if shape == "degenerate" and p:
+            m, pos = p, rng.permutation(p)
+            below = pos[:, None] > pos[None, :]
+            kernel[below] = scale * 10.0 ** rng.uniform(-18, -9, below.sum())
+            np.fill_diagonal(kernel, 0.0)
+            atoms = np.arange(cells, p)
+            kernel[atoms, atoms] = scale + 1e-8 * magnitude(kernel) * rng.uniform(-1, 1, atoms.size)
+        if p:
+            K = kernel_operator(build_space(cells, range(2, p - cells + 2)), kernel)
         blocks = [list(np.flatnonzero(pos == b)) for b in range(m)]
-        if shape != "partition" and p:
+        if shape in ("dropped", "repeated") and p:
             b = int(rng.integers(m))
             blocks[b] = blocks[b][1:] if shape == "dropped" else blocks[b] + blocks[b][:1]
         blocks = tuple(tuple(int(i) for i in block) for block in blocks)
         cert = TriangularizationCertificate(kind, blocks, (), None, None, 0.0, 1e-8, False)
 
         checks = verify_certificate(K, cert).to_dict()["checks"]
-        if shape != "partition" and p:
+        if shape in ("dropped", "repeated") and p:
             assert list(checks) == ["partition"]
             return
         expected = reference_block_checks(K, kind, blocks)
