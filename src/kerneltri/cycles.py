@@ -252,6 +252,76 @@ def acyclic_suffix(entries: np.ndarray) -> int:
     return p - 1 - int(points[v])
 
 
+class SubsetCycles:
+    """Which subsets of the last points of the square array `entries` have
+    a cycle of exactly nonzero off-diagonal entries, grown level by level.
+
+    Subsets are level masks: bit j stands for point p-1-j, so the subsets
+    of the last m points T_m are the masks below 2^m. `suffix` is the
+    largest m whose T_m is acyclic, as :func:`acyclic_suffix` gives it:
+    T_m stays acyclic while point p-m closes no cycle inside it, which a
+    search over the successor bitmasks decides without the table.
+    :meth:`grow` then extends the table to the subsets of T_m, in Python
+    over bitmasks: out[S] is the union of the successors of S, grown one
+    bit at a time, S & ~out[S] are the sources of S, and S is acyclic iff
+    it has a source s and S ^ s is acyclic (S ^ s < S, so it is known).
+    """
+
+    def __init__(self, entries: np.ndarray):
+        p = entries.shape[0]
+        # row j packs the arcs out of point p-1-j, point c in bit 7 - c % 8
+        # of byte c // 8, so a row read big-endian and shifted right by
+        # 8 * width - p is the level mask of their heads
+        self._rows = np.packbits(entries[::-1] != 0, axis=1).tobytes()
+        self._width = (p + 7) // 8
+        self._shift = 8 * self._width - p
+        self._succ: list[int] = []  # per level bit, its loop cleared (a loop is no cycle)
+        succ = self._succ
+        m = 0
+        while m < p:
+            # does bit m lie on a cycle among bits 0..m?
+            within = (2 << m) - 1
+            reach = 0
+            todo = self._successors(m) & within
+            while todo:
+                reach |= todo
+                heads = 0
+                while todo:
+                    low = todo & -todo
+                    heads |= succ[low.bit_length() - 1]
+                    todo ^= low
+                todo = heads & within & ~reach
+            if reach >> m & 1:
+                break
+            m += 1
+        self.suffix = m
+        self._out = [0]  # per level mask below 2^level, as grown so far
+        self._cyclic = [False]
+
+    def _successors(self, j: int) -> int:
+        """Read the successor mask of bit j into self._succ[j]."""
+        width = self._width
+        row = int.from_bytes(self._rows[j * width : (j + 1) * width], "big")
+        self._succ.append(row >> self._shift & ~(1 << j))
+        return self._succ[j]
+
+    def grow(self, m: int) -> np.ndarray:
+        """Extend the table to the subsets of T_m and return, per level mask
+        below 2^m, whether the subset has a cycle."""
+        out, cyclic = self._out, self._cyclic
+        for j in range(len(out).bit_length() - 1, m):
+            head = self._succ[j] if j < len(self._succ) else self._successors(j)
+            out += [o | head for o in out]
+            if j < self.suffix:  # inside T_suffix, so acyclic
+                cyclic += [False] * (1 << j)
+                continue
+            append = cyclic.append
+            for s in range(1 << j, 2 << j):
+                sources = s & ~out[s]
+                append(not sources or cyclic[s ^ (sources & -sources)])
+        return np.array(cyclic[: 1 << m])
+
+
 def _top_cycle_point(reach: np.ndarray) -> int | None:
     """The largest v that is the smallest point of a cycle of the boolean
     array `reach` (its diagonal clear), None when it has no cycle; `reach`

@@ -14,16 +14,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cycles import acyclic_suffix
+from .cycles import SubsetCycles, acyclic_suffix
 from .errors import DimensionMismatchError, PreconditionError
 from .operators import Operator
 from .spaces import (
     DEFAULT_MAX_POINTS,
     StandardSet,
+    _subset_points,
     _subsets_by_size,
     level_mask_indices,
     level_pair_table,
-    pair_masks,
 )
 from .spectral import (
     DEFAULT_TOL,
@@ -105,71 +105,129 @@ def _value_index(digits: int, start: int, above: int) -> tuple[np.ndarray, ...]:
     return e[rows], f[rows], rows, cols
 
 
-def _pair_chunks(m: int):
-    """The pairs of level m, numbers 3^(m-1) .. 3^m - 1, in enumeration
-    order and in blocks of at most block_size(m) pairs: yields, per block,
-    the number of its first pair and, for each value of σ(E) over its
-    pairs in row-major order, the E and F level masks, the pair's row in
-    the block and the value's column of σ(E) (see :func:`_value_index`).
-    A block of 3^k pairs is one setting of the m - k high digits over
-    level_pair_table(k), so its index is the cached one of the low digits
-    for the count of E's points among the high ones."""
-    lo, hi = 3 ** (m - 1), 3**m
+@functools.cache
+def _one_block(m: int) -> bool:
+    """Whether the pairs of level m fit in one block."""
+    return 3**m - 3 ** (m - 1) <= block_size(m)
+
+
+def _pair_blocks(m: int, cyclic: np.ndarray):
+    """The pairs of level m, numbers 3^(m-1) .. 3^m - 1, when they span
+    several blocks: in enumeration order, 3^k pairs a block for the
+    largest 3^k <= block_size(m), each one setting of the m - k high
+    digits over level_pair_table(k). Yields, per block, the number of its
+    first pair, the E and F level masks of its pairs and, for each value
+    of σ(E) over its pairs in row-major order, the pair's row in the block
+    and the value's column of σ(E), from the cached :func:`_value_index`
+    of the low digits for the count of E's points among the high ones. A
+    block whose largest F, the high F with every low point, is acyclic
+    (`cyclic`, per level mask) holds only pairs with an acyclic F and is
+    left out."""
     cap = block_size(m)
-    if hi - lo <= cap:
-        yield (lo, *_value_index(m, lo, 0))
-        return
     k = 0
     while 3 ** (k + 1) <= cap:
         k += 1
-    high_bits = [1 << j for j in range(k, m)]
-    block = 3**k
-    for high in range(lo // block, hi // block):
-        e_high, f_high = pair_masks(high, high_bits)
-        e, f, rows, cols = _value_index(k, 0, e_high.bit_count())
-        yield high * block, e | e_high, f | f_high, rows, cols
+    block, low_points = 3**k, (1 << k) - 1
+    e, f = level_pair_table(k)
+    e_highs, f_highs = (t.tolist() for t in level_pair_table(m - k))
+    for high in range(3 ** (m - 1) // block, 3**m // block):
+        e_high, f_high = e_highs[high] << k, f_highs[high] << k
+        if cyclic[f_high | low_points]:
+            rows, cols = _value_index(k, 0, e_high.bit_count())[2:]
+            yield high * block, e | e_high, f | f_high, rows, cols
 
 
 def _exhaustive_check(K: Operator, tol: float) -> PropertyReport:
     """The exhaustive path of :func:`check_increasing_spectrum`."""
     p = K.size
     entries = K.entries
-    suffix = acyclic_suffix(entries)
-    if suffix == p:
+    table = SubsetCycles(entries)
+    if table.suffix == p:
         return PropertyReport(True, 3**p, True, tol)
     tol_eff = tol * K.scale
-    # spectra per level mask of T_m, one column of m rows each, padded with
-    # NaN (column 0 is the empty set): a σ(F) table gathered from it is
-    # column-major, so first_excluded reduces each value's distances along
-    # contiguous rows. It grows by one level at a time, so a witness found
-    # at level m costs only the 2^m subsets of T_m.
+    diagonal = np.concatenate((entries.diagonal(), [np.nan]))  # NaN pads the columns
+    # values per level mask of T_m, one column of m rows each, padded with
+    # NaN (column 0 is the empty set): σ(S) of a cyclic S, and the diagonal
+    # entries of an acyclic S, its exact spectrum. A σ(F) table gathered
+    # from it is column-major, so first_excluded reduces each value's
+    # distances along contiguous rows. On a level of several pair blocks,
+    # far[F] holds the level bits of the points whose diagonal entries lie
+    # farther than tol_eff from σ(F), for a cyclic F (0 for an acyclic one).
+    # Both grow by one level at a time, so a witness found at level m costs
+    # only the 2^m subsets of T_m.
     spec = np.empty((0, 1), dtype=complex)
+    far = None
 
-    def add_level(low: int, m: int) -> None:
-        nonlocal spec
-        grown = np.full((m, 1 << m), np.nan, dtype=complex)
+    def add_level(low: int, m: int, cyclic: np.ndarray, one_block: bool) -> None:
+        nonlocal spec, far
+        grown = diagonal[p - m :].take(_subset_points(m))
         grown[:low, : 1 << low] = spec
+        if not one_block:
+            far = np.zeros(1 << m, dtype=np.intp)  # F holds point p-m, so is new
         block = entries[p - m :, p - m :].ravel()  # T_m, row-major
-        for s, lmasks, gather in _subsets_by_size(low, m):
-            grown[:s, lmasks] = dense_eigvals(block.take(gather)).T
+        for s, lmasks, gather, bits in _subsets_by_size(low, m)[1:]:  # a singleton is acyclic
+            keep = cyclic.take(lmasks)
+            if np.count_nonzero(keep) < keep.size:
+                keep = keep.nonzero()[0]
+                lmasks, gather = lmasks.take(keep), gather.take(keep, 0)
+                if not one_block:
+                    bits = bits.take(keep, 0)
+            if lmasks.size:
+                mats = block.take(gather)
+                values = dense_eigvals(mats)
+                grown[:s, lmasks] = values.T
+                if not one_block:  # the comparison of first_excluded
+                    dist = np.abs(mats.diagonal(0, 1, 2)[:, :, None] - values[:, None, :])
+                    far[lmasks] = ((np.fmin.reduce(dist, axis=2) > tol_eff) * bits).sum(axis=1)
         spec = grown
+
+    def report(number: int, e_lmask: int, f_lmask: int, col: int) -> PropertyReport:
+        """The report of the witness pair `number`, excluding value `col` of
+        σ(E). An acyclic E is a singleton there: a point of E whose diagonal
+        entry lies farther than tol_eff from σ(F) makes that point alone,
+        with the same F, a violating pair that comes no later."""
+        witness = (
+            level_mask_indices(e_lmask, p),
+            level_mask_indices(f_lmask, p),
+            complex(spec[col, e_lmask]),
+        )
+        return PropertyReport(False, number + 1, True, tol, witness)
 
     # the pairs up to level `suffix` hold, so the scan starts one level later
     low = 0
-    for m in range(suffix + 1, p + 1):
-        add_level(low, m)
+    for m in range(table.suffix + 1, p + 1):
+        cyclic = table.grow(m)
+        one_block = _one_block(m)
+        add_level(low, m, cyclic, one_block)
         low = m
         flat = spec.ravel()
-        for number, e, f, rows, cols in _pair_chunks(m):
-            hit = first_excluded(flat.take(cols * (1 << m) + e), spec.take(f, 1).T, tol_eff)
+        if one_block:  # every value, an acyclic F holding at distance 0
+            ev, fv, rows, cols = _value_index(m, 3 ** (m - 1), 0)
+            hit = first_excluded(flat.take(cols * (1 << m) + ev), spec.take(fv, 1).T, tol_eff)
             if hit is not None:
-                e_lmask, f_lmask = int(e[hit]), int(f[hit])
-                witness = (
-                    level_mask_indices(e_lmask, p),
-                    level_mask_indices(f_lmask, p),
-                    complex(spec[cols[hit], e_lmask]),
-                )
-                return PropertyReport(False, number + int(rows[hit]) + 1, True, tol, witness)
+                number = 3 ** (m - 1) + int(rows[hit])
+                return report(number, int(ev[hit]), int(fv[hit]), int(cols[hit]))
+            continue
+        for number, e, f, rows, cols in _pair_blocks(m, cyclic):
+            # an acyclic F holds (far[F] = 0); a point v in E & far[F] makes
+            # ({v}, F) fail, and that pair comes no later than (E, F), so
+            # the first pair whose E meets far[F] is the first failure of an
+            # acyclic E. Only a cyclic E before it is measured value by value.
+            fails = (e & far.take(f)).astype(bool)
+            stop = int(fails.argmax())
+            if not fails[stop]:
+                stop = e.size
+            measured = cyclic.take(e)
+            measured[stop:] = False
+            if measured[int(measured.argmax())]:
+                v = measured.take(rows).nonzero()[0]
+                r, c = rows.take(v), cols.take(v)
+                ev, fv = e.take(r), f.take(r)
+                hit = first_excluded(flat.take(c * (1 << m) + ev), spec.take(fv, 1).T, tol_eff)
+                if hit is not None:
+                    return report(number + int(r[hit]), int(ev[hit]), int(fv[hit]), int(c[hit]))
+            if stop < e.size:
+                return report(number + stop, int(e[stop]), int(f[stop]), 0)
     return PropertyReport(True, 3**p, True, tol)
 
 
@@ -183,27 +241,38 @@ def check_increasing_spectrum(
     eigenvalue of the inner compression within tol * K.scale of one of
     the outer.
 
-    Both paths first take :func:`acyclic_suffix` of K.entries: a
-    compression whose exactly nonzero off-diagonal entries form no cycle
-    is triangular up to a permutation, so its spectrum is its diagonal and
-    every pair inside its points holds at distance 0.
+    A compression whose exactly nonzero off-diagonal entries form no cycle
+    is triangular up to a permutation, so its spectrum is its diagonal:
+    the exhaustive path reads that rule per subset from one
+    :class:`SubsetCycles` table, and the structural path per operator from
+    :func:`acyclic_suffix`.
 
     Exhaustive for spaces with at most `max_points` points. In the order
     of :func:`standard_pair_masks` the first 3^m pairs are those over the
     last m points T_m = {p-m, ..., p-1}, so level m (m = 1..p) adds the
-    pairs whose F holds point p-m. The levels up to the acyclic suffix
-    hold, all p of them on an acyclic support; each later level
-    eigen-decomposes its new subsets in one stacked :func:`dense_eigvals`
-    call per subset size and scans its pairs exactly, in enumeration order
-    and in vectorized blocks of bounded size (:func:`_pair_chunks`). Each
-    block gathers only the eigenvalues of σ(E) that exist, by its cached
+    pairs whose F holds point p-m. The levels up to the table's acyclic
+    suffix hold, all p of them on an acyclic support. Each later level
+    grows the table to the subsets of T_m, eigen-decomposes its new cyclic
+    subsets in one stacked :func:`dense_eigvals` call per subset size, and
+    reads the diagonal of the acyclic ones as their spectra. It then
+    decides its pairs exactly, in enumeration order. A level of one pair
+    block gathers the values of σ(E) of all its pairs, by a cached
     structural value index, and the σ(F) row of each, and one
-    :func:`first_excluded` call measures them. Only the spectra of the
-    subsets of T_m are held, so a witness found at level m costs 2^m
-    subsets however large p is. The reported witness on failure is
-    the first violating pair in enumeration order (the lexicographically
-    minimal one), and `pairs_checked` counts the pairs decided: up to and
-    including the witness, or all 3^p on a pass.
+    :func:`first_excluded` call measures them; a pair with an acyclic F
+    holds there at distance 0. On a level of several blocks of bounded
+    size (:func:`_pair_blocks`), a block whose F are all acyclic is
+    skipped, and each cyclic F carries far[F], the points of F whose
+    diagonal entries lie farther than tol * K.scale from σ(F) (the
+    comparison of :func:`first_excluded`): a pair with an acyclic F holds,
+    one with an acyclic E holds iff E & far[F] == 0, and only the pairs
+    whose E is cyclic too are measured value by value. Only the subsets of
+    T_m are held, so a witness found at level m costs 2^m subsets however
+    large p is. The reported witness on failure is the first violating
+    pair in enumeration order (the lexicographically minimal one), and
+    `pairs_checked` counts the pairs decided: up to and including the
+    witness, or all 3^p on a pass. A witness with an acyclic E is a
+    singleton ({v}, F), reported with a_vv, the value LAPACK returns for
+    it (README "Tolerances" names the exceptions).
 
     Larger spaces are decided structurally, and the report carries
     exhaustive=False. An acyclic exact support holds, with all 3^p pairs.

@@ -194,24 +194,39 @@ def level_pair_table(digits: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.cache
-def _subsets_by_size(low: int, m: int) -> list[tuple[int, np.ndarray, np.ndarray]]:
+def _subsets_by_size(low: int, m: int) -> list[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
     """The nonempty subsets of T_m with level masks in [2^low, 2^m),
-    grouped by size s as (s, level masks, gather): gather[r] (s × s) holds
-    the flat indices, into the m × m block of T_m, of the compression to
-    the r-th subset, its points ascending."""
+    grouped by size s as (s, level masks, gather, bits): gather[r] (s × s)
+    holds the flat indices, into the m × m block of T_m, of the
+    compression to the r-th subset, its points ascending, and bits[r] (s)
+    the level bits of those points."""
     lmasks = np.arange(max(1, 1 << low), 1 << m)
     bits = (lmasks[:, None] >> np.arange(m)) & 1
     sizes = bits.sum(axis=1)
     groups = []
     for s in range(1, m + 1):
         cols = np.nonzero(bits[sizes == s, ::-1])[1].reshape(-1, s)
-        groups.append((s, lmasks[sizes == s], cols[:, :, None] * m + cols[:, None, :]))
+        gather = cols[:, :, None] * m + cols[:, None, :]
+        groups.append((s, lmasks[sizes == s], gather, 1 << (m - 1 - cols)))
     return groups
+
+
+@functools.cache
+def _subset_points(m: int) -> np.ndarray:
+    """Per level mask below 2^m, one column of m rows: the positions in
+    T_m of the subset's points ascending, padded with m."""
+    held = (np.arange(1 << m)[:, None] >> np.arange(m - 1, -1, -1)) & 1  # by position
+    return np.sort(np.where(held == 1, np.arange(m), m), axis=1).T
 
 
 def level_mask_indices(lmask: int, p: int) -> tuple[int, ...]:
     """Ascending indices of the points 0..p-1 in the level mask `lmask`."""
-    return tuple(i for i in range(p) if lmask >> (p - 1 - i) & 1)
+    points = []
+    while lmask:
+        top = lmask.bit_length() - 1  # the highest bit left is the smallest point
+        points.append(p - 1 - top)
+        lmask ^= 1 << top
+    return tuple(points)
 
 
 def nested_chain(space: MeasureSpace, steps: int) -> list[StandardSet]:

@@ -119,24 +119,33 @@ def match_multisets(a: Sequence[complex], b: Sequence[complex], cutoff: float) -
     iff both lists have equal length and some pairing keeps every distance
     |a_i - b_j| <= cutoff.
 
-    The pairing is an optimal assignment on the 0/1 cost
-    `|a_i - b_j| > cutoff`, which is 0 exactly when such a pairing exists;
-    a min-sum assignment on the distances need not find it.
-
-    scipy.optimize is imported here, not with the module: no other
-    function uses it, and it loads scipy.sparse too.
+    That pairing is a perfect matching on the near pairs, which augmenting
+    paths find (Kuhn's algorithm): each a_i in turn takes a free near b_j
+    or, failing that, a near b_j whose partner can move to another one,
+    recursively; once some a_i finds neither, no pairing exists. A min-sum
+    assignment on the distances need not find it.
     """
-    from scipy.optimize import linear_sum_assignment
-
     a = np.array(a)
     b = np.array(b)
     if a.size != b.size:
         return False
-    if a.size == 0:
-        return True
-    far = np.abs(a[:, None] - b[None, :]) > cutoff
-    rows, cols = linear_sum_assignment(far)
-    return not far[rows, cols].any()
+    near = [row.nonzero()[0].tolist() for row in np.abs(a[:, None] - b[None, :]) <= cutoff]
+    partner = [-1] * b.size  # partner[j]: the index of the a paired with b_j
+
+    def augment(i: int, seen: set[int]) -> bool:
+        for j in near[i]:
+            if partner[j] < 0:
+                partner[j] = i
+                return True
+        for j in near[i]:
+            if j not in seen:
+                seen.add(j)
+                if augment(partner[j], seen):
+                    partner[j] = i
+                    return True
+        return False
+
+    return all(augment(i, set()) for i in range(a.size))
 
 
 def nonzero_eigen_match(K1: Operator, K2: Operator, tol: float = DEFAULT_TOL) -> bool:

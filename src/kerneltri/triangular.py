@@ -31,7 +31,12 @@ from .operators import (
     magnitude,
     numerical_rank,
 )
-from .spaces import DEFAULT_MAX_POINTS, StandardSet, _subsets_by_size, mask_indices
+from .spaces import (
+    DEFAULT_MAX_POINTS,
+    StandardSet,
+    _subsets_by_size,
+    mask_indices,
+)
 from .spectral import (
     DEFAULT_TOL,
     dense_eigvals,
@@ -39,7 +44,7 @@ from .spectral import (
     exact_cycle_spectrum,
     match_multisets,
 )
-from .cycles import SupportDigraph, acyclic_suffix, scc_blocks, support_digraph
+from .cycles import SubsetCycles, SupportDigraph, acyclic_suffix, scc_blocks, support_digraph
 from .jsonio import canonical_dumps, is_integer, is_number
 
 
@@ -231,14 +236,18 @@ def max_kernel_projection(K: Operator | FiniteRankOperator, side: str = "right")
 def assert_nilpotent_compressions(K: Operator, tol: float = DEFAULT_TOL) -> None:
     """Raise unless every standard compression of K is nilpotent.
 
-    A zero diagonal on an acyclic exact support (see
-    :func:`acyclic_suffix`) makes every compression strictly triangular up
-    to a permutation, so nilpotent. Up to DEFAULT_MAX_POINTS points such
-    an operator returns at once, and the check otherwise runs over every
-    subset, size by size, and names the failure of smallest bitmask: each
-    size takes one stacked eigvals call over its subsets below the
-    smallest failing bitmask found so far. Above it the structure
-    decides: a diagonal entry above tol * K.scale names its singleton (the
+    A compression whose exactly nonzero off-diagonal entries form no cycle
+    is triangular up to a permutation, so its spectrum is its diagonal,
+    and its radius the largest |diagonal entry|. Up to DEFAULT_MAX_POINTS
+    points the check names the failure of smallest bitmask: the singleton
+    of the first point v whose |diagonal entry| exceeds tol * K.scale
+    fails, and every subset of smaller bitmask holds only earlier points,
+    so it fails only if cyclic. The :class:`SubsetCycles` table of those
+    points picks the cyclic ones, and each size takes one stacked eigvals
+    call over its cyclic subsets below the smallest failing bitmask found
+    so far; with no cyclic one the check decomposes nothing, and on a
+    diagonal within the cutoff and an acyclic exact support it returns at
+    once. Above it the structure decides: a diagonal entry above tol * K.scale names its singleton (the
     smallest point), an acyclic exact support returns, and otherwise the error
     names the :func:`shortest_cycle` C of the exact support with the
     radius of the compression to C (with a zero diagonal its eigenvalues
@@ -263,21 +272,32 @@ def assert_nilpotent_compressions(K: Operator, tol: float = DEFAULT_TOL) -> None
             f"at or below tol * scale = {cutoff:.3e}: the operator lies in the tolerance "
             "band, where the nilpotence of every compression is not decided"
         )
-    if not np.diagonal(K.entries).any() and acyclic_suffix(K.entries) == p:
-        return
-    # over the points reversed, a level mask is the subset's bitmask (bit i
-    # = point i), and gather[:, ::-1, ::-1] takes its points ascending
-    block = K.entries[::-1, ::-1].ravel()
-    first = None  # (bitmask, radius) of the smallest failure so far
-    for _, masks, gather in _subsets_by_size(0, p):
-        if first is not None:
-            below = masks < first[0]
-            masks, gather = masks[below], gather[below]
-        if masks.size:
-            radius = np.abs(dense_eigvals(block.take(gather[:, ::-1, ::-1]))).max(axis=1)
-            bad = np.flatnonzero(radius > cutoff)
-            if bad.size:
-                first = int(masks[bad[0]]), radius[bad[0]]
+    # the singleton of the first point whose diagonal entry exceeds the
+    # cutoff fails, and a subset of smaller bitmask holds only earlier
+    # points: acyclic, it has those entries as its spectrum and holds, so
+    # only the cyclic ones are decomposed. Over the points reversed, a level
+    # mask is the subset's bitmask (bit i = point i), and gather[:, ::-1,
+    # ::-1] takes its points ascending.
+    diagonal = np.abs(np.diagonal(K.entries))
+    above = (diagonal > cutoff).nonzero()[0]
+    top = int(above[0]) if above.size else p
+    first = (1 << top, diagonal[top]) if top < p else None  # (bitmask, radius)
+    head = K.entries[:top, :top][::-1, ::-1]
+    table = SubsetCycles(head)
+    if table.suffix < top:
+        cyclic = table.grow(top)
+        block = head.ravel()
+        for _, masks, gather, _ in _subsets_by_size(0, top)[1:]:  # a singleton is acyclic
+            keep = cyclic.take(masks)
+            if first is not None:
+                keep &= masks < first[0]
+            keep = keep.nonzero()[0]
+            if keep.size:
+                mats = block.take(gather.take(keep, 0)[:, ::-1, ::-1])
+                radius = np.abs(dense_eigvals(mats)).max(axis=1)
+                bad = (radius > cutoff).nonzero()[0]
+                if bad.size:
+                    first = int(masks[keep[bad[0]]]), radius[bad[0]]
     if first is not None:
         raise _not_nilpotent(list(mask_indices(first[0], p)), first[1])
 

@@ -681,6 +681,26 @@ def backtracking_match(a: list[complex], b: list[complex], cutoff: float) -> boo
     return pairs(0, 0)
 
 
+def planted_cycles(rng: np.random.Generator, p: int) -> np.ndarray:
+    """A p×p kernel, upper triangular in a random point order with a
+    diagonal that repeats 0 and ±1 about half the time, plus 1 to 3 cycles
+    planted on random sets of 2 to 4 points. A cycle is strong (arcs 1 to
+    2) or, more often, weak (arcs 1e-12 to 2e-9): the compressions that
+    hold a weak one are cyclic yet keep their spectra within tol, so
+    acyclic and cyclic E and F mix before the first witness."""
+    order = rng.permutation(p)
+    rank = np.empty(p, dtype=int)
+    rank[order] = np.arange(p)
+    mat = (rank[:, None] < rank[None, :]) * rng.standard_normal((p, p)) * (rng.random((p, p)) < 0.4)
+    repeated = rng.choice([0.0, 1.0, -1.0], size=p)
+    mat[np.arange(p), np.arange(p)] = np.where(rng.random(p) < 0.5, repeated, rng.standard_normal(p))
+    for _ in range(int(rng.integers(1, 4))):
+        pts = rng.choice(p, size=int(rng.integers(2, min(4, p) + 1)), replace=False)
+        weight = 10.0 ** rng.uniform(-12, -9) if rng.random() < 0.6 else 1.0
+        mat[pts, np.roll(pts, -1)] = weight * (1.0 + rng.random(pts.size))
+    return mat
+
+
 def mixed_component_digraph(rng: np.random.Generator, p: int) -> np.ndarray:
     """A p×p kernel whose support mixes trivial and nontrivial strongly
     connected components: forward arcs in a random point order, a few

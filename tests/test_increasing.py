@@ -1,3 +1,5 @@
+import itertools
+import math
 import warnings
 
 import numpy as np
@@ -11,9 +13,12 @@ from conftest import (
     figure_eight,
     forbid_eigenvalues,
     near_tolerance_instance,
+    planted_cycles,
     random_hybrid_instance,
     random_nilpotent_instance,
+    reference_acyclic_suffix,
     reference_increasing_check,
+    reference_nilpotent_failure,
     reference_radius_profile,
     reference_shortest_cycle,
     reference_structural_check,
@@ -28,6 +33,7 @@ from kerneltri import (
     PreconditionError,
     PropertyReport,
     StandardSet,
+    assert_nilpotent_compressions,
     build_space,
     check_increasing_spectrum,
     compress,
@@ -41,6 +47,8 @@ from kerneltri import (
     sharpness_example,
     volterra_linear,
 )
+from kerneltri.cycles import SubsetCycles
+from kerneltri.spaces import mask_indices, standard_pair_masks
 
 
 def atomic_operator(matrix):
@@ -345,6 +353,147 @@ class TestLevelByLevelAgainstReference:
             for K, verdict in ((volterra_linear(4), True), (ones_kernel(3), False)):
                 report = check_increasing_spectrum(K)
                 assert report.verdict is bool(report) is verdict
+
+
+def planted_operator(seed: int):
+    """`planted_cycles` on 3 to 8 points (by seed) over a hybrid space."""
+    p = 3 + seed % 6
+    mat = planted_cycles(np.random.default_rng(seed), p)
+    return kernel_operator(build_space(p // 3, range(2, p - p // 3 + 2)), mat)
+
+
+def reference_cyclic_subsets(entries: np.ndarray) -> list[bool]:
+    """Per level mask (bit j is point p-1-j), whether the compression to
+    its points has a cycle of exactly nonzero off-diagonal entries:
+    `reference_acyclic_suffix` of the compression falls short of its size."""
+    p = entries.shape[0]
+    flags = []
+    for lmask in range(1 << p):
+        idx = [i for i in range(p) if lmask >> (p - 1 - i) & 1]
+        flags.append(reference_acyclic_suffix(entries[np.ix_(idx, idx)]) < len(idx))
+    return flags
+
+
+class TestSubsetTableAgainstBruteForce:
+    """The table of cyclic subsets, the pair rules built on it (an acyclic
+    F holds, an acyclic E is decided by far[F], a cyclic E is measured)
+    and the nilpotence scan, against plain loops on operators with cycles
+    planted on random point subsets; levels of 7 and 8 points span several
+    pair blocks."""
+
+    SEEDS = range(30)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_report_table_and_nilpotence(self, seed):
+        K = planted_operator(seed)
+        p = K.size
+        assert check_increasing_spectrum(K) == reference_increasing_check(K)
+
+        table = SubsetCycles(K.entries)
+        assert table.suffix == reference_acyclic_suffix(K.entries)
+        assert table.grow(p).tolist() == reference_cyclic_subsets(K.entries)
+
+        # a zero diagonal but on one point, if any: the scan then reaches
+        # the cyclic subsets of the points before it
+        kernel = np.array(K.kernel_values)
+        np.fill_diagonal(kernel, 0.0)
+        top = seed % (p + 1)
+        if top < p:
+            kernel[top, top] = 1.0
+        N = kernel_operator(K.space, kernel)
+        expected = reference_nilpotent_failure(N)
+        if expected is None:
+            assert_nilpotent_compressions(N)
+        else:
+            with pytest.raises(PreconditionError) as exc:
+                assert_nilpotent_compressions(N)
+            assert str(exc.value) == expected
+
+    def test_the_operators_mix_the_pair_kinds(self):
+        # over the seeds above: both verdicts, witnesses with an acyclic E
+        # and a cyclic F, and pairs with both sets cyclic before a witness
+        # (a cyclic E first fails in test_levels_of_several_pair_blocks and
+        # test_witness_inside_a_chunk_and_a_spectrum)
+        seen = set()
+        for seed in self.SEEDS:
+            K = planted_operator(seed)
+            p = K.size
+            report = check_increasing_spectrum(K)
+            seen.add(report.verdict)
+            if report.verdict:
+                continue
+            cyclic = reference_cyclic_subsets(K.entries)
+
+            def lmask(points):
+                return sum(1 << (p - 1 - i) for i in points)
+
+            e, f, _ = report.witness
+            seen.add(("witness E", cyclic[lmask(e)], "witness F", cyclic[lmask(f)]))
+            for e_mask, f_mask in itertools.islice(
+                standard_pair_masks(p), report.pairs_checked - 1
+            ):
+                e_points = mask_indices(e_mask, p)
+                if cyclic[lmask(e_points)]:
+                    seen.add("both cyclic before the witness")
+                    break
+        assert {
+            True,
+            False,
+            ("witness E", False, "witness F", True),
+            "both cyclic before the witness",
+        } <= seen
+
+
+class TestDecompositionsSaved:
+    """Only cyclic subsets are eigen-decomposed."""
+
+    def test_late_violator_decomposes_the_subsets_of_its_cycle(self, monkeypatch):
+        # a 2-cycle on points 0 and 1, triangular elsewhere: the acyclic
+        # suffix holds points 1 to 8, and of the 256 new subsets of level 9
+        # only the 2^7 that hold both points are cyclic, one call per size
+        p = 9
+        rng = np.random.default_rng(p)
+        kernel = np.zeros((p, p), dtype=complex)
+        kernel[0, 1], kernel[1, 0] = 1.5, -0.75
+        kernel[2:, 2:] = np.triu(rng.standard_normal((p - 2, p - 2)))
+        K = kernel_operator(build_space(p // 4, range(2, p - p // 4 + 2)), kernel)
+        counts = count_decompositions(monkeypatch)
+        report = check_increasing_spectrum(K)
+        assert counts == [(s, math.comb(p - 2, s - 2)) for s in range(2, p + 1)]
+        assert report == PropertyReport(False, 5 * 3 ** (p - 2) + 1, True, 1e-8, ((1,), (0, 1), 0j))
+        monkeypatch.undo()
+        assert report == reference_increasing_check(K)
+
+    @pytest.mark.parametrize("p", [3, 6, 9])
+    def test_two_cycle_on_the_last_points_decomposes_only_them(self, monkeypatch, p):
+        # triangular with the 2-cycle on points p-2 and p-1: level 2 holds
+        # the only cyclic subset, and ({p-1}, {p-2, p-1}) violates there
+        rng = np.random.default_rng(p)
+        kernel = np.triu(rng.standard_normal((p, p))).astype(complex)
+        kernel[p - 2, p - 2] = kernel[p - 1, p - 1] = 0.0
+        kernel[p - 2, p - 1], kernel[p - 1, p - 2] = 1.5, -0.75
+        K = atomic_operator(kernel)
+        counts = count_decompositions(monkeypatch)
+        report = check_increasing_spectrum(K)
+        assert counts == [(2, 1)]
+        assert report == PropertyReport(False, 6, True, 1e-8, ((p - 1,), (p - 2, p - 1), 0j))
+
+    def test_nilpotence_scan_decomposes_only_cyclic_subsets(self, monkeypatch):
+        # a zero diagonal, arcs of 1 from each point to every later one and
+        # arcs of 1e-30 back inside the pairs {0, 1}, {2, 3} and {4, 5}: the
+        # 2^7 - 3^3 * 2 = 74 subsets that hold a whole pair are cyclic, and
+        # each compression has radius at most 1e-15, so the scan decomposes
+        # each of them once and no other
+        p = 7
+        kernel = np.triu(np.ones((p, p)), 1)
+        for i in (0, 2, 4):
+            kernel[i + 1, i] = 1e-30
+        K = atomic_operator(kernel)
+        assert reference_nilpotent_failure(K) is None
+        counts = count_decompositions(monkeypatch)
+        assert_nilpotent_compressions(K)
+        assert sum(n for _, n in counts) == sum(reference_cyclic_subsets(K.entries)) == 74
+        assert all(s >= 2 for s, _ in counts)
 
 
 def triangular_hybrid(seed: int, p: int):

@@ -369,6 +369,21 @@ class TestMatchMultisets:
             assert match_multisets(a, b, cutoff) == brute_force_match(a, b, cutoff)
 
 
+    def test_a_long_augmenting_path(self):
+        # a_i = i + 1/2 lies near b_i = i and b_(i+1) for i < n - 1, and
+        # a_(n-1) = -1/2 only near b_0: the last value moves every earlier
+        # pairing one place up; one more a near b_0 alone leaves none
+        n = 300
+        b = list(range(n))
+        a = [i + 0.5 for i in range(n - 1)] + [-0.5]
+        assert match_multisets(a, b, 0.6)
+        assert not match_multisets(a[:-2] + [-0.5, -0.5], b, 0.6)
+
+    def test_many_equal_values(self):
+        assert match_multisets([0j] * 512, [1e-9] * 512, 1e-8)
+        assert not match_multisets([0j] * 511 + [1.0], [0.0] * 512, 1e-8)
+
+
 def test_permutation_similarity_invariance():
     rng = np.random.default_rng(19)
     for p in (2, 5, 9, 16):

@@ -344,21 +344,23 @@ class TestAssertNilpotentCompressions:
         )
         assert counts == [(p, 1)]
 
-    def test_exhaustive_failure_is_decomposed_once(self, monkeypatch):
-        # the five singletons take one call and {0} (bitmask 1) fails there:
-        # no larger subset has a smaller bitmask, so none is decomposed
+    def test_exhaustive_failure_on_the_diagonal_needs_no_eigenvalues(self, monkeypatch):
+        # the five singletons are acyclic, so their radii are their
+        # diagonal entries, and {0} (bitmask 1) fails there: no larger
+        # subset has a smaller bitmask, so none is decomposed
         K = ones_kernel(5)
         expected = reference_nilpotent_failure(K)
         counts = count_decompositions(monkeypatch)
         with pytest.raises(PreconditionError) as exc:
             assert_nilpotent_compressions(K)
         assert str(exc.value) == expected
-        assert counts == [(1, 5)]
+        assert counts == []
 
-    def test_passing_scan_decomposes_each_subset_once(self, monkeypatch):
+    def test_passing_scan_decomposes_each_cyclic_subset_once(self, monkeypatch):
         # strictly upper triangular plus a 1e-30 arc from point 1 back to
         # point 0: the exact support has a 2-cycle, so the scan runs, and
         # every compression has radius at most 1e-15; one call per size
+        # over the subsets that hold both points, the only cyclic ones
         p = 6
         mat = np.triu(np.ones((p, p)), 1)
         mat[1, 0] = 1e-30
@@ -366,8 +368,8 @@ class TestAssertNilpotentCompressions:
         assert reference_nilpotent_failure(K) is None
         counts = count_decompositions(monkeypatch)
         assert_nilpotent_compressions(K)
-        assert counts == [(s, math.comb(p, s)) for s in range(1, p + 1)]
-        assert sum(n for _, n in counts) == 2**p - 1
+        assert counts == [(s, math.comb(p - 2, s - 2)) for s in range(2, p + 1)]
+        assert sum(n for _, n in counts) == 2 ** (p - 2)
 
     def test_error_names_smallest_failing_mask(self):
         # {0, 1} (mask 3) carries a 2-cycle and {2} (mask 4) a diagonal entry;
