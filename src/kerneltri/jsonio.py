@@ -6,9 +6,9 @@ digits, complex numbers as [re, im] pairs.
 
 from __future__ import annotations
 
-import json
 import math
 import re
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 import numpy as np
@@ -30,48 +30,67 @@ from .spectral import MAX_DENSE_SIZE
 def _format_real(x: float) -> str:
     if not math.isfinite(x):
         raise PreconditionError("cannot serialize non-finite number")
-    if x == int(x) and abs(x) < 1e16:
+    if abs(x) < 1e16 and x == int(x):
         return f"{x:.1f}"
     return format(x, ".17g")
 
 
 def canonical_dumps(obj: Any) -> str:
-    """Deterministic JSON text; identical inputs give identical bytes."""
+    """Deterministic JSON text; identical inputs give identical bytes.
+
+    A node of exact type float, int, list, tuple, dict or str takes its
+    branch at once; any other node takes the isinstance rules after them,
+    which emit a subclass of list, tuple or dict as the plain container of
+    its items. Strings are quoted by encode_basestring_ascii, which is
+    json.dumps of a str with the default arguments."""
     out: list[str] = []
+    append = out.append
 
     def emit(node: Any):
-        if node is None:
-            out.append("null")
+        kind = type(node)
+        if kind is float:
+            append(_format_real(node))
+        elif kind is int:
+            append(str(node))
+        elif kind is list or kind is tuple:
+            sep = "["
+            for item in node:
+                append(sep)
+                sep = ","
+                emit(item)
+            append("]" if sep == "," else "[]")
+        elif kind is dict:
+            sep = "{"
+            for key in sorted(node):
+                append(sep)
+                sep = ","
+                append(encode_basestring_ascii(str(key)))
+                append(":")
+                emit(node[key])
+            append("}" if sep == "," else "{}")
+        elif kind is str:
+            append(encode_basestring_ascii(node))
+        elif node is None:
+            append("null")
         elif isinstance(node, bool):
-            out.append("true" if node else "false")
+            append("true" if node else "false")
         elif isinstance(node, (int, np.integer)):
-            out.append(str(int(node)))
+            append(str(int(node)))
         elif isinstance(node, (float, np.floating)):
-            out.append(_format_real(float(node)))
+            append(_format_real(float(node)))
         elif isinstance(node, complex):
             emit([node.real, node.imag])
         elif isinstance(node, str):
-            out.append(json.dumps(node))
+            append(encode_basestring_ascii(node))
         elif isinstance(node, (list, tuple)):
-            out.append("[")
-            for i, item in enumerate(node):
-                if i:
-                    out.append(",")
-                emit(item)
-            out.append("]")
+            emit(list(node))
         elif isinstance(node, dict):
-            out.append("{")
-            for i, key in enumerate(sorted(node)):
-                if i:
-                    out.append(",")
-                out.append(json.dumps(str(key)) + ":")
-                emit(node[key])
-            out.append("}")
+            emit({key: node[key] for key in node})
         else:
             raise PreconditionError(f"cannot serialize {type(node).__name__}")
 
     emit(obj)
-    out.append("\n")
+    append("\n")
     return "".join(out)
 
 

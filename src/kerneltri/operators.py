@@ -1,8 +1,10 @@
 """Kernel operators in dense discretized form and finite-rank factored form.
 
-An operator is given by its raw kernel samples k(x_i, x_j); the weighted
-action matrix a[i][j] = k(x_i, x_j) * w_j is derived from them once, so
-kernel identities and spectra are each read off the natural representation.
+An operator is given by its raw kernel samples k(x_i, x_j). One modulus
+pass over them gives the structural-zero threshold and the support; the
+weighted action matrix a[i][j] = k(x_i, x_j) * w_j is derived on first
+read, so kernel identities and spectra are each read off the natural
+representation, and the structural paths never form it.
 """
 
 from __future__ import annotations
@@ -30,55 +32,61 @@ def magnitude(a: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class Operator:
-    """Kernel samples k(x_i, x_j) on `space`; `entries` is derived from them."""
+    """Kernel samples k(x_i, x_j) on `space`. `zero_threshold` and
+    `support` come from one modulus pass at construction; `entries` is
+    derived from the kernel on first read."""
 
     space: MeasureSpace
     kernel_values: np.ndarray
-    entries: np.ndarray = field(init=False, repr=False, compare=False)
     #: ZERO_TOL * magnitude(kernel_values): a kernel entry at most this
     #: large is a structural zero
     zero_threshold: float = field(init=False, repr=False, compare=False)
+    #: read-only |kernel_values| > zero_threshold: the structural nonzeros,
+    #: the one place a kernel entry meets the threshold
+    support: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         p = self.space.size
         kernel = self.kernel_values
         if kernel.shape != (p, p):
             raise DimensionMismatchError(f"kernel shape {kernel.shape} does not match {p} points")
-        weights = self.space.weights
         with np.errstate(over="ignore", invalid="ignore"):  # reported by the scans below
             # NaN, an infinite part and a modulus beyond the float range all
             # make the largest modulus non-finite
-            peak = float(np.abs(kernel).max(initial=0.0))
-            entries = kernel * weights
+            mag = np.abs(kernel)
+            peak = float(mag.max(initial=0.0))
             if not math.isfinite(peak):
                 raise _non_finite(kernel, "kernel values")
             # |k w| <= peak * max(w) up to rounding: only a bound near the
-            # float limit (or a NaN weight) needs the entries' own scan
-            if not math.isfinite(2 * peak * weights.max(initial=0.0)):
-                if not math.isfinite(np.abs(entries).max()):
-                    raise _non_finite(entries, "operator entries")
+            # float limit (or a NaN weight) needs the entries, formed now,
+            # and their own scan
+            if not math.isfinite(2 * peak * self.space.weights.max(initial=0.0)):
+                if not math.isfinite(np.abs(self.entries).max()):
+                    raise _non_finite(self.entries, "operator entries")
         kernel.flags.writeable = False
-        entries.flags.writeable = False
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "zero_threshold", ZERO_TOL * max(1.0, peak))
+        zero_threshold = ZERO_TOL * max(1.0, peak)
+        support = mag > zero_threshold
+        support.flags.writeable = False
+        object.__setattr__(self, "zero_threshold", zero_threshold)
+        object.__setattr__(self, "support", support)
 
     @property
     def size(self) -> int:
         return self.space.size
 
     @cached_property
+    def entries(self) -> np.ndarray:
+        """Read-only kernel_values * weights: the weighted action matrix,
+        formed on first read."""
+        entries = self.kernel_values * self.space.weights
+        entries.flags.writeable = False
+        return entries
+
+    @cached_property
     def scale(self) -> float:
         """magnitude(entries); the spectral scale that eigenvalue
         tolerances are relative to."""
         return magnitude(self.entries)
-
-    @cached_property
-    def support(self) -> np.ndarray:
-        """Read-only |kernel_values| > zero_threshold: the structural
-        nonzeros, the one place a kernel entry meets the threshold."""
-        support = np.abs(self.kernel_values) > self.zero_threshold
-        support.flags.writeable = False
-        return support
 
 
 def _non_finite(a: np.ndarray, name: str) -> PreconditionError:

@@ -56,8 +56,8 @@ def dense_eigvals(a: np.ndarray) -> np.ndarray:
     about half the cost of a small call. Precondition, in place of the
     wrapper's finiteness scan: `a` is complex and finite. Every caller
     decomposes compressions of K.entries, which Operator.__post_init__ has
-    proved finite; a NaN would reach LAPACK, which prints XERBLA lines on
-    stderr.
+    proved finite (by the bound peak * max(w), or by their own scan); a
+    NaN would reach LAPACK, which prints XERBLA lines on stderr.
     """
     with np.errstate(
         call=_not_converged, invalid="call", over="ignore", divide="ignore", under="ignore"

@@ -6,6 +6,9 @@ check: brute-force enumeration, direct eigvals calls and explicit loops.
 
 import functools
 import itertools
+import json
+import math
+from typing import Any
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -765,3 +768,52 @@ def reference_complex_matrix(rows) -> np.ndarray:
         return np.array([[scalar(v) for v in row] for row in rows], dtype=complex)
     except OverflowError as exc:
         raise PreconditionError(str(exc)) from exc
+
+
+def _reference_format_real(x: float) -> str:
+    if not math.isfinite(x):
+        raise PreconditionError("cannot serialize non-finite number")
+    if x == int(x) and abs(x) < 1e16:
+        return f"{x:.1f}"
+    return format(x, ".17g")
+
+
+def reference_canonical_dumps(obj: Any) -> str:
+    """The canonical emitter as one isinstance chain per node: the reference
+    for `jsonio.canonical_dumps`, which dispatches on exact types first."""
+    out: list[str] = []
+
+    def emit(node: Any):
+        if node is None:
+            out.append("null")
+        elif isinstance(node, bool):
+            out.append("true" if node else "false")
+        elif isinstance(node, (int, np.integer)):
+            out.append(str(int(node)))
+        elif isinstance(node, (float, np.floating)):
+            out.append(_reference_format_real(float(node)))
+        elif isinstance(node, complex):
+            emit([node.real, node.imag])
+        elif isinstance(node, str):
+            out.append(json.dumps(node))
+        elif isinstance(node, (list, tuple)):
+            out.append("[")
+            for i, item in enumerate(node):
+                if i:
+                    out.append(",")
+                emit(item)
+            out.append("]")
+        elif isinstance(node, dict):
+            out.append("{")
+            for i, key in enumerate(sorted(node)):
+                if i:
+                    out.append(",")
+                out.append(json.dumps(str(key)) + ":")
+                emit(node[key])
+            out.append("}")
+        else:
+            raise PreconditionError(f"cannot serialize {type(node).__name__}")
+
+    emit(obj)
+    out.append("\n")
+    return "".join(out)

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import math
 import tempfile
@@ -16,6 +17,7 @@ from conftest import (
     count_decompositions,
     forbid_eigenvalues,
     random_nilpotent_instance,
+    reference_canonical_dumps,
     reference_complex_matrix,
     volterra_and_two_cycle,
 )
@@ -1331,6 +1333,96 @@ def test_canonical_dumps_is_sorted_and_terminated():
 def test_canonical_dumps_refusals(obj, message):
     with pytest.raises(PreconditionError, match=f"^{message}$"):
         canonical_dumps(obj)
+
+
+class _Items(list):
+    pass
+
+
+class _Mapping(dict):
+    pass
+
+
+class _Text(str):
+    pass
+
+
+_EDGE_FLOATS = [
+    -0.0, 0.0, 1e16, -1e16, float(np.nextafter(1e16, 0)), float(np.nextafter(1e16, 2e16)),
+    1e300, -1e300, 0.1, math.nan, math.inf, -math.inf,
+]
+_emitter_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.sampled_from([10**16 - 1, 10**16, 10**16 + 1, -(10**40), 2**64]),
+    st.floats(),
+    st.sampled_from(_EDGE_FLOATS),
+    st.floats().map(np.float64),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+    st.complex_numbers(),
+    st.text(max_size=4),
+    st.text(max_size=4).map(_Text),
+    st.sets(st.integers(0, 3), max_size=2),
+    st.builds(object),
+)
+_emitter_values = st.recursive(
+    _emitter_leaves,
+    lambda kids: st.lists(kids, max_size=4)
+    | st.lists(kids, max_size=4).map(tuple)
+    | st.lists(kids, max_size=4).map(_Items)
+    | st.dictionaries(st.text(max_size=3), kids, max_size=4)
+    | st.dictionaries(st.text(max_size=3), kids, max_size=4).map(_Mapping),
+    max_leaves=12,
+)
+
+
+def _emitted(emitter, obj) -> tuple[str, str]:
+    try:
+        return "text", emitter(obj)
+    except PreconditionError as exc:
+        return "error", str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_emitter_values)
+def test_canonical_dumps_matches_the_isinstance_chain(obj):
+    assert _emitted(canonical_dumps, obj) == _emitted(reference_canonical_dumps, obj)
+
+
+# sha256 of each canonical output on volterra_linear(512); every one is
+# structural, so no LAPACK rounding enters it and a changed digest is a
+# changed output
+_V512_SHA256 = {
+    "spectrum": "ac5c1de2d2b39c8d9470c59a92c711bca8befa84dbd626d07daafe0132f6e4bd",
+    "cycles": "55f1bde61b90cbedf0aebe83c291abc474220027cc387d1df18ea6cfb8416190",
+    "scc": "60c0f8a2d47432a85de8a286f57c6ccbecb8c8a029cc23a98f89077b42fcfc2b",
+    "verify": "01877e954c5408fd7847807964805caccf7d34e39cae9f8e5642de4ff164714f",
+    "radius-profile": "548fe4d686c7ee67eadd4ae2d137ccfc047371baab7f615724c79c2e17da9c0a",
+}
+
+
+def test_volterra512_outputs_are_pinned(tmp_path):
+    desc = write_json(tmp_path, "v512.json", {"kind": "named", "name": "volterra_linear", "cells": 512})
+    cert = tmp_path / "cert.json"
+    argvs = {
+        "spectrum": ["spectrum"],
+        "cycles": ["cycles"],
+        "scc": ["triangularize", "--kind", "scc", "--out", str(cert)],
+        "verify": ["verify", "--cert", str(cert)],
+        "radius-profile": ["radius-profile"],
+    }
+    digests = {}
+    for name, argv in argvs.items():
+        if "--out" in argv:
+            assert main(argv + ["--in", desc]) == 0
+            text = cert.read_text()
+        else:
+            code, text = run(tmp_path, *argv, "--in", desc)
+            assert code == 0
+        digests[name] = hashlib.sha256(text.encode()).hexdigest()
+    assert digests == _V512_SHA256
 
 
 # small values only, so that every mutated operator stays cheap to check

@@ -25,13 +25,17 @@ from kerneltri import (
     moment_identities,
     modulus,
     numerical_rank,
+    scc_triangularize,
     sharpness_example,
     sharpness_example_factors,
     trace,
     trace_power,
+    verify_certificate,
     volterra_linear,
 )
+from kerneltri.cycles import find_nondegenerate_cycle
 from kerneltri.operators import ZERO_TOL, magnitude
+from kerneltri.triangular import max_kernel_projection
 
 EXAMPLE_5x5 = np.array(
     [
@@ -144,6 +148,9 @@ class TestOperatorConstruction:
     def test_largest_finite_modulus_is_accepted(self):
         space = MeasureSpace((0.5,), (1.0,), (2,))
         K = kernel_operator(space, np.array([[complex(1.2e308, 1.2e308), 0], [0, 1]]))
+        # 2 * peak * max(w) overflows, so the entries were formed and
+        # scanned at construction
+        assert "entries" in vars(K)
         assert K.zero_threshold == ZERO_TOL * abs(complex(1.2e308, 1.2e308))
         assert K.scale == abs(complex(1.2e308, 1.2e308))
 
@@ -177,6 +184,31 @@ class TestStructuralZeroRule:
         with pytest.raises(ValueError, match="read-only"):
             K.support[0, 0] = True
         assert not K.support[0, 0]
+
+
+def _four_atom_two_cycle():
+    kernel = np.array([[1, 2, 0, 0], [3, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 2]], dtype=complex)
+    return kernel_operator(build_space(0, [2, 3, 4, 5]), kernel)
+
+
+class TestEntriesOnFirstRead:
+    # volterra_linear(64) lies above cycles._CSGRAPH_CUTOFF; the 4-atom
+    # kernel holds the 2-cycle (0, 1) and stays on the Python paths
+    @pytest.mark.parametrize(
+        "make", [lambda: volterra_linear(64), _four_atom_two_cycle], ids=["volterra64", "atoms4"]
+    )
+    def test_structural_calls_never_form_the_entries(self, make):
+        K = make()
+        support = K.support
+        cert = scc_triangularize(K)
+        assert verify_certificate(K, cert).passed
+        find_nondegenerate_cycle(K)
+        max_kernel_projection(K)
+        assert "entries" not in vars(K)
+        assert K.support is support and not support.flags.writeable
+        np.testing.assert_array_equal(support, np.abs(K.kernel_values) > K.zero_threshold)
+        assert K.entries.tobytes() == (K.kernel_values * K.space.weights).tobytes()
+        assert K.entries is K.entries and not K.entries.flags.writeable
 
 
 class TestCompress:
