@@ -55,8 +55,9 @@ def find_nondegenerate_cycle(
 #: Operators of more points than this label their strongly connected
 #: components with one csgraph call (see :func:`scc_blocks` and
 #: :func:`acyclic_suffix`); at or below it the Python loops are faster.
-#: Timed one call at a time, the paths cross at about 24 points for
-#: acyclic_suffix and 40 for scc_blocks on a triangular support.
+#: Timed one call at a time on a triangular support, the paths cross at
+#: about 40 points for scc_blocks, and for acyclic_suffix at about 24
+#: points when the arcs run to larger points and 128 when to smaller ones.
 _CSGRAPH_CUTOFF = 40
 
 
@@ -96,10 +97,8 @@ def shortest_cycle(dg: SupportDigraph) -> tuple[int, ...] | None:
     from scipy.sparse.csgraph import shortest_path
 
     p = dg.size
-    arcs = dg.arcs.copy()
-    np.fill_diagonal(arcs, False)  # a loop is no cycle
-    tails, heads, graph, comp = _strong_components(arcs)
-    inside = comp[tails] == comp[heads]  # the arcs that lie on some cycle
+    tails, heads, graph, comp = _strong_components(dg.arcs)  # a loop changes no label
+    inside = (comp[tails] == comp[heads]) & (tails != heads)  # the arcs on some cycle
     if not inside.any():
         return None
     tails, heads = tails[inside], heads[inside]
@@ -124,7 +123,7 @@ def shortest_cycle(dg: SupportDigraph) -> tuple[int, ...] | None:
     start = int(tails[back == closing].min())
     cycle = [start]
     for k in range(girth - 1, 0, -1):
-        nxt = np.flatnonzero(arcs[cycle[-1]] & (local >= 0))
+        nxt = np.flatnonzero(dg.arcs[cycle[-1]] & (local >= 0))
         cycle.append(int(nxt[dist[local[nxt], start] == k][0]))
     return tuple(cycle)
 
@@ -228,28 +227,27 @@ def _python_scc_blocks(successors) -> tuple[tuple[int, ...], ...]:
 
 def acyclic_suffix(entries: np.ndarray) -> int:
     """Largest m such that the exactly nonzero off-diagonal entries of the
-    square array `entries` among its last m points form no cycle.
+    square array `entries` among its last m points form no cycle: the
+    `suffix` of :class:`SubsetCycles`.
 
-    That is p - 1 - v for the largest point v that is the smallest point
-    of some cycle. Every cycle lies inside one strongly connected
-    component, so above _CSGRAPH_CUTOFF points one csgraph call labels
-    the components: with none of 2 or more points the answer is p, and
-    otherwise the closure below runs only over the points of those
-    components, with the arcs inside a component.
+    Every cycle lies inside one strongly connected component, so above
+    _CSGRAPH_CUTOFF points one csgraph call labels the components (a loop
+    changes no label): with none of 2 or more points the answer is p, and
+    otherwise the search runs only over the points of those components,
+    with the arcs inside a component. The largest point v that is the
+    smallest point of a cycle is the same there, and the answer p - 1 - v.
     """
     p = entries.shape[0]
-    reach = entries != 0
-    np.fill_diagonal(reach, False)
     if p <= _CSGRAPH_CUTOFF:
-        v = _top_cycle_point(reach)
-        return p if v is None else p - 1 - v
-    _, _, _, comp = _strong_components(reach)
+        return SubsetCycles(entries).suffix
+    arcs = entries != 0
+    _, _, _, comp = _strong_components(arcs)
     points = np.flatnonzero(np.bincount(comp)[comp] > 1)
     if not points.size:
         return p
     inner = comp[points]
-    v = _top_cycle_point(reach[np.ix_(points, points)] & (inner[:, None] == inner[None, :]))
-    return p - 1 - int(points[v])
+    arcs = arcs[np.ix_(points, points)] & (inner[:, None] == inner[None, :])
+    return p - 1 - int(points[points.size - 1 - SubsetCycles(arcs).suffix])
 
 
 class SubsetCycles:
@@ -258,9 +256,10 @@ class SubsetCycles:
 
     Subsets are level masks: bit j stands for point p-1-j, so the subsets
     of the last m points T_m are the masks below 2^m. `suffix` is the
-    largest m whose T_m is acyclic, as :func:`acyclic_suffix` gives it:
+    largest m whose T_m is acyclic, which :func:`acyclic_suffix` returns:
     T_m stays acyclic while point p-m closes no cycle inside it, which a
-    search over the successor bitmasks decides without the table.
+    search over the successor bitmasks decides without the table, each
+    point's loop bit cleared (a loop is no cycle).
     :meth:`grow` then extends the table to the subsets of T_m, in Python
     over bitmasks: out[S] is the union of the successors of S, grown one
     bit at a time, S & ~out[S] are the sources of S, and S is acyclic iff
@@ -320,23 +319,6 @@ class SubsetCycles:
                 sources = s & ~out[s]
                 append(not sources or cyclic[s ^ (sources & -sources)])
         return np.array(cyclic[: 1 << m])
-
-
-def _top_cycle_point(reach: np.ndarray) -> int | None:
-    """The largest v that is the smallest point of a cycle of the boolean
-    array `reach` (its diagonal clear), None when it has no cycle; `reach`
-    is overwritten.
-
-    Warshall's closure takes the points as pivots from the last one down:
-    once p-1 .. v+1 are taken, reach[i, j] says that some path i -> j
-    runs through those points only, so point v closes a cycle with them
-    exactly when reach[v, v] holds.
-    """
-    for v in range(reach.shape[0] - 1, -1, -1):
-        if reach[v, v]:
-            return v
-        reach |= reach[:, v, None] & reach[v]
-    return None
 
 
 @dataclass(frozen=True)

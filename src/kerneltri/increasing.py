@@ -31,6 +31,7 @@ from .spectral import (
     dense_eigvals,
     exact_cycle_spectrum,
     first_excluded,
+    nearest_distance,
 )
 
 
@@ -66,9 +67,9 @@ def _structural_check(K: Operator, tol: float) -> PropertyReport:
     cycle, spectrum = exact_cycle_spectrum(K)
     diagonal = K.entries[cycle, cycle]
     tol_eff = tol * K.scale
-    hit = first_excluded(diagonal, np.broadcast_to(spectrum, (cycle.size, cycle.size)), tol_eff)
+    hit = first_excluded(diagonal, spectrum, tol_eff)  # each row of outer is the spectrum
     if hit is None:
-        margin = np.abs(diagonal[:, None] - spectrum).min(axis=1).max()
+        margin = nearest_distance(diagonal, spectrum).max()
         raise PreconditionError(
             f"the shortest cycle {cycle.tolist()} of the exact support has largest margin "
             f"{margin:.3e}, at or below tol * scale = {tol_eff:.3e}: the operator lies in "
@@ -177,8 +178,8 @@ def _exhaustive_check(K: Operator, tol: float) -> PropertyReport:
                 values = dense_eigvals(mats)
                 grown[:s, lmasks] = values.T
                 if not one_block:  # the comparison of first_excluded
-                    dist = np.abs(mats.diagonal(0, 1, 2)[:, :, None] - values[:, None, :])
-                    far[lmasks] = ((np.fmin.reduce(dist, axis=2) > tol_eff) * bits).sum(axis=1)
+                    dist = nearest_distance(mats.diagonal(0, 1, 2), values[:, None, :])
+                    far[lmasks] = ((dist > tol_eff) * bits).sum(axis=1)
         spec = grown
 
     def report(number: int, e_lmask: int, f_lmask: int, col: int) -> PropertyReport:

@@ -143,6 +143,19 @@ def _is_pair(value) -> bool:
     return type(value) is list and len(value) == 2 and all(map(is_number, value))
 
 
+def is_finite(value) -> bool:
+    """A JSON number that converts to a finite float."""
+    try:
+        return is_number(value) and math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def is_complex(value) -> bool:
+    """An [re, im] list of two finite numbers."""
+    return type(value) is list and len(value) == 2 and all(map(is_finite, value))
+
+
 def _complex_matrix(rows) -> np.ndarray:
     """Rows of numbers or [re, im] pairs, filled into the real and imaginary
     parts row by row; every entry is type-checked, so no string or bool is

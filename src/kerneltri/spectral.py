@@ -104,13 +104,20 @@ def eigenvalues(K: Operator, tol: float = DEFAULT_TOL) -> SpectrumReport:
     )
 
 
+def nearest_distance(values: np.ndarray, outer: np.ndarray) -> np.ndarray:
+    """Distance of each of the `values` (..., n) to the nearest value of
+    its own row of `outer` (..., n, b), inf for a row without values. NaN
+    entries of `outer` are padding, which fmin passes over; `values`
+    holds values only."""
+    return np.fmin.reduce(np.abs(values[..., None] - outer), axis=-1, initial=np.inf)
+
+
 def first_excluded(values: np.ndarray, outer: np.ndarray, tol: float) -> int | None:
     """Index of the first of the `values` (n,) that lies farther than tol
-    from every value of its own row of `outer` (n, b); None when there is
-    none. NaN entries of `outer` are padding, so a row without values
-    excludes its value; `values` holds values only."""
-    dist = np.fmin.reduce(np.abs(values[:, None] - outer), axis=1, initial=np.inf)
-    bad = (dist > tol).nonzero()[0]
+    from every value of its own row of `outer` (n, b), by
+    :func:`nearest_distance`; None when there is none. A row without
+    values excludes its value."""
+    bad = (nearest_distance(values, outer) > tol).nonzero()[0]
     return int(bad[0]) if bad.size else None
 
 

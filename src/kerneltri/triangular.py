@@ -17,7 +17,6 @@ Three certificate kinds:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +44,7 @@ from .spectral import (
     match_multisets,
 )
 from .cycles import SubsetCycles, SupportDigraph, acyclic_suffix, scc_blocks, support_digraph
-from .jsonio import canonical_dumps, is_integer, is_number
+from .jsonio import _takes_only, canonical_dumps, is_complex, is_finite, is_integer
 
 
 @dataclass(frozen=True)
@@ -57,6 +56,7 @@ class BlockDiagnosis:
 
 BLOCK_CLASSES = ("zero", "scalar", "irreducible")
 CERTIFICATE_KINDS = ("scc", "nilpotent_rank", "increasing_spectrum")
+_CERTIFICATE_KEYS = ("kind", "blocks", "diagonal", "bound", "residual", "tol", "multiplicity_free")
 
 
 @dataclass(frozen=True)
@@ -98,11 +98,14 @@ class TriangularizationCertificate:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TriangularizationCertificate":
-        """Read a certificate, checking the type of every field and naming
-        a missing one; whether the recorded classes, residual and bound
-        hold is left to :func:`verify_certificate`."""
+        """Read a certificate, checking the type of every field, naming a
+        missing one and refusing a key it does not read, at the top level,
+        in "bound" and in each "diagonal" item; whether the recorded
+        classes, residual and bound hold is left to
+        :func:`verify_certificate`."""
         if not isinstance(data, dict):
             raise PreconditionError("a certificate must be a JSON object")
+        _takes_only("a certificate", data, *_CERTIFICATE_KEYS)
         try:
             blocks, diagonal, bound = data["blocks"], data["diagonal"], data["bound"]
             if not (isinstance(blocks, list) and all(isinstance(b, list) for b in blocks)):
@@ -110,13 +113,16 @@ class TriangularizationCertificate:
             if not (
                 isinstance(diagonal, list)
                 and all(isinstance(d, dict) for d in diagonal)
-                and all(_is_complex(d["lambda"]) for d in diagonal if "lambda" in d)
+                and all(is_complex(d["lambda"]) for d in diagonal if "lambda" in d)
             ):
                 raise PreconditionError(
                     'certificate "diagonal" must be a list of objects whose "lambda" is [re, im]'
                 )
             if not isinstance(bound, dict):
                 raise PreconditionError('certificate "bound" must be an object')
+            _takes_only('certificate "bound"', bound, "m", "limit", "rank")
+            for d in diagonal:
+                _takes_only('a certificate "diagonal" item', d, "block", "class", "lambda")
             diag = tuple(
                 BlockDiagnosis(
                     block=d["block"],
@@ -143,7 +149,7 @@ class TriangularizationCertificate:
         if cert.kind not in CERTIFICATE_KINDS:
             raise PreconditionError(f"unknown certificate kind: {cert.kind!r}")
         for key in ("tol", "residual"):
-            if not _is_finite(data[key]):
+            if not is_finite(data[key]):
                 raise PreconditionError(f'certificate "{key}" must be a finite number')
         if not isinstance(cert.multiplicity_free, bool):
             raise PreconditionError('certificate "multiplicity_free" must be true or false')
@@ -158,19 +164,6 @@ class TriangularizationCertificate:
             if d.kind not in BLOCK_CLASSES:
                 raise PreconditionError(f"unknown diagonal class: {d.kind!r}")
         return cert
-
-
-def _is_finite(value) -> bool:
-    """A JSON number that converts to a finite float."""
-    try:
-        return is_number(value) and math.isfinite(value)
-    except OverflowError:  # an int beyond the float range
-        return False
-
-
-def _is_complex(value) -> bool:
-    """An [re, im] list of two finite numbers."""
-    return type(value) is list and len(value) == 2 and all(map(_is_finite, value))
 
 
 def _block_positions(p: int, blocks) -> np.ndarray:

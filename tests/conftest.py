@@ -541,7 +541,8 @@ def reference_acyclic_suffix(entries: np.ndarray) -> int:
     off-diagonal entries, by peeling each suffix in turn, the longest
     first: drop the points that no other remaining point has an arc into
     until none is left (acyclic) or none can go (a cycle). The reference
-    for `acyclic_suffix`, which grows one Warshall closure instead."""
+    for `acyclic_suffix`, which runs the bitmask search of `SubsetCycles`
+    instead, point by point from the last one."""
     p = entries.shape[0]
     for m in range(p, 0, -1):
         remaining = set(range(p - m, p))

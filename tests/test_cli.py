@@ -704,6 +704,36 @@ class TestTriangularize:
         assert not report["passed"]
         assert not report["checks"]["partition"]["passed"]
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (
+                lambda c: c.update(extra=1),
+                "a certificate takes no key 'extra' (it takes kind, blocks, diagonal, bound, "
+                "residual, tol, multiplicity_free)",
+            ),
+            (
+                lambda c: c["bound"].update(mm=3),
+                "certificate \"bound\" takes no key 'mm' (it takes m, limit, rank)",
+            ),
+            (
+                lambda c: c["diagonal"][0].update(lamda=[1, 0]),
+                "a certificate \"diagonal\" item takes no key 'lamda' (it takes block, class, lambda)",
+            ),
+        ],
+        ids=["top-level", "bound", "diagonal-item"],
+    )
+    def test_verify_refuses_a_key_it_does_not_read(self, tmp_path, capsys, edit, message):
+        # a certificate that verifies but for one extra or misspelled key
+        op = write_json(tmp_path, "op.json", {"kind": "named", "name": "volterra_linear", "cells": 4})
+        cert_file = tmp_path / "cert.json"
+        assert main(["triangularize", "--in", op, "--kind", "scc", "--out", str(cert_file)]) == 0
+        cert = json.loads(cert_file.read_text())
+        edit(cert)
+        code, text = run(tmp_path, "verify", "--in", op, "--cert", write_json(tmp_path, "c.json", cert))
+        assert (code, text) == (2, "")
+        assert capsys.readouterr().err == f"error: {message}\n"
+
 
 class TestRadiusProfile:
     def test_volterra(self, tmp_path):

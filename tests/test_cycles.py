@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import (
     mixed_component_digraph,
     moment_matrix,
+    planted_cycles,
     random_nilpotent_instance,
     reference_acyclic_suffix,
     reference_shortest_cycle,
@@ -22,6 +23,7 @@ from kerneltri import (
     find_nondegenerate_cycle,
     kernel_operator,
     moment_identities,
+    ones_kernel,
     sharpness_example,
     sharpness_example_factors,
     shortest_cycle,
@@ -29,7 +31,7 @@ from kerneltri import (
     volterra_linear,
 )
 from kerneltri import cycles
-from kerneltri.cycles import acyclic_suffix
+from kerneltri.cycles import SupportDigraph, acyclic_suffix
 
 
 def atomic_operator(matrix):
@@ -93,6 +95,18 @@ class TestFindNondegenerateCycle:
     def test_loops_alone_do_not_count(self):
         K = atomic_operator(np.diag([1.0, 2.0, 3.0]))
         assert find_nondegenerate_cycle(K) is None
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_loops_on_the_cycle_points_change_nothing(self, seed):
+        # a random support, and the same with a loop on every point; the
+        # search reads the arcs as they are, and leaves them so
+        rng = np.random.default_rng(seed)
+        arcs = (rng.random((8, 8)) < 0.2) & ~np.eye(8, dtype=bool)
+        looped = arcs | np.eye(8, dtype=bool)
+        looped.flags.writeable = False
+        expected = shortest_cycle(SupportDigraph(0.0, arcs))
+        assert shortest_cycle(SupportDigraph(0.0, looped)) == expected
+        assert expected == reference_shortest_cycle(atomic_operator(arcs))
 
     def test_shortest_cycle_wins(self):
         # 0 -> 1 -> 2 -> 0 is a 3-cycle, but 1 <-> 2 is shorter
@@ -193,8 +207,9 @@ suffix_draws = dict(
 
 class TestAcyclicSuffix:
     """Both paths of `acyclic_suffix` against `reference_acyclic_suffix`:
-    the closure over all points at or below `cycles._CSGRAPH_CUTOFF`
-    points, the one over the nontrivial strong components above it."""
+    the bitmask search of `SubsetCycles` over all points at or below
+    `cycles._CSGRAPH_CUTOFF` points, the one over the nontrivial strong
+    components above it."""
 
     @given(
         p=st.integers(min_value=0, max_value=12),
@@ -222,6 +237,31 @@ class TestAcyclicSuffix:
         assert acyclic_suffix(volterra_linear(64).entries) == 64
         # a cycle through points 0 and 2 only: the suffix {1, 2} is acyclic
         assert acyclic_suffix(np.array([[0, 0, 1], [0, 0, 0], [1j, 0, 0]])) == 2
+
+    @pytest.mark.parametrize("p, start", [(41, 0), (64, 0), (96, 0), (96, 30)])
+    @pytest.mark.parametrize("loops", [False, True])
+    def test_cyclic_shift_above_the_cutoff(self, p, start, loops):
+        # one strongly connected component of the p - start > 40 points
+        # from `start` on, whose one cycle has `start` as its smallest point
+        entries = np.eye(p) if loops else np.zeros((p, p))
+        ring = np.arange(start, p)
+        entries[ring, np.roll(ring, -1)] = 1.0
+        assert acyclic_suffix(entries) == reference_acyclic_suffix(entries) == p - 1 - start
+
+    def test_shift_with_a_two_cycle_through_point_0(self):
+        entries = np.zeros((80, 80))
+        entries[np.arange(80), (np.arange(80) + 1) % 80] = 1.0
+        entries[1, 0] = 1.0
+        assert acyclic_suffix(entries) == reference_acyclic_suffix(entries) == 79
+
+    def test_ones_kernel_above_the_cutoff(self):
+        entries = ones_kernel(64).entries
+        assert acyclic_suffix(entries) == reference_acyclic_suffix(entries) == 1
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_planted_cycles_above_the_cutoff(self, seed):
+        entries = planted_cycles(np.random.default_rng(seed), 41 + 11 * seed)
+        assert acyclic_suffix(entries) == reference_acyclic_suffix(entries)
 
     @pytest.mark.parametrize("pair, expected", [((0, 1), 511), ((510, 511), 1)])
     def test_volterra_512_with_one_two_cycle(self, pair, expected):

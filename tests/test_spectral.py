@@ -19,7 +19,13 @@ from kerneltri import (
     nonzero_eigen_match,
     sharpness_example,
 )
-from kerneltri.spectral import _sorted_eigs, dense_eigvals, first_excluded, match_multisets
+from kerneltri.spectral import (
+    _sorted_eigs,
+    dense_eigvals,
+    first_excluded,
+    match_multisets,
+    nearest_distance,
+)
 
 
 def atomic_operator(matrix):
@@ -294,6 +300,42 @@ class TestFirstExcluded:
     def test_empty_inner_is_included(self):
         assert first_excluded(np.empty(0, dtype=complex), np.empty((0, 1)), 1.0) is None
         assert inclusion_witness(np.empty(0, dtype=complex), np.array([1.0]), 1.0) is None
+
+
+class TestNearestDistance:
+    """`nearest_distance` against a plain loop, on the shapes of its
+    callers: (k, s) values against (k, 1, s) spectra, as the far masks of
+    the exhaustive check measure each diagonal entry of k subsets of s
+    points against its own subset's spectrum; (k, s) values against a
+    NaN-padded (k, s, s) table; and (n,) values against one (n,) row."""
+
+    #: any two of them lie 0, 3, 4 or 5 apart, so every distance is exact
+    CORNERS = np.array([0, 3, 4j, 3 + 4j])
+
+    @staticmethod
+    def plain(z, row):
+        return min((abs(z - y) for y in row if not np.isnan(y)), default=np.inf)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_a_plain_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        k, s = rng.integers(1, 6, size=2)
+        diag, spectra = rng.choice(self.CORNERS, size=(2, k, s))
+        got = nearest_distance(diag, spectra[:, None, :])
+        assert got.shape == (k, s)
+        for i, j in np.ndindex(k, s):
+            assert got[i, j] == self.plain(diag[i, j], spectra[i])
+
+        table = np.broadcast_to(spectra[:, None, :], (k, s, s)).copy()
+        table[rng.random((k, s, s)) < 0.4] = np.nan
+        table[0, 0] = np.nan  # a row without values
+        got = nearest_distance(diag, table)
+        for i, j in np.ndindex(k, s):
+            assert got[i, j] == self.plain(diag[i, j], table[i, j])
+        assert got[0, 0] == np.inf
+
+        got = nearest_distance(diag[0], spectra[0])
+        assert got.tolist() == [self.plain(z, spectra[0]) for z in diag[0]]
 
 
 class TestNonzeroEigenMatch:
